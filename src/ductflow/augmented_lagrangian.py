@@ -16,11 +16,18 @@ All nonlinearity is carried by the strain-rate step, which keeps the
 velocity step a single Laplacian solve.  The stopping test mirrors the
 trust-region solver: stationarity and momentum residuals below
 ``abstol`` plus relative velocity and strain-rate increments below
-``reltol``.
+``reltol``.  A non-finite residual stops the loop with status
+``non_finite``.
+
+Each iteration takes three sparse products: ``D q``, ``D^T y`` (shared
+by the gradient step and the stationarity residual) and ``D tau``
+(shared by the momentum residual and the next velocity right-hand side).
+The objective is evaluated once, at the returned iterate.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -134,15 +141,21 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
     y = np.zeros(ops.n_free)
     q = np.zeros(ops.n_stress)
     tau = np.zeros(ops.n_stress)
+    d_tau = np.zeros(ops.n_free)  # D @ tau, carried from the momentum check
     report = SolveReport()
+    # Arrested flow leaves y and q at rounding-level noise where a purely
+    # relative increment test can never pass; increments below the
+    # data-scale floor count as converged.
+    floor = 1e-12 * (1.0 + (float(np.abs(ops.f_h).max()) if ops.f_h.size else 0.0))
 
     for k in range(cfg.max_outer):
         y_prev, q_prev = y, q
 
-        rhs = ops.f_h - ops.D @ tau + cfg.r * (ops.D @ q)
+        rhs = ops.f_h - d_tau + cfg.r * (ops.D @ q)
         y = ops.solve_stiffness(rhs) / cfg.r
 
-        grad_y = ops.velocity_gradient(y)
+        dt_y = ops.DT @ y
+        grad_y = dt_y / ops.area2
         w = tau + cfg.r * grad_y
         w_blocks = w.reshape(-1, 2)
         w_norms = np.hypot(w_blocks[:, 0], w_blocks[:, 1])
@@ -153,19 +166,19 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
 
         tau = tau + cfg.r * (grad_y - q)
 
-        stationarity = gradient(params, ops, tau) - ops.D.T @ y
+        stationarity = gradient(params, ops, tau) - dt_y
         kkt = float(np.max(np.abs(stationarity))) if stationarity.size else 0.0
-        momentum = ops.momentum_residual(tau)
+        d_tau = ops.D @ tau
+        momentum = float(np.max(np.abs(d_tau - ops.f_h))) if d_tau.size else 0.0
         residual = max(kkt, momentum)
 
         report.kkt_history.append(residual)
-        report.objective_history.append(objective(params, ops, tau))
         report.feasibility_history.append(momentum)
 
-        # Arrested flow leaves y and q at rounding-level noise where a
-        # purely relative increment test can never pass; increments below
-        # the data-scale floor count as converged.
-        floor = 1e-12 * (1.0 + (float(np.abs(ops.f_h).max()) if ops.f_h.size else 0.0))
+        if not (math.isfinite(kkt) and math.isfinite(momentum)):
+            report.status = "non_finite"
+            report.iterations = k + 1
+            break
         y_ok = float(np.linalg.norm(y - y_prev)) <= cfg.reltol * float(np.linalg.norm(y)) + floor
         q_ok = float(np.linalg.norm(q - q_prev)) <= cfg.reltol * float(np.linalg.norm(q)) + floor
         if residual <= cfg.abstol and y_ok and q_ok:
@@ -176,5 +189,6 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
         report.status = "max_iterations"
         report.iterations = cfg.max_outer
 
+    report.objective_history.append(objective(params, ops, tau))
     report.wall_time = time.perf_counter() - start
     return y, q, tau, report

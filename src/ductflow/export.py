@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 from .mesh import Triangulation
+from .objective import block_norms
 from .report import SolveReport
 
 
@@ -19,11 +20,6 @@ def expand_velocity(tri: Triangulation, y: np.ndarray) -> np.ndarray:
     full = np.zeros(tri.n_nodes)
     full[tri.free_nodes] = y
     return full
-
-
-def stress_magnitudes(tau: np.ndarray) -> np.ndarray:
-    t = np.asarray(tau, dtype=float).reshape(-1, 2)
-    return np.hypot(t[:, 0], t[:, 1])
 
 
 def write_velocity_csv(path, tri: Triangulation, y: np.ndarray) -> None:
@@ -35,7 +31,7 @@ def write_velocity_csv(path, tri: Triangulation, y: np.ndarray) -> None:
 
 
 def write_stress_csv(path, tau: np.ndarray, tau0: float) -> None:
-    mags = stress_magnitudes(tau)
+    mags = block_norms(tau)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("triangle,stress_magnitude,yielded\n")
         for k, mag in enumerate(mags):
@@ -46,7 +42,7 @@ def write_vtk(path, tri: Triangulation, y: np.ndarray, tau: np.ndarray,
               tau0: float) -> None:
     """Legacy ASCII unstructured grid with point and cell data."""
     full = expand_velocity(tri, y)
-    mags = stress_magnitudes(tau)
+    mags = block_norms(tau)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("viscoplastic duct flow\n")

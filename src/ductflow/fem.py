@@ -9,8 +9,12 @@ exactly (the integrands are piecewise constant, no quadrature error).
 
 ``A`` is the diagonal of doubled triangle areas; ``D A^-1 D^T`` coincides
 with the standard P1 stiffness matrix on free nodes and ``A^-1 D^T`` is
-the discrete gradient.  Both SPD matrices are factorised once and reused
-by every solver iteration.
+the discrete gradient.  Both SPD matrices, ``D D^T`` and ``D A^-1 D^T``,
+are factorised once, by one helper in SuperLU's symmetric mode
+(minimum-degree ordering on ``M + M^T``, diagonal pivots), and reused by
+every solver iteration.  ``D^T`` is likewise built once, as the CSR
+matrix ``DT``: ``D.T`` of a CSR matrix is a new CSC object on every
+access, and its products equal those of ``DT`` bit for bit.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ class DiscreteOperators:
     ----------
     tri : Triangulation
     f : float or callable
-        Force density.  A callable receives coordinate arrays ``(x, y)``
-        and must return nodal values; the load vector uses vertex
-        quadrature ``|T|/3`` per corner, exact for constant ``f``.
+        Force density, finite everywhere.  A callable receives coordinate
+        arrays ``(x, y)`` and must return nodal values; the load vector
+        uses vertex quadrature ``|T|/3`` per corner, exact for constant
+        ``f``.
     """
 
     def __init__(self, tri: Triangulation, f=1.0):
@@ -49,14 +54,14 @@ class DiscreteOperators:
 
         self.area2 = np.repeat(tri.areas, 2)
         self.D = _constraint_matrix(tri)
+        self.DT = self.D.T.tocsr()
         self.f_h = _load_vector(tri, f)
 
         if n_free:
-            gram = (self.D @ self.D.T).tocsc()
-            self.stiffness = (self.D @ sp.diags(1.0 / self.area2) @ self.D.T).tocsr()
+            self.stiffness = (self.D @ sp.diags(1.0 / self.area2) @ self.DT).tocsr()
             try:
-                self._lu_gram = splu(gram)
-                self._lu_stiffness = splu(self.stiffness.tocsc())
+                self._lu_gram = _factor_spd(self.D @ self.DT)
+                self._lu_stiffness = _factor_spd(self.stiffness)
             except RuntimeError as exc:
                 raise FactorizationError(
                     f"factorisation of D*D^T / D*A^-1*D^T failed ({exc}); "
@@ -97,7 +102,7 @@ class DiscreteOperators:
         if self.n_free == 0:
             return tau.copy()
         defect = self.D @ tau - self.f_h
-        return tau - (self.D.T @ self.solve_stiffness(defect)) / self.area2
+        return tau - (self.DT @ self.solve_stiffness(defect)) / self.area2
 
     def recover_velocity(self, grad: np.ndarray) -> np.ndarray:
         """Least-squares multiplier ``y = (D D^T)^-1 D grad``.
@@ -113,11 +118,11 @@ class DiscreteOperators:
         v = np.asarray(v, dtype=float)
         if self.n_free == 0:
             return v.copy()
-        return v - self.D.T @ self.solve_ddt(self.D @ v)
+        return v - self.DT @ self.solve_ddt(self.D @ v)
 
     def velocity_gradient(self, y: np.ndarray) -> np.ndarray:
         """Per-triangle gradient of a P1 velocity field: ``A^-1 D^T y``."""
-        return (self.D.T @ np.asarray(y, dtype=float)) / self.area2
+        return (self.DT @ np.asarray(y, dtype=float)) / self.area2
 
     def momentum_residual(self, tau: np.ndarray) -> float:
         """``max |D tau - f_h|``, the feasibility defect."""
@@ -129,6 +134,12 @@ class DiscreteOperators:
 def assemble(tri: Triangulation, f=1.0) -> DiscreteOperators:
     """Assemble all discrete operators for ``tri`` with force density ``f``."""
     return DiscreteOperators(tri, f)
+
+
+def _factor_spd(matrix):
+    """Sparse LU of an SPD matrix in SuperLU's symmetric mode."""
+    return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
 
 
 def _constraint_matrix(tri: Triangulation) -> sp.csr_matrix:
@@ -153,6 +164,8 @@ def _load_vector(tri: Triangulation, f) -> np.ndarray:
             raise ValueError("force density callable must return one value per node")
     else:
         f_nodes = np.full(tri.n_nodes, float(f))
+    if not np.all(np.isfinite(f_nodes)):
+        raise ValueError("force density must be finite")
 
     full = np.zeros(tri.n_nodes)
     contrib = (tri.areas[:, None] / 3.0) * f_nodes[tri.triangles]

@@ -172,12 +172,14 @@ def _check_conformity(triangles):
     # In a conforming CCW mesh every directed edge occurs at most once and
     # interior edges occur once per orientation.
     edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    directed = set()
-    for a, b in edges:
-        key = (int(a), int(b))
-        if key in directed:
-            raise MeshError(f"invariant violated: non-conforming mesh, directed edge {key} repeated")
-        directed.add(key)
+    keys = edges[:, 0] * (int(triangles.max()) + 1) + edges[:, 1]
+    _, first = np.unique(keys, return_index=True)
+    if first.size < keys.size:
+        repeated = np.ones(keys.size, dtype=bool)
+        repeated[first] = False
+        a, b = edges[np.argmax(repeated)]
+        raise MeshError("invariant violated: non-conforming mesh, directed edge "
+                        f"{(int(a), int(b))} repeated")
 
 
 def _geometry(nodes, triangles):

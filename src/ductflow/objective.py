@@ -17,6 +17,7 @@ full matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,8 @@ class FluidParams:
 
     alpha : power-law exponent in (1, 2]; 2 is the Bingham case where
         kappa plays the role of the plastic viscosity.
-    kappa : consistency, > 0.
-    tau0 : yield stress, >= 0.
+    kappa : consistency, finite and > 0.
+    tau0 : yield stress, finite and >= 0.
     """
 
     alpha: float
@@ -46,10 +47,10 @@ class FluidParams:
                 f"alpha must lie in (1, 2], got {self.alpha}; "
                 "shear-thickening exponents alpha > 2 are not supported"
             )
-        if self.kappa <= 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.tau0 < 0.0:
-            raise ValueError(f"tau0 must be non-negative, got {self.tau0}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
+            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
+        if not (math.isfinite(self.tau0) and self.tau0 >= 0.0):
+            raise ValueError(f"tau0 must be finite and non-negative, got {self.tau0}")
         object.__setattr__(self, "alpha_prime", self.alpha / (self.alpha - 1.0))
         object.__setattr__(self, "kappa_pow", self.kappa ** (1.0 / (self.alpha - 1.0)))
 
@@ -132,5 +133,5 @@ def hessian_apply(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
 def kkt_residual(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray,
                  y: np.ndarray) -> float:
     """Stationarity defect ``max |grad J(tau) - D^T y|``."""
-    resid = gradient(params, ops, tau) - ops.D.T @ np.asarray(y, dtype=float)
+    resid = gradient(params, ops, tau) - ops.DT @ np.asarray(y, dtype=float)
     return float(np.max(np.abs(resid))) if resid.size else 0.0

@@ -13,6 +13,10 @@ class SolveReport:
     triggers the stopping test.  ``cg_iterations`` holds one
     ``(count, exit_reason)`` pair per pass that invoked the inner CG
     solver; the augmented-Lagrangian solver leaves it empty.
+    ``objective_history`` holds one value per pass for the trust-region
+    solver; the augmented-Lagrangian solver records only the value at the
+    returned iterate.  ``status`` is ``converged``, ``max_iterations``,
+    or ``non_finite`` when a residual became NaN or infinite.
     """
 
     iterations: int = 0

@@ -12,7 +12,8 @@ with thresholds 0.9 / 0.3 for radius growth and ``eta`` for acceptance.
 
 Convergence is declared when the stationarity residual
 ``max |grad J - D^T y|`` drops below ``abstol`` and the recovered
-velocity is stable, ``|y_k - y_(k-1)| <= reltol |y_k|``.
+velocity is stable, ``|y_k - y_(k-1)| <= reltol |y_k|``.  A non-finite
+stationarity residual stops the loop with status ``non_finite``.
 """
 
 from __future__ import annotations
@@ -189,7 +190,8 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
     Returns ``(tau, y, report)`` where ``tau`` is the final feasible
     stress, ``y`` the least-squares velocity recovered from it and
     ``report`` the full iteration record.  Non-convergence within
-    ``max_outer`` passes is reported, not raised.
+    ``max_outer`` passes, or a non-finite residual, is reported, not
+    raised.
     """
     cfg = cfg if cfg is not None else TrsConfig()
     start = time.perf_counter()
@@ -206,7 +208,7 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
     for k in range(cfg.max_outer):
         grad = gradient(params, ops, tau)
         y = ops.recover_velocity(grad)
-        stationarity = grad - ops.D.T @ y
+        stationarity = grad - ops.DT @ y
         kkt = float(np.max(np.abs(stationarity))) if stationarity.size else 0.0
         value = objective(params, ops, tau)
 
@@ -215,6 +217,10 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
         report.radius_history.append(delta)
         report.feasibility_history.append(ops.momentum_residual(tau))
 
+        if not math.isfinite(kkt):
+            report.status = "non_finite"
+            report.iterations = k + 1
+            break
         if (kkt <= cfg.abstol and y_prev is not None
                 and float(np.linalg.norm(y - y_prev)) <= cfg.reltol * float(np.linalg.norm(y))):
             report.status = "converged"

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from conftest import dense_poisson_velocity
 from ductflow.augmented_lagrangian import (Alg2Config, _newton_magnitudes,
                                            shrink_magnitude, solve_alg2)
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh
-from ductflow.objective import FluidParams
+from ductflow.objective import FluidParams, objective
 
 
 def bisect_magnitude(alpha, kappa, r, tau0, w_norm, tol=1e-13):
@@ -155,3 +157,51 @@ class TestSolveAlg2:
         _, _, _, report = solve_alg2(params, ops, Alg2Config(max_outer=3))
         assert report.status == "max_iterations"
         assert report.iterations == 3
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.5])
+    def test_non_finite_load_stops(self, alpha):
+        ops = assemble(generate_disk_mesh(4), f=1.0)
+        ops.f_h = np.full(ops.n_free, np.nan)
+        params = FluidParams(alpha=alpha, kappa=1.0, tau0=0.1)
+        _, _, _, report = solve_alg2(params, ops)
+        assert report.status == "non_finite"
+        assert report.iterations == 1
+
+    def test_objective_recorded_once_at_returned_iterate(self):
+        ops = assemble(generate_disk_mesh(5), f=1.0)
+        params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
+        _, _, tau, report = solve_alg2(params, ops)
+        assert report.converged
+        assert report.objective_history == [objective(params, ops, tau)]
+
+
+def reference_alg2(params, ops, cfg, iterations):
+    """ALG2 as textbook formulas: every product formed afresh from ``D``."""
+    y = np.zeros(ops.n_free)
+    q = np.zeros(ops.n_stress)
+    tau = np.zeros(ops.n_stress)
+    stiffness = ops.D @ sp.diags(1.0 / ops.area2) @ ops.D.T
+    for _ in range(iterations):
+        rhs = ops.f_h - ops.D @ tau + cfg.r * (ops.D @ q)
+        y = spsolve(stiffness.tocsc(), rhs) / cfg.r
+        grad_y = (ops.D.T @ y) / ops.area2
+        w = (tau + cfg.r * grad_y).reshape(-1, 2)
+        for k, w_k in enumerate(w):
+            norm = float(np.hypot(w_k[0], w_k[1]))
+            m = shrink_magnitude(params, cfg.r, norm, cfg)
+            q[2 * k:2 * k + 2] = m / norm * w_k if norm > 0.0 else 0.0
+        tau = tau + cfg.r * (grad_y - q)
+    return y, q, tau
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_matches_reference_loop(alpha):
+    ops = assemble(generate_disk_mesh(6), f=1.0)
+    params = FluidParams(alpha=alpha, kappa=1.0, tau0=0.2)
+    # tolerances no iterate can meet, so both loops run exactly 50 passes
+    cfg = Alg2Config(abstol=1e-300, reltol=1e-300, newton_abstol=1e-13,
+                     newton_reltol=1e-14, max_outer=50)
+    y, q, tau, report = solve_alg2(params, ops, cfg)
+    assert report.iterations == 50
+    for got, want in zip((y, q, tau), reference_alg2(params, ops, cfg, 50)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

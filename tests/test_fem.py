@@ -29,6 +29,23 @@ class TestAssembly:
         expected = 4 * (0.25 / 3.0) * 0.5
         np.testing.assert_allclose(ops.f_h, [expected], rtol=1e-14)
 
+    @pytest.mark.parametrize("force", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scalar_force_rejected(self, square_center_mesh, force):
+        with pytest.raises(ValueError, match="finite"):
+            assemble(square_center_mesh, f=force)
+
+    def test_non_finite_callable_force_rejected(self, square_center_mesh):
+        def force(x, y):
+            return np.where(x > 0.9, np.nan, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            assemble(square_center_mesh, f=force)
+
+    def test_cached_transpose_products_bit_identical(self, disk3_ops):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            v = rng.standard_normal(disk3_ops.n_free)
+            np.testing.assert_array_equal(disk3_ops.DT @ v, disk3_ops.D.T @ v)
+
     def test_constant_force_scales_load(self, disk2_ops):
         tri = disk2_ops.tri
         double = assemble(tri, f=2.0)
@@ -63,7 +80,7 @@ class TestAssembly:
 
     def test_rank_deficiency_reported(self, monkeypatch):
         import ductflow.fem as fem
-        def boom(matrix):
+        def boom(matrix, **kwargs):
             raise RuntimeError("Factor is exactly singular")
         monkeypatch.setattr(fem, "splu", boom)
         with pytest.raises(FactorizationError, match="D\\*D\\^T"):

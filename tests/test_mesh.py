@@ -5,6 +5,18 @@ from ductflow.mesh import (MeshError, Triangulation, generate_disk_mesh, load_me
                            save_mesh, triangle_geometry)
 
 
+def reference_repeated_edge(triangles):
+    """First directed edge seen twice, scanning edges (0,1), (1,2), (2,0) in turn."""
+    seen = set()
+    for a, b in np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
+                                triangles[:, [2, 0]]]):
+        key = (int(a), int(b))
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
+
+
 def signed_areas(tri):
     p = tri.nodes[tri.triangles]
     u = p[:, 1] - p[:, 0]
@@ -185,6 +197,17 @@ class TestConformity:
         # both triangles traverse edge (0, 1) in the same direction
         with pytest.raises(MeshError, match="non-conforming"):
             Triangulation(nodes, [(0, 1, 2), (0, 1, 3)], {0, 1})
+
+    def test_repeated_edge_deep_in_large_mesh_named(self):
+        disk = generate_disk_mesh(40)
+        triangles = np.array(disk.triangles)
+        k = triangles.shape[0] // 2
+        # an extra copy of triangle k, inserted after 3/4 of the list
+        corrupted = np.insert(triangles, 3 * k // 2, triangles[k], axis=0)
+        a, b = reference_repeated_edge(corrupted)
+        assert (a, b) == tuple(int(v) for v in triangles[k][:2])
+        with pytest.raises(MeshError, match=rf"directed edge \({a}, {b}\) repeated"):
+            Triangulation(disk.nodes, corrupted, disk.is_dirichlet)
 
     def test_shared_edges_have_both_orientations(self):
         tri = generate_disk_mesh(3)

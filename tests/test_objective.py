@@ -29,6 +29,14 @@ class TestFluidParams:
         with pytest.raises(ValueError):
             FluidParams(alpha=2.0, tau0=-0.1)
 
+    @pytest.mark.parametrize("bad", [
+        dict(tau0=float("nan")), dict(tau0=float("inf")),
+        dict(kappa=float("inf")), dict(kappa=float("nan")),
+    ])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FluidParams(alpha=2.0, **bad)
+
     @pytest.mark.parametrize("alpha", [2.0, 1.75, 1.5, 1.1])
     def test_dual_exponent_identity(self, alpha):
         p = FluidParams(alpha=alpha)

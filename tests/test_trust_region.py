@@ -225,6 +225,14 @@ class TestSolveTrs:
         assert capped.status == "max_iterations"
         assert capped.iterations == 1
 
+    def test_non_finite_start_stops_at_once(self, disk3_ops):
+        params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
+        tau_init = np.full(disk3_ops.n_stress, np.nan)
+        _, _, report = solve_trs(params, disk3_ops, tau_init=tau_init)
+        assert report.status == "non_finite"
+        assert report.iterations == 1
+        assert not report.converged
+
     def test_custom_start_is_projected_first(self, disk3_ops):
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
         rng = np.random.default_rng(24)
