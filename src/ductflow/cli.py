@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,6 @@ class RunConfig:
     formats: tuple[str, ...] = ("csv",)
     trs: TrsConfig | None = None
     alg2: Alg2Config | None = None
-    dump_matrices: bool = False
 
     def __post_init__(self):
         if self.solver not in ("trs", "alg2", "both"):
@@ -90,9 +89,6 @@ def run(cfg: RunConfig) -> int:
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         ops = assemble(tri, f=cfg.force)
-        if cfg.dump_matrices:
-            export.write_matrix_triplets(out_dir / "constraint_triplets.txt", ops.D)
-            export.write_matrix_triplets(out_dir / "stiffness_triplets.txt", ops.stiffness)
 
         all_converged = True
         results = {}
@@ -215,45 +211,30 @@ def _coerce(key, text):
 
 
 def _merged(args) -> RunConfig:
+    """Flags win over the config file, which wins over the dataclass defaults."""
     file_values = _read_config_file(args.config) if args.config else {}
 
-    def pick(key, default):
-        cli = getattr(args, key, None)
-        if cli is not None:
-            return cli
-        if key in file_values:
-            return _coerce(key, file_values[key])
-        return default
+    def given(key):
+        value = getattr(args, key, None)
+        if value is None and key in file_values:
+            value = _coerce(key, file_values[key])
+        return value
 
-    solver_env = {
-        "abstol": pick("abstol", 1e-4),
-        "reltol": pick("reltol", 1e-4),
-    }
+    def build(cls, **values):
+        for f in fields(cls):
+            if f.name not in values:
+                values[f.name] = given(f.name)
+        return cls(**{key: value for key, value in values.items() if value is not None})
+
+    formats = given("format")
+    if formats is not None:
+        formats = tuple(part.strip() for part in formats.split(",") if part.strip())
+    alg2_max_outer = given("max_outer")
+    if alg2_max_outer is None:
+        alg2_max_outer = given("alg2_max_outer")
     try:
-        trs = TrsConfig(
-            abstol=solver_env["abstol"], reltol=solver_env["reltol"],
-            divtol=pick("divtol", 1e-10), delta0=pick("delta0", 10.0),
-            delta_max=pick("delta_max", 1e5), eta=pick("eta", 0.1),
-            gamma=pick("gamma", 1e-2), max_outer=pick("max_outer", 500),
-            max_cg=pick("max_cg", None),
-        )
-        alg2 = Alg2Config(
-            r=pick("r", 10.0), abstol=solver_env["abstol"],
-            reltol=solver_env["reltol"],
-            newton_abstol=pick("newton_abstol", 1e-4),
-            newton_reltol=pick("newton_reltol", 1e-4),
-            max_outer=pick("max_outer", pick("alg2_max_outer", 5000)),
-            newton_max=pick("newton_max", 100),
-        )
-        formats = tuple(part.strip() for part in str(pick("format", "csv")).split(",")
-                        if part.strip())
-        return RunConfig(
-            solver=pick("solver", "trs"), mesh=pick("mesh", "disk:8"),
-            alpha=pick("alpha", 2.0), tau0=pick("tau0", 0.1),
-            kappa=pick("kappa", 1.0), force=pick("force", 1.0),
-            out=pick("out", "out"), formats=formats,
-            trs=trs, alg2=alg2, dump_matrices=bool(args.dump_matrices),
-        )
+        return build(RunConfig, formats=formats, trs=build(TrsConfig),
+                     alg2=build(Alg2Config, max_outer=alg2_max_outer))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -286,8 +267,6 @@ def _build_parser():
     solve.add_argument("--newton-reltol", dest="newton_reltol", type=float)
     solve.add_argument("--newton-max", dest="newton_max", type=int)
     solve.add_argument("--config", help="key = value configuration file")
-    solve.add_argument("--dump-matrices", action="store_true",
-                       help="write sparse-matrix triplet dumps for debugging")
 
     reproduce = sub.add_parser("reproduce", help="run the full benchmark grid")
     reproduce.add_argument("--out", default="out")

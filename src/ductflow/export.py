@@ -80,11 +80,3 @@ def write_report_json(path, report: SolveReport, extra: dict | None = None) -> N
     with open(path, "w", encoding="ascii") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
-
-
-def write_matrix_triplets(path, matrix) -> None:
-    """Debug dump of a sparse matrix as ``i j value`` lines."""
-    coo = matrix.tocoo()
-    with open(path, "w", encoding="ascii") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {float(v)!r}\n")

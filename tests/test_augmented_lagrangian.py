@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from conftest import dense_poisson_velocity
-from ductflow.augmented_lagrangian import (Alg2Config, _newton_magnitudes,
+from ductflow.augmented_lagrangian import (Alg2Config, _newton_magnitudes, _shrink_field,
                                            shrink_magnitude, solve_alg2)
 from ductflow.fem import assemble
-from ductflow.mesh import generate_disk_mesh
+from ductflow.mesh import Triangulation, generate_disk_mesh
 from ductflow.objective import FluidParams, objective
 
 
@@ -42,10 +44,11 @@ class TestShrinkMagnitude:
         m = shrink_magnitude(params, 10.0, 1.2, TIGHT)
         assert m == pytest.approx(1.0 / 11.0, rel=1e-15)
 
-    def test_power_law_against_bisection(self):
+    @pytest.mark.parametrize("cfg", [TIGHT, Alg2Config()], ids=["tight", "default"])
+    def test_power_law_against_bisection(self, cfg):
         # m solves sqrt(m) + 10 m = 1
         params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.0)
-        m = shrink_magnitude(params, 10.0, 1.0, TIGHT)
+        m = shrink_magnitude(params, 10.0, 1.0, cfg)
         oracle = bisect_magnitude(1.5, 1.0, 10.0, 0.0, 1.0)
         assert abs(m - oracle) <= 1e-10
 
@@ -75,6 +78,57 @@ class TestShrinkMagnitude:
         cramped = Alg2Config(newton_abstol=1e-13, newton_reltol=1e-16, newton_max=1)
         with pytest.raises(RuntimeError, match="element 0"):
             shrink_magnitude(params, 10.0, 5.0, cramped)
+
+    def test_newton_failure_skips_converged_elements(self):
+        # element 0 starts 1e-4 off its root and meets the step test in one
+        # pass, still with a residual far above newton_abstol; element 1
+        # starts cold and needs three passes
+        params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.0)
+        root = shrink_magnitude(params, 10.0, 1.0, TIGHT)
+        previous = np.array([root * (1.0 + 1e-4), 0.0])
+        cfg = Alg2Config(newton_reltol=1e-3, newton_max=2)
+        with pytest.raises(RuntimeError, match=r"element 1\b"):
+            _shrink_field(params, 10.0, np.array([1.0, 5.0]), cfg, previous)
+
+    def test_warm_start_at_root_takes_one_pass(self):
+        params = FluidParams(alpha=1.3, kappa=0.7, tau0=0.2)
+        w = np.linspace(0.0, 4.0, 41)
+        roots = _shrink_field(params, 10.0, w, Alg2Config())
+        again = _shrink_field(params, 10.0, w, Alg2Config(newton_max=1), roots)
+        np.testing.assert_allclose(again, roots, rtol=1e-15, atol=0.0)
+
+
+# Per-element warm starts: none, the exact root, or the root scaled by
+# 10^e, from far below to far above it.
+_WARM = st.one_of(st.just(("zero", 0)), st.just(("root", 0)),
+                  st.tuples(st.just("scaled"), st.integers(-300, 300)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(1.1, 1.95), kappa=st.floats(0.1, 5.0), r=st.floats(0.5, 50.0),
+       tau0=st.floats(0.0, 1.0),
+       # (|w| - tau0)_+ is either 0 or at least 1e-3: just above the yield
+       # surface the absolute test |psi| <= newton_abstol (1 + |w|) stops a
+       # cold start early (relative error 1.4e-7 at alpha 1.75, r 1 and an
+       # excess of 1e-10, where m is 5e-14)
+       excess=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=1,
+                       max_size=8),
+       warm=st.lists(_WARM, min_size=8, max_size=8))
+def test_warm_start_matches_cold_start_and_bisection(alpha, kappa, r, tau0, excess, warm):
+    params = FluidParams(alpha=alpha, kappa=kappa, tau0=tau0)
+    w = tau0 + np.array(excess)
+    cfg = Alg2Config()
+    cold = _shrink_field(params, r, w, cfg)
+    previous = np.array([0.0 if kind == "zero" else m * 10.0 ** e
+                         for m, (kind, e) in zip(cold, warm)])
+    got = _shrink_field(params, r, w, cfg, previous)
+    # Newton runs on t = ln m, so m = e^t carries the rounding of t, a
+    # relative |t| eps; that exceeds 1e-14 only for roots below 1e-5
+    log_m = np.log(np.where(cold > 0.0, cold, 1.0))
+    rel_tol = np.maximum(1e-14, 4.0 * np.finfo(float).eps * np.abs(log_m))
+    assert np.all(np.abs(got - cold) <= rel_tol * cold)
+    oracle = [bisect_magnitude(alpha, kappa, r, tau0, w_k) for w_k in w]
+    assert np.abs(got - oracle).max() <= 1e-10
 
 
 class TestConfig:
@@ -173,6 +227,32 @@ class TestSolveAlg2:
         _, _, tau, report = solve_alg2(params, ops)
         assert report.converged
         assert report.objective_history == [objective(params, ops, tau)]
+
+
+def square_duct_mesh(n):
+    """Uniform ``n x n`` triangulation of [-1, 1]^2, no-slip on the rim."""
+    x = np.linspace(-1.0, 1.0, n + 1)
+    gx, gy = np.meshgrid(x, x)
+    nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    col, row = np.meshgrid(np.arange(n), np.arange(n))
+    a = (row * (n + 1) + col).ravel()
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    triangles = np.concatenate([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
+    rim = (np.abs(nodes[:, 0]) == 1.0) | (np.abs(nodes[:, 1]) == 1.0)
+    return Triangulation(nodes, triangles, rim)
+
+
+def test_square_duct_converges_at_tight_tolerance():
+    # a shrink step that is only accurate to its Newton tolerance leaves
+    # the stationarity residual on a floor above this abstol, and the
+    # loop then runs to its cap
+    tri = square_duct_mesh(8)
+    ops = assemble(tri, f=1.0)
+    params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.1)
+    cfg = Alg2Config(abstol=1e-5 * float(np.mean(tri.areas)), reltol=1e-6, max_outer=1000)
+    _, _, _, report = solve_alg2(params, ops, cfg)
+    assert report.converged
+    assert report.kkt_history[-1] <= cfg.abstol
 
 
 def reference_alg2(params, ops, cfg, iterations):

@@ -2,12 +2,13 @@ import json
 
 import numpy as np
 
-from ductflow.cli import main
+from ductflow.augmented_lagrangian import Alg2Config
+from ductflow.cli import RunConfig, _build_parser, _merged, main
 from ductflow.export import write_vtk
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, load_mesh
 from ductflow.objective import FluidParams
-from ductflow.trust_region import solve_trs
+from ductflow.trust_region import TrsConfig, solve_trs
 
 
 def read_json(path):
@@ -96,14 +97,22 @@ class TestSolveCommand:
             second.pop("wall_time")
             assert first == second
 
-    def test_dump_matrices(self, tmp_path):
-        out = tmp_path / "dump"
-        code = main(["solve", "--mesh", "disk:2", "--dump-matrices",
-                     "--out", str(out)])
-        assert code == 0
-        triplets = (out / "constraint_triplets.txt").read_text().splitlines()
-        i, j, value = triplets[0].split()
-        int(i), int(j), float(value)
+
+class TestMergedOptions:
+    def test_unset_options_take_dataclass_defaults(self):
+        cfg = _merged(_build_parser().parse_args(["solve"]))
+        assert cfg.trs == TrsConfig()
+        assert cfg.alg2 == Alg2Config()
+        assert cfg == RunConfig()
+
+    def test_max_outer_caps_both_solvers(self, tmp_path):
+        path = tmp_path / "caps.cfg"
+        path.write_text("alg2_max_outer = 70\n")
+        from_file = _merged(_build_parser().parse_args(["solve", "--config", str(path)]))
+        assert (from_file.trs.max_outer, from_file.alg2.max_outer) == (TrsConfig().max_outer, 70)
+        flag = _merged(_build_parser().parse_args(
+            ["solve", "--config", str(path), "--max-outer", "7"]))
+        assert (flag.trs.max_outer, flag.alg2.max_outer) == (7, 7)
 
 
 class TestExports:
