@@ -118,9 +118,13 @@ def _newton_magnitudes(alpha, kappa, r, rhs, w_norms, elements, cfg, previous=No
     far left inside ``[root, t_cold]``, where the iteration is monotone.
 
     An element stops after the step in which ``|step| <= newton_reltol``
-    or ``|psi| <= newton_abstol (1 + |w|)``.  Since
-    ``psi'' / psi' <= 1`` in log space, quadratic convergence leaves an
-    error of at most ``step^2 / 2``, about 5e-17 for a step of 1e-8.
+    or ``|psi| <= newton_abstol rhs``.  Since ``psi'' / psi' <= 1`` in
+    log space, quadratic convergence leaves an error of at most
+    ``step^2 / 2``, about 5e-17 for a step of 1e-8.  The residual test is
+    relative to ``rhs`` because ``psi' >= min(alpha - 1, 1) rhs`` near
+    the root: a residual of ``newton_abstol rhs`` is then a log error of
+    at most ``newton_abstol / (alpha - 1)`` however close ``|w|`` is to
+    the yield stress, where an absolute test would stop at once.
     """
     am1 = alpha - 1.0
     with np.errstate(divide="ignore"):
@@ -130,7 +134,7 @@ def _newton_magnitudes(alpha, kappa, r, rhs, w_norms, elements, cfg, previous=No
         else:
             t = np.minimum(np.log(np.where(previous > 0.0, previous, np.inf)), t_cold)
     live = t_cold >= _LOG_TINY
-    abs_tol = cfg.newton_abstol * (1.0 + w_norms)
+    abs_tol = cfg.newton_abstol * rhs
     done = ~live
 
     for _ in range(cfg.newton_max):

@@ -9,7 +9,8 @@ Subcommands::
 
 Exit codes: 0 success, 1 configuration error, 2 solver non-convergence,
 3 I/O error.  Options may also be given in a plain ``key = value``
-configuration file (``--config``); command-line flags win.
+configuration file (``--config``); command-line flags win, and a file
+key that names no option is a configuration error.
 """
 
 from __future__ import annotations
@@ -180,6 +181,7 @@ _INT_KEYS = {"max_outer", "max_cg", "alg2_max_outer", "newton_max"}
 
 
 def _read_config_file(path):
+    """Options of a ``key = value`` file, each checked and coerced as it is read."""
     values = {}
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -193,21 +195,22 @@ def _read_config_file(path):
         key, sep, value = text.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        values[key] = _coerce(f"{path}:{lineno}", key, value.strip())
     return values
 
 
-def _coerce(key, text):
+def _coerce(where, key, text):
     try:
         if key in _FLOAT_KEYS:
             return float(text)
         if key in _INT_KEYS:
             return int(text)
-        if key in _STR_KEYS:
-            return text
     except ValueError:
-        raise ConfigError(f"invalid value {text!r} for option {key!r}") from None
-    raise ConfigError(f"unknown option {key!r} in config file")
+        raise ConfigError(f"{where}: invalid value {text!r} for option {key!r}") from None
+    if key in _STR_KEYS:
+        return text
+    raise ConfigError(f"{where}: unknown option {key!r}")
 
 
 def _merged(args) -> RunConfig:
@@ -216,9 +219,7 @@ def _merged(args) -> RunConfig:
 
     def given(key):
         value = getattr(args, key, None)
-        if value is None and key in file_values:
-            value = _coerce(key, file_values[key])
-        return value
+        return file_values.get(key) if value is None else value
 
     def build(cls, **values):
         for f in fields(cls):
@@ -255,7 +256,9 @@ def _build_parser():
     solve.add_argument("--format", help="comma-separated subset of csv,vtk,json")
     solve.add_argument("--abstol", type=float)
     solve.add_argument("--reltol", type=float)
-    solve.add_argument("--divtol", type=float)
+    solve.add_argument("--divtol", type=float,
+                       help="TRS: least Rayleigh quotient d'Hd/d'd a CG direction "
+                            "may have before it counts as negative curvature")
     solve.add_argument("--delta0", type=float)
     solve.add_argument("--delta-max", dest="delta_max", type=float)
     solve.add_argument("--eta", type=float)

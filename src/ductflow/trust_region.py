@@ -6,7 +6,12 @@ f_h`` (the starting point is projected onto it and all steps lie in
 
     min  s^T grad J + 1/2 s^T hess J s   s.t.  D s = 0,  |s| <= delta
 
-by a projected CG-Steihaug iteration.  Steps are accepted and the radius
+by a projected CG-Steihaug iteration (Steihaug 1983; Nocedal & Wright,
+Alg. 7.2).  Both of its tests are scale-free: a direction ``d`` counts as
+one of non-positive curvature when its Rayleigh quotient
+``d^T H d / d^T d`` is below ``divtol``, and the outer loop stops CG once
+the projected residual has fallen to ``_CG_FORCING = 0.5`` of its start,
+an inexact-Newton forcing term.  Steps are accepted and the radius
 updated from the ratio ``rho = ared/pred`` of actual to model decrease,
 with thresholds 0.9 / 0.3 for radius growth and ``eta`` for acceptance.
 
@@ -34,10 +39,24 @@ _REPROJECT_EVERY = 50
 
 _ARMIJO_MAX_HALVINGS = 60
 
+# Inexact-Newton forcing term of the outer loop: CG stops once the
+# projected residual is below this share of its start, the cap in
+# Nocedal & Wright's min(0.5, sqrt|g|) rule.  Solving each subproblem to
+# reltol instead costs thousands of CG iterations far from the solution.
+_CG_FORCING = 0.5
+
 
 @dataclass
 class TrsConfig:
     """Tolerances and trust-region constants.
+
+    ``divtol`` is a floor on the Rayleigh quotient ``d^T H d / d^T d`` of
+    a CG direction: below it the direction is treated as one of
+    non-positive curvature and CG steps to the trust boundary.  It is
+    relative to ``|d|^2``, so it does not fire merely because the
+    projected gradient has become small.  ``reltol`` is also the CG
+    stopping tolerance of direct ``cg_steihaug`` calls; ``solve_trs``
+    stops CG at the forcing term ``_CG_FORCING`` instead.
 
     ``max_cg = None`` means 10 inner iterations per triangle, resolved
     against the mesh at solve time.
@@ -86,15 +105,19 @@ def _boundary_intersection(z: np.ndarray, d: np.ndarray, delta: float) -> float:
 
 
 def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, hess: np.ndarray,
-                delta: float, cfg: TrsConfig, callback=None):
+                delta: float, cfg: TrsConfig, callback=None, forcing=None):
     """Approximately solve the tangential trust-region subproblem.
 
     Returns ``(step, exit_reason, inner_iterations)`` with reason one of
-    ``converged`` (projected residual reduced below ``reltol`` of its
+    ``converged`` (projected residual reduced below ``forcing`` of its
     start, or already below ``abstol`` -- then the step is zero and the
     count 0), ``boundary`` (iterate left the trust ball), ``curvature``
-    (direction of curvature below ``divtol``; the boundary step is
-    Armijo-backtracked) or ``cap``.
+    (Rayleigh quotient ``d^T H d / d^T d`` of a direction below
+    ``divtol``; the boundary step is Armijo-backtracked) or ``cap``.
+    ``forcing=None`` means ``cfg.reltol``, i.e. an accurate Newton step.
+    Apart from the ``abstol`` shortcut, every test is invariant under
+    scaling ``grad``: a scaled gradient gives the same exit and count and
+    the same step, scaled.
 
     ``callback``, if given, receives every new accumulated step,
     including the returned one.
@@ -113,12 +136,13 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, hess: np.ndarray,
     if sqrt_gr0 < cfg.abstol:
         return z, "converged", 0
 
+    rtol = cfg.reltol if forcing is None else forcing
     max_cg = cfg.resolve_max_cg(ops.tri.n_triangles)
     for j in range(max_cg):
         h_d = hessian_apply(hess, d)
         curvature = float(d @ h_d)
 
-        if curvature < cfg.divtol:
+        if curvature < cfg.divtol * float(d @ d):
             s = _boundary_intersection(z, d, delta)
             # model slope at z along d; Armijo guards against tiny
             # positive curvature making the full boundary step uphill
@@ -152,7 +176,7 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, hess: np.ndarray,
         r = r + alpha * h_d
         g = ops.project_nullspace(r)
         gr_next = float(g @ g)
-        if gr_next == 0.0 or math.sqrt(gr_next) < cfg.reltol * sqrt_gr0:
+        if gr_next == 0.0 or math.sqrt(gr_next) < rtol * sqrt_gr0:
             return z, "converged", j + 1
         d = -g + (gr_next / gr) * d
         gr = gr_next
@@ -230,7 +254,7 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
 
         hess = hessian(params, ops, tau)
         step, reason, inner = cg_steihaug(ops, grad, hess, delta, cfg,
-                                          callback=inner_callback)
+                                          callback=inner_callback, forcing=_CG_FORCING)
         report.cg_iterations.append((inner, reason))
 
         if inner == 0 and reason == "converged":

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from conftest import dense_poisson_velocity
+from conftest import dense_poisson_velocity, square_duct_mesh
 from ductflow.augmented_lagrangian import (Alg2Config, _newton_magnitudes, _shrink_field,
                                            shrink_magnitude, solve_alg2)
 from ductflow.fem import assemble
-from ductflow.mesh import Triangulation, generate_disk_mesh
+from ductflow.mesh import generate_disk_mesh
 from ductflow.objective import FluidParams, objective
 
 
@@ -107,11 +107,7 @@ _WARM = st.one_of(st.just(("zero", 0)), st.just(("root", 0)),
 @settings(max_examples=60, deadline=None)
 @given(alpha=st.floats(1.1, 1.95), kappa=st.floats(0.1, 5.0), r=st.floats(0.5, 50.0),
        tau0=st.floats(0.0, 1.0),
-       # (|w| - tau0)_+ is either 0 or at least 1e-3: just above the yield
-       # surface the absolute test |psi| <= newton_abstol (1 + |w|) stops a
-       # cold start early (relative error 1.4e-7 at alpha 1.75, r 1 and an
-       # excess of 1e-10, where m is 5e-14)
-       excess=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=1,
+       excess=st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 10.0)), min_size=1,
                        max_size=8),
        warm=st.lists(_WARM, min_size=8, max_size=8))
 def test_warm_start_matches_cold_start_and_bisection(alpha, kappa, r, tau0, excess, warm):
@@ -129,6 +125,32 @@ def test_warm_start_matches_cold_start_and_bisection(alpha, kappa, r, tau0, exce
     assert np.all(np.abs(got - cold) <= rel_tol * cold)
     oracle = [bisect_magnitude(alpha, kappa, r, tau0, w_k) for w_k in w]
     assert np.abs(got - oracle).max() <= 1e-10
+
+
+def bisect_to_rounding(alpha, kappa, r, rhs):
+    """Bisection on kappa m^(alpha-1) + r m = rhs until the bracket cannot shrink."""
+    lo, hi = 0.0, rhs / r
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if kappa * mid ** (alpha - 1.0) + r * mid > rhs:
+            hi = mid
+        else:
+            lo = mid
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.75, 1.9])
+@pytest.mark.parametrize("excess", [1e-12, 1e-10, 1e-8])
+def test_cold_start_near_yield_surface_is_relatively_exact(alpha, excess):
+    # roots from 1e-120 up to 1e-9: a residual test that does not scale
+    # with rhs stops Newton while it is still far off
+    params = FluidParams(alpha=alpha, kappa=1.0, tau0=0.3)
+    w = np.array([0.3 + excess])
+    got = _shrink_field(params, 1.0, w, Alg2Config())[0]
+    want = bisect_to_rounding(alpha, 1.0, 1.0, float(w[0]) - 0.3)
+    # m = e^t carries the rounding of t = ln m, a relative |t| eps
+    assert abs(got - want) <= max(1e-13, 4.0 * np.finfo(float).eps * abs(np.log(want))) * want
 
 
 class TestConfig:
@@ -227,19 +249,6 @@ class TestSolveAlg2:
         _, _, tau, report = solve_alg2(params, ops)
         assert report.converged
         assert report.objective_history == [objective(params, ops, tau)]
-
-
-def square_duct_mesh(n):
-    """Uniform ``n x n`` triangulation of [-1, 1]^2, no-slip on the rim."""
-    x = np.linspace(-1.0, 1.0, n + 1)
-    gx, gy = np.meshgrid(x, x)
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    col, row = np.meshgrid(np.arange(n), np.arange(n))
-    a = (row * (n + 1) + col).ravel()
-    b, c, d = a + 1, a + n + 2, a + n + 1
-    triangles = np.concatenate([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
-    rim = (np.abs(nodes[:, 0]) == 1.0) | (np.abs(nodes[:, 1]) == 1.0)
-    return Triangulation(nodes, triangles, rim)
 
 
 def test_square_duct_converges_at_tight_tolerance():

@@ -78,6 +78,14 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 1
 
+    def test_unknown_config_key_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("mesh = disk:2\ntau_0 = 0.3\n")
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"{cfg}:2: unknown option 'tau_0'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         outs = []
         for name in ("a", "b"):

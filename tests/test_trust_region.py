@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import dense_poisson_velocity, dense_projected_newton_step
+from conftest import dense_poisson_velocity, dense_projected_newton_step, square_duct_mesh
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh
 from ductflow.objective import FluidParams, block_norms, gradient, hessian
@@ -92,7 +94,7 @@ class TestCgSteihaug:
         hess = hessian(params, ops, tau)
         y = ops.recover_velocity(grad)
 
-        # tiny divtol: the absolute curvature test must not fire while
+        # tiny divtol: the curvature test must not fire while
         # CG polishes the step to oracle accuracy
         cfg = TrsConfig(abstol=1e-14, reltol=1e-12, divtol=1e-30)
         step, reason, _ = cg_steihaug(ops, grad, hess, 1e6, cfg)
@@ -138,6 +140,23 @@ class TestCgSteihaug:
         assert np.all(diffs > -1e-14 * max(norms))
         assert np.all(diffs[:-1] > 0.0) and diffs[-1] >= 0.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.sampled_from([2.0, 1.5]), e=st.floats(-8.0, 4.0))
+    def test_scaled_gradient_gives_scaled_step(self, alpha, e):
+        # the projected gradient shrinks as TRS converges: neither the
+        # curvature test nor the stopping test may depend on its size
+        ops = assemble(generate_disk_mesh(3), f=1.0)
+        params = FluidParams(alpha=alpha, kappa=1.0, tau0=0.2)
+        tau = ops.project_feasible(np.zeros(ops.n_stress))
+        grad = gradient(params, ops, tau)
+        hess = hessian(params, ops, tau)
+        cfg = TrsConfig(abstol=1e-300, reltol=1e-10)
+        c = 10.0 ** e
+        step, reason, count = cg_steihaug(ops, c * grad, hess, 1e6, cfg)
+        base, base_reason, base_count = cg_steihaug(ops, grad, hess, 1e6, cfg)
+        assert (reason, count) == (base_reason, base_count)
+        assert np.linalg.norm(step - c * base) <= 1e-9 * np.linalg.norm(c * base)
+
     def test_inner_cap_reported(self, disk3_ops):
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.2)
         tau = disk3_ops.project_feasible(np.zeros(disk3_ops.n_stress))
@@ -178,6 +197,28 @@ class TestSolveTrs:
         assert report.converged
         assert 1 <= report.iterations <= 20
         assert report.kkt_history[-1] <= 1e-4
+
+    def test_cg_takes_newton_steps_on_the_pipe(self):
+        # a projected-gradient step to the boundary on every pass means
+        # the curvature test fired on a positive-curvature direction
+        ops = assemble(generate_disk_mesh(12), f=1.0)
+        params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
+        _, _, report = solve_trs(params, ops)
+        assert report.converged
+        assert any(reason == "converged" and inner > 0
+                   for inner, reason in report.cg_iterations)
+
+    def test_square_duct_plug_converges(self):
+        # large plugs on a square duct: every Hessian block on the plug is
+        # zero, yet the yielded blocks give CG positive curvature to use
+        tri = square_duct_mesh(12)
+        ops = assemble(tri, f=1.0)
+        params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.3)
+        cfg = TrsConfig(abstol=1e-4 * float(np.mean(tri.areas)), reltol=1e-6)
+        _, _, report = solve_trs(params, ops, cfg=cfg)
+        assert report.converged
+        assert report.iterations <= 100
+        assert all(reason != "curvature" for _, reason in report.cg_iterations)
 
     def test_iterates_stay_feasible(self):
         tri = generate_disk_mesh(6)
