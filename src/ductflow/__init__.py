@@ -9,8 +9,7 @@ Lagrangian (ALG2).
 
 from .augmented_lagrangian import Alg2Config, shrink_magnitude, solve_alg2
 from .fem import DiscreteOperators, FactorizationError, assemble
-from .mesh import (MeshError, TriangleGeometry, Triangulation, generate_disk_mesh,
-                   load_mesh, save_mesh, triangle_geometry)
+from .mesh import MeshError, Triangulation, generate_disk_mesh, load_mesh, save_mesh
 from .objective import (FluidParams, block_norms, gradient, hessian, hessian_apply,
                         kkt_residual, objective)
 from .pipe import PipeSolution, exact_velocity, relative_difference, relative_error
@@ -19,12 +18,12 @@ from .trust_region import TrsConfig, cg_steihaug, solve_trs, update_radius
 
 __all__ = [
     "Alg2Config", "DiscreteOperators", "FactorizationError", "FluidParams",
-    "MeshError", "PipeSolution", "SolveReport", "TriangleGeometry",
-    "Triangulation", "TrsConfig", "assemble", "block_norms", "cg_steihaug",
+    "MeshError", "PipeSolution", "SolveReport", "Triangulation", "TrsConfig",
+    "assemble", "block_norms", "cg_steihaug",
     "exact_velocity", "generate_disk_mesh", "gradient", "hessian",
     "hessian_apply", "kkt_residual", "load_mesh", "objective",
     "relative_difference", "relative_error", "save_mesh", "shrink_magnitude",
-    "solve_alg2", "solve_trs", "triangle_geometry", "update_radius",
+    "solve_alg2", "solve_trs", "update_radius",
 ]
 
 __version__ = "0.1.0"

@@ -7,18 +7,19 @@ Subcommands::
     ductflow mesh gen   --refinement N --out FILE
     ductflow mesh check FILE
 
-Exit codes: 0 success, 1 configuration error, 2 solver non-convergence,
-3 I/O error.  Options may also be given in a plain ``key = value``
-configuration file (``--config``); command-line flags win, and a file
-key that names no option is a configuration error.
+Exit codes: 0 success, 1 configuration or argument error, 2 solver
+non-convergence, 3 I/O error.  Every ``solve`` option is both a flag
+(``--max-outer``) and a key of a ``key = value`` file read with
+``--config`` (``max_outer``); flags win over the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from . import export
 from .augmented_lagrangian import Alg2Config, solve_alg2
 from .experiments import reproduce_tables
 from .fem import assemble
-from .mesh import MeshError, generate_disk_mesh, load_mesh, save_mesh
+from .mesh import generate_disk_mesh, load_mesh, save_mesh
 from .objective import FluidParams
 from .pipe import PipeSolution, relative_difference, relative_error
 from .trust_region import TrsConfig, solve_trs
@@ -53,8 +54,8 @@ class RunConfig:
     force: float = 1.0
     out: str = "out"
     formats: tuple[str, ...] = ("csv",)
-    trs: TrsConfig | None = None
-    alg2: Alg2Config | None = None
+    trs: TrsConfig = field(default_factory=TrsConfig)
+    alg2: Alg2Config = field(default_factory=Alg2Config)
 
     def __post_init__(self):
         if self.solver not in ("trs", "alg2", "both"):
@@ -64,10 +65,6 @@ class RunConfig:
         for fmt in self.formats:
             if fmt not in _FORMATS:
                 raise ConfigError(f"unknown format {fmt!r} (use csv, vtk, json)")
-        if self.trs is None:
-            self.trs = TrsConfig()
-        if self.alg2 is None:
-            self.alg2 = Alg2Config()
 
 
 def run(cfg: RunConfig) -> int:
@@ -75,7 +72,7 @@ def run(cfg: RunConfig) -> int:
     try:
         tri, is_disk = _make_mesh(cfg.mesh)
         params = FluidParams(alpha=cfg.alpha, kappa=cfg.kappa, tau0=cfg.tau0)
-    except (ConfigError, MeshError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
@@ -161,8 +158,6 @@ def _make_mesh(spec: str):
             refinement = int(arg)
         except ValueError:
             raise ConfigError(f"disk mesh needs an integer refinement, got {arg!r}") from None
-        if refinement < 1:
-            raise ConfigError("disk refinement must be >= 1")
         return generate_disk_mesh(refinement), True
     if kind == "file":
         if not arg:
@@ -173,15 +168,59 @@ def _make_mesh(spec: str):
 
 # -- argument handling -----------------------------------------------------
 
-_STR_KEYS = {"solver", "mesh", "out", "format"}
-_FLOAT_KEYS = {"alpha", "tau0", "kappa", "force", "abstol", "reltol", "divtol",
-               "delta0", "delta_max", "eta", "gamma", "r",
-               "newton_abstol", "newton_reltol"}
-_INT_KEYS = {"max_outer", "max_cg", "alg2_max_outer", "newton_max"}
+class _Option(NamedTuple):
+    """A ``solve`` option: flag ``--name`` (``-`` for ``_``) and file key
+    ``name``; its value goes to each ``section.field`` in ``sets``."""
+
+    name: str
+    parse: Callable[[str], object]
+    help: str
+    sets: str
+
+    @property
+    def flag(self):
+        return "--" + self.name.replace("_", "-")
+
+    def value(self, where, text):
+        try:
+            return self.parse(text)
+        except ValueError:
+            raise ConfigError(f"{where}: invalid {self.name} value {text!r}") from None
+
+
+def _formats(text):
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+_OPTIONS = (
+    _Option("solver", str, "trs, alg2 or both", "run.solver"),
+    _Option("mesh", str, "disk:N or file:PATH", "run.mesh"),
+    _Option("alpha", float, "power-law exponent in (1, 2]", "run.alpha"),
+    _Option("tau0", float, "yield stress", "run.tau0"),
+    _Option("kappa", float, "consistency", "run.kappa"),
+    _Option("force", float, "constant force density", "run.force"),
+    _Option("out", str, "output directory", "run.out"),
+    _Option("format", _formats, "comma-separated subset of csv,vtk,json", "run.formats"),
+    _Option("abstol", float, "stationarity tolerance, both solvers", "trs.abstol alg2.abstol"),
+    _Option("reltol", float, "relative step tolerance, both solvers", "trs.reltol alg2.reltol"),
+    _Option("divtol", float, "TRS: least d'Hd/d'd of a CG direction", "trs.divtol"),
+    _Option("delta0", float, "TRS: initial trust radius", "trs.delta0"),
+    _Option("delta_max", float, "TRS: largest trust radius", "trs.delta_max"),
+    _Option("eta", float, "TRS: least decrease ratio of an accepted step", "trs.eta"),
+    _Option("gamma", float, "TRS: Armijo fraction of a curvature exit", "trs.gamma"),
+    _Option("max_outer", int, "TRS: outer-iteration cap", "trs.max_outer"),
+    _Option("max_cg", int, "TRS: CG-iteration cap per outer iteration", "trs.max_cg"),
+    _Option("r", float, "ALG2: augmentation parameter", "alg2.r"),
+    _Option("alg2_max_outer", int, "ALG2: iteration cap", "alg2.max_outer"),
+    _Option("newton_abstol", float, "ALG2: Newton residual tolerance", "alg2.newton_abstol"),
+    _Option("newton_reltol", float, "ALG2: Newton log-step tolerance", "alg2.newton_reltol"),
+    _Option("newton_max", int, "ALG2: Newton iteration cap", "alg2.newton_max"),
+)
+_BY_NAME = {opt.name: opt for opt in _OPTIONS}
 
 
 def _read_config_file(path):
-    """Options of a ``key = value`` file, each checked and coerced as it is read."""
+    """Options of a ``key = value`` file, each checked and typed as it is read."""
     values = {}
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -196,79 +235,46 @@ def _read_config_file(path):
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key = key.strip().replace("-", "_")
-        values[key] = _coerce(f"{path}:{lineno}", key, value.strip())
+        if key not in _BY_NAME:
+            raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
+        values[key] = _BY_NAME[key].value(f"{path}:{lineno}", value.strip())
     return values
-
-
-def _coerce(where, key, text):
-    try:
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _INT_KEYS:
-            return int(text)
-    except ValueError:
-        raise ConfigError(f"{where}: invalid value {text!r} for option {key!r}") from None
-    if key in _STR_KEYS:
-        return text
-    raise ConfigError(f"{where}: unknown option {key!r}")
 
 
 def _merged(args) -> RunConfig:
     """Flags win over the config file, which wins over the dataclass defaults."""
-    file_values = _read_config_file(args.config) if args.config else {}
-
-    def given(key):
-        value = getattr(args, key, None)
-        return file_values.get(key) if value is None else value
-
-    def build(cls, **values):
-        for f in fields(cls):
-            if f.name not in values:
-                values[f.name] = given(f.name)
-        return cls(**{key: value for key, value in values.items() if value is not None})
-
-    formats = given("format")
-    if formats is not None:
-        formats = tuple(part.strip() for part in formats.split(",") if part.strip())
-    alg2_max_outer = given("max_outer")
-    if alg2_max_outer is None:
-        alg2_max_outer = given("alg2_max_outer")
+    values = _read_config_file(args.config) if args.config else {}
+    for opt in _OPTIONS:
+        text = getattr(args, opt.name)
+        if text is not None:
+            values[opt.name] = opt.value(opt.flag, text)
+    kwargs = {"run": {}, "trs": {}, "alg2": {}}
+    for name, value in values.items():
+        for target in _BY_NAME[name].sets.split():
+            section, _, attr = target.partition(".")
+            kwargs[section][attr] = value
     try:
-        return build(RunConfig, formats=formats, trs=build(TrsConfig),
-                     alg2=build(Alg2Config, max_outer=alg2_max_outer))
+        return RunConfig(trs=TrsConfig(**kwargs["trs"]), alg2=Alg2Config(**kwargs["alg2"]),
+                         **kwargs["run"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 1 through ``ConfigError``, not argparse's 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="ductflow", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="ductflow", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run a solver on one configuration")
-    solve.add_argument("--solver", choices=("trs", "alg2", "both"))
-    solve.add_argument("--mesh", help="disk:N or file:PATH")
-    solve.add_argument("--alpha", type=float)
-    solve.add_argument("--tau0", type=float)
-    solve.add_argument("--kappa", type=float)
-    solve.add_argument("--force", type=float, help="constant force density")
-    solve.add_argument("--out", help="output directory")
-    solve.add_argument("--format", help="comma-separated subset of csv,vtk,json")
-    solve.add_argument("--abstol", type=float)
-    solve.add_argument("--reltol", type=float)
-    solve.add_argument("--divtol", type=float,
-                       help="TRS: least Rayleigh quotient d'Hd/d'd a CG direction "
-                            "may have before it counts as negative curvature")
-    solve.add_argument("--delta0", type=float)
-    solve.add_argument("--delta-max", dest="delta_max", type=float)
-    solve.add_argument("--eta", type=float)
-    solve.add_argument("--gamma", type=float)
-    solve.add_argument("--max-outer", dest="max_outer", type=int)
-    solve.add_argument("--max-cg", dest="max_cg", type=int)
-    solve.add_argument("--r", type=float, help="ALG2 augmentation parameter")
-    solve.add_argument("--newton-abstol", dest="newton_abstol", type=float)
-    solve.add_argument("--newton-reltol", dest="newton_reltol", type=float)
-    solve.add_argument("--newton-max", dest="newton_max", type=int)
+    for opt in _OPTIONS:
+        solve.add_argument(opt.flag, dest=opt.name, help=opt.help)
     solve.add_argument("--config", help="key = value configuration file")
 
     reproduce = sub.add_parser("reproduce", help="run the full benchmark grid")
@@ -303,50 +309,36 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
-    if args.mesh_command == "gen":
-        if args.refinement < 1:
-            print("error: refinement must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
+    try:
+        if args.mesh_command == "gen":
             tri = generate_disk_mesh(args.refinement)
             save_mesh(tri, args.out)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"wrote {args.out}: {tri.n_nodes} nodes, {tri.n_triangles} triangles")
-        return EXIT_OK
-
-    try:
-        tri = load_mesh(args.path)
-    except MeshError as exc:
+            print(f"wrote {args.out}: {tri.n_nodes} nodes, {tri.n_triangles} triangles")
+        else:
+            tri = load_mesh(args.path)
+            print(f"OK: {tri.n_nodes} nodes ({tri.n_free} free), "
+                  f"{tri.n_triangles} triangles, area={tri.areas.sum():.6g}, "
+                  f"h={tri.h_max():.6g}")
+    except ValueError as exc:  # MeshError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"OK: {tri.n_nodes} nodes ({tri.n_free} free), "
-          f"{tri.n_triangles} triangles, area={tri.areas.sum():.6g}, "
-          f"h={tri.h_max():.6g}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "solve":
-        try:
-            cfg = _merged(args)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        return run(cfg)
+    try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "solve":
+            return run(_merged(args))
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.command == "reproduce":
         return _cmd_reproduce(args)
-    if args.command == "mesh":
-        return _cmd_mesh(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_CONFIG
+    return _cmd_mesh(args)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .mesh import Triangulation
+from .mesh import Triangulation, write_rows
 from .objective import block_norms
 from .report import SolveReport
 
@@ -22,55 +22,51 @@ def expand_velocity(tri: Triangulation, y: np.ndarray) -> np.ndarray:
     return full
 
 
+def _yield_columns(tau: np.ndarray, tau0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-triangle stress magnitudes and yielded flags (``|t_k| > tau0``)."""
+    mags = block_norms(tau)
+    return mags, (mags > tau0).astype(np.int8)
+
+
 def write_velocity_csv(path, tri: Triangulation, y: np.ndarray) -> None:
-    full = expand_velocity(tri, y)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,y,velocity\n")
-        for (px, py), v in zip(tri.nodes, full):
-            fh.write(f"{float(px)!r},{float(py)!r},{float(v)!r}\n")
+        write_rows(fh, "{},{},{}\n", *tri.nodes.T, expand_velocity(tri, y))
 
 
 def write_stress_csv(path, tau: np.ndarray, tau0: float) -> None:
-    mags = block_norms(tau)
+    mags, yielded = _yield_columns(tau, tau0)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("triangle,stress_magnitude,yielded\n")
-        for k, mag in enumerate(mags):
-            fh.write(f"{k},{float(mag)!r},{int(mag > tau0)}\n")
+        write_rows(fh, "{},{},{}\n", np.arange(mags.size), mags, yielded)
 
 
 def write_vtk(path, tri: Triangulation, y: np.ndarray, tau: np.ndarray,
               tau0: float) -> None:
     """Legacy ASCII unstructured grid with point and cell data."""
-    full = expand_velocity(tri, y)
-    mags = block_norms(tau)
+    mags, yielded = _yield_columns(tau, tau0)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("viscoplastic duct flow\n")
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {tri.n_nodes} double\n")
-        for px, py in tri.nodes:
-            fh.write(f"{float(px)!r} {float(py)!r} 0.0\n")
+        write_rows(fh, "{} {} 0.0\n", *tri.nodes.T)
         fh.write(f"CELLS {tri.n_triangles} {4 * tri.n_triangles}\n")
-        for a, b, c in tri.triangles:
-            fh.write(f"3 {a} {b} {c}\n")
+        write_rows(fh, "3 {} {} {}\n", *tri.triangles.T)
         fh.write(f"CELL_TYPES {tri.n_triangles}\n")
-        for _ in range(tri.n_triangles):
-            fh.write("5\n")
+        fh.write("5\n" * tri.n_triangles)
         fh.write(f"POINT_DATA {tri.n_nodes}\n")
         fh.write("SCALARS velocity double 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        for v in full:
-            fh.write(f"{float(v)!r}\n")
+        write_rows(fh, "{}\n", expand_velocity(tri, y))
         fh.write(f"CELL_DATA {tri.n_triangles}\n")
         fh.write("SCALARS stress_magnitude double 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        for mag in mags:
-            fh.write(f"{float(mag)!r}\n")
+        write_rows(fh, "{}\n", mags)
         fh.write("SCALARS yielded int 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        for mag in mags:
-            fh.write(f"{int(mag > tau0)}\n")
+        write_rows(fh, "{}\n", yielded)
 
 
 def write_report_json(path, report: SolveReport, extra: dict | None = None) -> None:

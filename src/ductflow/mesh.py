@@ -17,8 +17,6 @@ Triangles stored clockwise in a file are reoriented on load.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 # Triangles thinner than this fraction of the bounding-box area are
@@ -32,13 +30,6 @@ BOUNDARY_RADIUS_TOL = 1e-12
 
 class MeshError(ValueError):
     """Raised for unreadable mesh files or invalid mesh data."""
-
-
-class TriangleGeometry(NamedTuple):
-    """Area and P1 hat-function gradients of one triangle."""
-
-    area: float
-    grad_phi: np.ndarray  # shape (3, 2), row j = gradient of vertex j's hat function
 
 
 class Triangulation:
@@ -195,13 +186,6 @@ def _geometry(nodes, triangles):
     return areas, grads
 
 
-def triangle_geometry(tri: Triangulation, k: int) -> TriangleGeometry:
-    """Area and hat-function gradients of triangle ``k``."""
-    if not 0 <= k < tri.n_triangles:
-        raise IndexError(f"triangle index {k} out of range [0, {tri.n_triangles})")
-    return TriangleGeometry(float(tri.areas[k]), tri.grad_phi[k])
-
-
 def generate_disk_mesh(refinement: int) -> Triangulation:
     """Structured triangulation of the unit disk.
 
@@ -315,11 +299,18 @@ def save_mesh(tri: Triangulation, path) -> None:
     """Write a mesh file; coordinates round-trip bit-identically."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"nodes {tri.n_nodes}\n")
-        for (x, y), d in zip(tri.nodes, tri.is_dirichlet):
-            fh.write(f"{float(x)!r} {float(y)!r} {int(d)}\n")
+        write_rows(fh, "{} {} {}\n", *tri.nodes.T, tri.is_dirichlet.astype(np.int8))
         fh.write(f"triangles {tri.n_triangles}\n")
-        for a, b, c in tri.triangles:
-            fh.write(f"{a} {b} {c}\n")
+        write_rows(fh, "{} {} {}\n", *tri.triangles.T)
+
+
+def write_rows(fh, template, *columns) -> None:
+    """Write ``template.format(*row)`` for each row across ``columns``.
+
+    Columns become Python numbers, so floats are written by ``repr`` and
+    text files round-trip bit for bit.  Rows are streamed one at a time.
+    """
+    fh.writelines(map(template.format, *(np.asarray(col).tolist() for col in columns)))
 
 
 def _parse_int(text, lineno, what):

@@ -34,6 +34,17 @@ def square_duct_mesh(n):
     return Triangulation(nodes, triangles, rim)
 
 
+def perturbed_disk(refinement, amplitude=0.25, seed=0):
+    """Disk mesh with interior nodes jiggled off the symmetric pattern."""
+    base = generate_disk_mesh(refinement)
+    rng = np.random.default_rng(seed)
+    nodes = base.nodes.copy()
+    interior = ~base.is_dirichlet
+    jiggle = (amplitude / refinement) * (2.0 * rng.random((int(interior.sum()), 2)) - 1.0)
+    nodes[interior] += jiggle
+    return Triangulation(nodes, base.triangles, base.is_dirichlet)
+
+
 @pytest.fixture
 def disk2_ops():
     return assemble(generate_disk_mesh(2), f=1.0)

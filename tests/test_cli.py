@@ -1,9 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from ductflow.augmented_lagrangian import Alg2Config
-from ductflow.cli import RunConfig, _build_parser, _merged, main
+from ductflow.cli import RunConfig, _build_parser, _merged, _read_config_file, main
 from ductflow.export import write_vtk
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, load_mesh
@@ -57,9 +58,38 @@ class TestSolveCommand:
 
     def test_nonconvergence_exits_two(self, tmp_path):
         code = main(["solve", "--solver", "alg2", "--mesh", "disk:3",
-                     "--alpha", "2", "--tau0", "0.1", "--max-outer", "2",
+                     "--alpha", "2", "--tau0", "0.1", "--alg2-max-outer", "2",
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+    def test_bad_flag_value_exits_one_naming_the_flag(self, tmp_path, capsys):
+        code = main(["solve", "--alpha", "abc", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "--alpha: invalid alpha value 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_bad_file_value_exits_one_naming_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("mesh = disk:2\nalpha = abc\n")
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"{cfg}:2: invalid alpha value 'abc'" in capsys.readouterr().err
+
+    def test_unknown_flag_exits_one(self, tmp_path, capsys):
+        code = main(["solve", "--tau-0", "0.3", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "--tau-0" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--alg2-max-outer" in capsys.readouterr().out
+
+    def test_zero_disk_refinement_exits_one(self, tmp_path, capsys):
+        code = main(["solve", "--mesh", "disk:0", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "refinement must be >= 1" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -113,14 +143,24 @@ class TestMergedOptions:
         assert cfg.alg2 == Alg2Config()
         assert cfg == RunConfig()
 
-    def test_max_outer_caps_both_solvers(self, tmp_path):
+    def test_max_outer_caps_trs_only(self):
+        cfg = _merged(_build_parser().parse_args(
+            ["solve", "--solver", "both", "--max-outer", "7"]))
+        assert (cfg.trs.max_outer, cfg.alg2.max_outer) == (7, Alg2Config().max_outer)
+
+    def test_alg2_max_outer_caps_alg2_from_flag_or_file(self, tmp_path):
         path = tmp_path / "caps.cfg"
         path.write_text("alg2_max_outer = 70\n")
-        from_file = _merged(_build_parser().parse_args(["solve", "--config", str(path)]))
-        assert (from_file.trs.max_outer, from_file.alg2.max_outer) == (TrsConfig().max_outer, 70)
-        flag = _merged(_build_parser().parse_args(
-            ["solve", "--config", str(path), "--max-outer", "7"]))
-        assert (flag.trs.max_outer, flag.alg2.max_outer) == (7, 7)
+        for argv in (["--config", str(path)], ["--alg2-max-outer", "70"]):
+            cfg = _merged(_build_parser().parse_args(["solve", *argv]))
+            assert (cfg.trs.max_outer, cfg.alg2.max_outer) == (TrsConfig().max_outer, 70)
+
+    def test_flags_and_file_keys_are_one_set(self, tmp_path):
+        flags = set(vars(_build_parser().parse_args(["solve"]))) - {"command", "config"}
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{name} = 1\n" for name in sorted(flags)))
+        assert set(_read_config_file(path)) == flags
+        assert len(flags) == 22
 
 
 class TestExports:
@@ -214,6 +254,12 @@ class TestMeshCommands:
         path = tmp_path / "broken.mesh"
         path.write_text("nodes 3\n0 0 1\n1 0 1\n0 1 1\ntriangles 1\n0 1 5\n")
         assert main(["mesh", "check", str(path)]) == 1
+
+    def test_gen_zero_refinement_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "zero.mesh"
+        assert main(["mesh", "gen", "--refinement", "0", "--out", str(path)]) == 1
+        assert "refinement must be >= 1" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_check_missing_file_exits_three(self, tmp_path):
         assert main(["mesh", "check", str(tmp_path / "missing.mesh")]) == 3

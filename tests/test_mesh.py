@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ductflow.mesh import (MeshError, Triangulation, generate_disk_mesh, load_mesh,
-                           save_mesh, triangle_geometry)
+from ductflow.mesh import MeshError, Triangulation, generate_disk_mesh, load_mesh, save_mesh
 
 
 def reference_repeated_edge(triangles):
@@ -80,26 +79,22 @@ class TestTriangleGeometry:
         return Triangulation(scale * base + np.asarray(shift), [(0, 1, 2)], {0, 1, 2})
 
     def test_reference_element(self):
-        geo = triangle_geometry(self.unit_right_triangle(), 0)
-        assert geo.area == pytest.approx(0.5, abs=1e-15)
+        tri = self.unit_right_triangle()
+        assert tri.areas[0] == pytest.approx(0.5, abs=1e-15)
         expected = np.array([(-1.0, -1.0), (1.0, 0.0), (0.0, 1.0)])
-        np.testing.assert_allclose(geo.grad_phi, expected, atol=1e-14)
+        np.testing.assert_allclose(tri.grad_phi[0], expected, atol=1e-14)
 
     def test_translation_invariance(self):
-        base = triangle_geometry(self.unit_right_triangle(), 0)
-        moved = triangle_geometry(self.unit_right_triangle(shift=(3.7, -1.2)), 0)
-        assert moved.area == pytest.approx(base.area, rel=1e-14)
-        np.testing.assert_allclose(moved.grad_phi, base.grad_phi, atol=1e-13)
+        base = self.unit_right_triangle()
+        moved = self.unit_right_triangle(shift=(3.7, -1.2))
+        assert moved.areas[0] == pytest.approx(base.areas[0], rel=1e-14)
+        np.testing.assert_allclose(moved.grad_phi[0], base.grad_phi[0], atol=1e-13)
 
     def test_scaling_law(self):
-        base = triangle_geometry(self.unit_right_triangle(), 0)
-        scaled = triangle_geometry(self.unit_right_triangle(scale=2.0), 0)
-        assert scaled.area == pytest.approx(4.0 * base.area, rel=1e-14)
-        np.testing.assert_allclose(scaled.grad_phi, 0.5 * base.grad_phi, atol=1e-14)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            triangle_geometry(self.unit_right_triangle(), 1)
+        base = self.unit_right_triangle()
+        scaled = self.unit_right_triangle(scale=2.0)
+        assert scaled.areas[0] == pytest.approx(4.0 * base.areas[0], rel=1e-14)
+        np.testing.assert_allclose(scaled.grad_phi[0], 0.5 * base.grad_phi[0], atol=1e-14)
 
 
 class TestLoadSave:

@@ -5,24 +5,16 @@ much harder than the symmetric ring meshes."""
 
 import numpy as np
 import pytest
+from conftest import perturbed_disk
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from ductflow.augmented_lagrangian import solve_alg2
+from ductflow.augmented_lagrangian import Alg2Config, solve_alg2
 from ductflow.fem import assemble
-from ductflow.mesh import Triangulation, generate_disk_mesh
+from ductflow.mesh import MeshError, Triangulation, generate_disk_mesh
 from ductflow.objective import FluidParams
 from ductflow.pipe import PipeSolution, exact_velocity, relative_difference, relative_error
-from ductflow.trust_region import solve_trs
-
-
-def perturbed_disk(refinement, amplitude=0.25, seed=0):
-    """Disk mesh with interior nodes jiggled off the symmetric pattern."""
-    base = generate_disk_mesh(refinement)
-    rng = np.random.default_rng(seed)
-    nodes = base.nodes.copy()
-    interior = ~base.is_dirichlet
-    jiggle = (amplitude / refinement) * (2.0 * rng.random((int(interior.sum()), 2)) - 1.0)
-    nodes[interior] += jiggle
-    return Triangulation(nodes, base.triangles, base.is_dirichlet)
+from ductflow.trust_region import TrsConfig, solve_trs
 
 
 def half_disk(refinement):
@@ -93,6 +85,27 @@ class TestPerturbedDisk:
         _, y_trs, rep_trs = solve_trs(params, ops)
         y_alg2, _, _, rep_alg2 = solve_alg2(params, ops)
         assert rep_trs.converged and rep_alg2.converged
+        assert relative_difference(y_trs, y_alg2) <= 5e-3
+
+    @settings(max_examples=20, deadline=None)
+    @given(amplitude=st.floats(0.05, 0.3), alpha=st.sampled_from([1.5, 1.75, 2.0]),
+           tau0=st.floats(0.05, 0.3), seed=st.integers(0, 2**32 - 1))
+    def test_solver_invariants_hold_on_random_meshes(self, amplitude, alpha, tau0, seed):
+        try:
+            tri = perturbed_disk(6, amplitude, seed)
+        except MeshError:
+            reject()  # about 1 in 30 jiggles at amplitude 0.3 folds a triangle over
+        ops = assemble(tri, f=1.0)
+        params = FluidParams(alpha=alpha, kappa=1.0, tau0=tau0)
+        abstol = 1e-4 * tri.areas.mean()
+        _, y_trs, rep_trs = solve_trs(params, ops, cfg=TrsConfig(abstol=abstol, reltol=1e-6))
+        y_alg2, _, _, rep_alg2 = solve_alg2(params, ops,
+                                            cfg=Alg2Config(abstol=abstol, reltol=1e-6))
+        for rep in (rep_trs, rep_alg2):
+            assert rep.converged
+            assert rep.kkt_history[-1] <= abstol
+        assert max(rep_trs.feasibility_history) <= 1e-8 * (1.0 + np.abs(ops.f_h).max())
+        assert np.all(np.diff(rep_trs.objective_history) <= 0.0)
         assert relative_difference(y_trs, y_alg2) <= 5e-3
 
     def test_error_against_profile_stays_reasonable(self):
