@@ -2,22 +2,27 @@
 
 Works on the same P1-P0 discretisation as the trust-region solver and
 iterates three exact minimisation/update steps with augmentation
-parameter ``r``:
+parameter ``r`` and over-relaxation factor ``rho = _RELAXATION``:
 
 1. velocity:    solve ``r (D A^-1 D^T) y = f_h - D tau + r D q``
 2. strain rate: per triangle, ``q_k = m(|w_k|) w_k / |w_k|`` with
-                ``w_k = tau_k + r (grad y)_k`` and magnitude ``m``
+                ``w_k = tau_k + r g_k``, the relaxed gradient
+                ``g = rho grad y + (1 - rho) q_prev`` and magnitude ``m``
                 solving ``kappa m^(alpha-1) + r m = (|w_k| - tau0)_+``
                 (closed form for alpha = 2, scalar Newton in log space
                 otherwise, solved to rounding)
-3. multiplier:  ``tau_k += r ((grad y)_k - q_k)``
+3. multiplier:  ``tau_k += r (g_k - q_k)``
 
-All nonlinearity is carried by the strain-rate step, which keeps the
-velocity step a single Laplacian solve.  The stopping test mirrors the
-trust-region solver: stationarity and momentum residuals below
-``abstol`` plus relative velocity and strain-rate increments below
-``reltol``.  A non-finite residual stops the loop with status
-``non_finite``.
+With ``rho = 1`` this is the classical ALG2.  Over-relaxation (Eckstein
+& Bertsekas 1992) keeps its fixed points, ``grad y = q``, and takes
+35-40 % fewer passes on the benchmark meshes.  Where nothing yields (an
+arrested flow) the momentum defect contracts by ``|1 - rho|`` per pass,
+where plain ALG2 removes it in one.  All nonlinearity is carried by the
+strain-rate step, which keeps the velocity step a single Laplacian
+solve.  The stopping test mirrors the trust-region solver: stationarity
+and momentum residuals below ``abstol`` plus relative velocity and
+strain-rate increments below ``reltol``.  A non-finite residual stops
+the loop with status ``non_finite``.
 
 The strain-rate Newton stops only once a log-space step is below
 ``newton_reltol = 1e-8``; quadratic convergence then leaves a relative
@@ -58,10 +63,12 @@ class Alg2Config:
     newton_max: int = 100
 
     def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValueError(f"augmentation parameter r must be positive, got {self.r}")
-        if min(self.abstol, self.reltol, self.newton_abstol, self.newton_reltol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not 0.0 < self.r < math.inf:
+            raise ValueError("augmentation parameter r must be positive and finite, "
+                             f"got {self.r}")
+        if not all(0.0 < tol < math.inf for tol in (self.abstol, self.reltol,
+                                                     self.newton_abstol, self.newton_reltol)):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_outer < 1 or self.newton_max < 1:
             raise ValueError("iteration caps must be at least 1")
 
@@ -155,6 +162,16 @@ def _newton_magnitudes(alpha, kappa, r, rhs, w_norms, elements, cfg, previous=No
     return np.where(live, np.exp(t), 0.0)
 
 
+# Over-relaxation factor of the strain-rate and multiplier steps: both use
+# ``rho grad y + (1 - rho) q_prev`` in place of ``grad y`` (Eckstein &
+# Bertsekas 1992; Boyd et al. 2011, sec. 3.4.3).  Any rho in (0, 2) keeps
+# the fixed point; 1 is plain ALG2.  In a sweep of 1.5-1.8 over every
+# benchmark cell, 1.7 takes the fewest passes summed over the pipe grid
+# and never more than 1.6 on a flowing cell; 1.8 takes fewer on most
+# cells but slows the alpha = 1.5, tau0 = 0.2 pipe cells from 41 to 52.
+_RELAXATION = 1.7
+
+
 def solve_alg2(params: FluidParams, ops: DiscreteOperators,
                cfg: Alg2Config | None = None):
     """Run ALG2 from the zero state.
@@ -184,7 +201,8 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
 
         dt_y = ops.DT @ y
         grad_y = dt_y / ops.area2
-        w = tau + cfg.r * grad_y
+        relaxed = _RELAXATION * grad_y + (1.0 - _RELAXATION) * q_prev
+        w = tau + cfg.r * relaxed
         w_blocks = w.reshape(-1, 2)
         w_norms = np.hypot(w_blocks[:, 0], w_blocks[:, 1])
         magnitudes = _shrink_field(params, cfg.r, w_norms, cfg, magnitudes)
@@ -192,7 +210,7 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
                           where=w_norms > 0.0)
         q = (scale[:, None] * w_blocks).ravel()
 
-        tau = tau + cfg.r * (grad_y - q)
+        tau = tau + cfg.r * (relaxed - q)
 
         stationarity = gradient(params, ops, tau) - dt_y
         kkt = float(np.max(np.abs(stationarity))) if stationarity.size else 0.0

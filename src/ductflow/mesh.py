@@ -12,7 +12,8 @@ Plain-text file format (whitespace separated, ``#`` starts a comment)::
     triangles <n_T>
     i j k                       # 0-based node indices
 
-Triangles stored clockwise in a file are reoriented on load.
+Triangles stored clockwise in a file are reoriented on load; a triangle
+folded over a neighbour (oriented against it) is rejected as inverted.
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ class Triangulation:
         if np.any(np.sort(triangles, axis=1)[:, :-1] == np.sort(triangles, axis=1)[:, 1:]):
             raise MeshError("triangle with repeated vertex")
 
-        triangles = _orient_ccw(nodes, triangles)
+        triangles, flipped = _orient_ccw(nodes, triangles)
         _check_degenerate(nodes, triangles)
         _check_orphans(n_nodes, triangles)
-        _check_conformity(triangles)
+        _check_conformity(triangles, flipped)
 
         if isinstance(dirichlet, np.ndarray) and dirichlet.dtype == bool:
             if dirichlet.shape != (n_nodes,):
@@ -113,10 +114,6 @@ class Triangulation:
     def n_free(self) -> int:
         return self.free_nodes.size
 
-    @property
-    def dirichlet_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.is_dirichlet)
-
     def h_max(self) -> float:
         """Longest edge over the whole mesh."""
         p = self.nodes[self.triangles]
@@ -125,12 +122,14 @@ class Triangulation:
 
 
 def _orient_ccw(nodes, triangles):
-    """Swap two vertices of every clockwise triangle."""
-    signed = _signed_areas(nodes, triangles)
-    flipped = triangles.copy()
-    cw = signed < 0
-    flipped[cw] = flipped[cw][:, [0, 2, 1]]
-    return flipped
+    """Swap two vertices of every clockwise triangle.
+
+    Returns the reoriented triangles and the mask of those swapped.
+    """
+    cw = _signed_areas(nodes, triangles) < 0
+    oriented = triangles.copy()
+    oriented[cw] = oriented[cw][:, [0, 2, 1]]
+    return oriented, cw
 
 
 def _signed_areas(nodes, triangles):
@@ -159,16 +158,24 @@ def _check_orphans(n_nodes, triangles):
         raise MeshError(f"orphan node {orphans[0]}: referenced by no triangle")
 
 
-def _check_conformity(triangles):
+def _check_conformity(triangles, flipped):
     # In a conforming CCW mesh every directed edge occurs at most once and
-    # interior edges occur once per orientation.
+    # interior edges occur once per orientation.  A triangle folded over
+    # a neighbour has the opposite orientation; once reoriented it
+    # repeats the neighbour's shared edge, and it is named as the cause.
     edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
     keys = edges[:, 0] * (int(triangles.max()) + 1) + edges[:, 1]
     _, first = np.unique(keys, return_index=True)
     if first.size < keys.size:
         repeated = np.ones(keys.size, dtype=bool)
         repeated[first] = False
-        a, b = edges[np.argmax(repeated)]
+        at = np.argmax(repeated)
+        owners = np.flatnonzero(keys == keys[at]) % triangles.shape[0]
+        inverted = owners[flipped[owners]]
+        if 0 < inverted.size < owners.size:
+            raise MeshError("invariant violated: inverted (clockwise) triangle "
+                            f"{int(inverted[0])} folds over a neighbour")
+        a, b = edges[at]
         raise MeshError("invariant violated: non-conforming mesh, directed edge "
                         f"{(int(a), int(b))} repeated")
 

@@ -73,8 +73,8 @@ class TrsConfig:
     max_cg: int | None = None
 
     def __post_init__(self):
-        if min(self.abstol, self.reltol, self.divtol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not all(0.0 < tol < math.inf for tol in (self.abstol, self.reltol, self.divtol)):
+            raise ValueError("tolerances must be positive and finite")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if not 0.0 < self.gamma < 1.0:
@@ -83,6 +83,8 @@ class TrsConfig:
             raise ValueError("need 0 < delta0 <= delta_max")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
+        if self.max_cg is not None and self.max_cg < 1:
+            raise ValueError("max_cg must be at least 1")
 
     def resolve_max_cg(self, n_triangles: int) -> int:
         return self.max_cg if self.max_cg is not None else 10 * n_triangles
@@ -105,7 +107,8 @@ def _boundary_intersection(z: np.ndarray, d: np.ndarray, delta: float) -> float:
 
 
 def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, hess: np.ndarray,
-                delta: float, cfg: TrsConfig, callback=None, forcing=None):
+                delta: float, cfg: TrsConfig, callback=None, forcing=None,
+                projected=None):
     """Approximately solve the tangential trust-region subproblem.
 
     Returns ``(step, exit_reason, inner_iterations)`` with reason one of
@@ -120,12 +123,14 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, hess: np.ndarray,
     the same step, scaled.
 
     ``callback``, if given, receives every new accumulated step,
-    including the returned one.
+    including the returned one.  ``projected``, if given, is the
+    projected gradient ``P grad`` the caller already holds; it saves the
+    first projection.
     """
     n = grad.shape[0]
     z = np.zeros(n)
     r = np.array(grad, dtype=float)
-    g = ops.project_nullspace(r)
+    g = ops.project_nullspace(r) if projected is None else projected
     d = -g
     # g^T r equals |g|^2 for an orthogonal projection; the |g|^2 form
     # avoids the eps*|r|^2 rounding floor of the mixed product (r keeps
@@ -232,6 +237,7 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
     for k in range(cfg.max_outer):
         grad = gradient(params, ops, tau)
         y = ops.recover_velocity(grad)
+        # grad - D^T (D D^T)^-1 D grad: the projected gradient CG starts from
         stationarity = grad - ops.DT @ y
         kkt = float(np.max(np.abs(stationarity))) if stationarity.size else 0.0
         value = objective(params, ops, tau)
@@ -254,7 +260,8 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
 
         hess = hessian(params, ops, tau)
         step, reason, inner = cg_steihaug(ops, grad, hess, delta, cfg,
-                                          callback=inner_callback, forcing=_CG_FORCING)
+                                          callback=inner_callback, forcing=_CG_FORCING,
+                                          projected=stationarity)
         report.cg_iterations.append((inner, reason))
 
         if inner == 0 and reason == "converged":

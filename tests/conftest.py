@@ -34,14 +34,20 @@ def square_duct_mesh(n):
     return Triangulation(nodes, triangles, rim)
 
 
-def perturbed_disk(refinement, amplitude=0.25, seed=0):
-    """Disk mesh with interior nodes jiggled off the symmetric pattern."""
-    base = generate_disk_mesh(refinement)
+def jiggled_disk_nodes(base, refinement, amplitude, seed):
+    """Nodes of ``base`` with the interior ones moved by up to ``amplitude / refinement``."""
     rng = np.random.default_rng(seed)
     nodes = base.nodes.copy()
     interior = ~base.is_dirichlet
     jiggle = (amplitude / refinement) * (2.0 * rng.random((int(interior.sum()), 2)) - 1.0)
     nodes[interior] += jiggle
+    return nodes
+
+
+def perturbed_disk(refinement, amplitude=0.25, seed=0):
+    """Disk mesh with interior nodes jiggled off the symmetric pattern."""
+    base = generate_disk_mesh(refinement)
+    nodes = jiggled_disk_nodes(base, refinement, amplitude, seed)
     return Triangulation(nodes, base.triangles, base.is_dirichlet)
 
 

@@ -62,6 +62,18 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--abstol", "nan", "tolerances must be positive and finite"),
+        ("--r", "inf", "r must be positive and finite"),
+        ("--max-cg", "0", "max_cg must be at least 1"),
+    ])
+    def test_out_of_range_setting_exits_one(self, tmp_path, capsys, flag, value, message):
+        code = main(["solve", "--solver", "both", "--mesh", "disk:3", flag, value,
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_flag_value_exits_one_naming_the_flag(self, tmp_path, capsys):
         code = main(["solve", "--alpha", "abc", "--out", str(tmp_path / "x")])
         assert code == 1

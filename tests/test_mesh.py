@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from conftest import jiggled_disk_nodes, perturbed_disk
 from ductflow.mesh import MeshError, Triangulation, generate_disk_mesh, load_mesh, save_mesh
 
 
@@ -28,14 +31,14 @@ class TestDiskMesh:
         tri = generate_disk_mesh(1)
         assert tri.n_nodes == 7 and tri.n_triangles == 6
         assert np.all(signed_areas(tri) > 0.0)
-        assert tri.dirichlet_nodes.size == 6
+        assert tri.is_dirichlet.sum() == 6
 
     def test_counts_follow_ring_construction(self):
         for n in (1, 2, 5):
             tri = generate_disk_mesh(n)
             assert tri.n_nodes == 1 + 3 * n * (n + 1)
             assert tri.n_triangles == 6 * n * n
-            assert tri.dirichlet_nodes.size == 6 * n
+            assert tri.is_dirichlet.sum() == 6 * n
 
     def test_h_decreases_monotonically(self):
         sizes = [generate_disk_mesh(n).h_max() for n in (1, 2, 3, 5, 8)]
@@ -63,7 +66,7 @@ class TestDiskMesh:
 
     def test_free_index_is_a_bijection(self):
         tri = generate_disk_mesh(3)
-        assert tri.n_free + tri.dirichlet_nodes.size == tri.n_nodes
+        assert tri.n_free + tri.is_dirichlet.sum() == tri.n_nodes
         positions = tri.free_index[tri.free_nodes]
         assert np.array_equal(np.sort(positions), np.arange(tri.n_free))
         assert np.all(tri.free_index[tri.is_dirichlet] == -1)
@@ -203,6 +206,23 @@ class TestConformity:
         assert (a, b) == tuple(int(v) for v in triangles[k][:2])
         with pytest.raises(MeshError, match=rf"directed edge \({a}, {b}\) repeated"):
             Triangulation(disk.nodes, corrupted, disk.is_dirichlet)
+
+    def test_folded_triangle_named_as_inverted(self):
+        # this jiggle folds one triangle over a neighbour
+        base = generate_disk_mesh(6)
+        nodes = jiggled_disk_nodes(base, 6, 0.28125, seed=9215)
+        with pytest.raises(MeshError, match=r"inverted \(clockwise\) triangle \d+") as err:
+            perturbed_disk(6, 0.28125, seed=9215)
+        named = int(re.search(r"triangle (\d+)", str(err.value)).group(1))
+        p = nodes[base.triangles[named]]
+        u, v = p[1] - p[0], p[2] - p[0]
+        assert u[0] * v[1] - u[1] * v[0] < 0.0
+
+    def test_repeated_edge_of_clockwise_file_not_called_inverted(self):
+        # both triangles are clockwise, so reorienting them is no fold
+        nodes = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        with pytest.raises(MeshError, match=r"directed edge \(0, 1\) repeated"):
+            Triangulation(nodes, [(0, 2, 1), (0, 3, 1)], {0, 1})
 
     def test_shared_edges_have_both_orientations(self):
         tri = generate_disk_mesh(3)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_poisson_velocity, dense_projected_newton_step, square_duct_mesh
+from ductflow import trust_region
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh
 from ductflow.objective import FluidParams, block_norms, gradient, hessian
@@ -19,6 +20,8 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(abstol=0.0), dict(eta=1.0), dict(eta=0.0), dict(gamma=1.5),
         dict(delta0=0.0), dict(delta0=2.0, delta_max=1.0), dict(max_outer=0),
+        dict(abstol=float("nan")), dict(reltol=float("inf")), dict(divtol=float("nan")),
+        dict(max_cg=0),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -219,6 +222,31 @@ class TestSolveTrs:
         assert report.converged
         assert report.iterations <= 100
         assert all(reason != "curvature" for _, reason in report.cg_iterations)
+
+    def test_cg_reuses_the_stationarity_projection(self, monkeypatch):
+        # grad - D^T y from the velocity recovery is CG's first projected
+        # gradient, so each outer iteration that runs CG saves one D D^T
+        # solve and the iterates do not change
+        tri = square_duct_mesh(8)
+        params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.3)
+        cfg = TrsConfig(abstol=1e-4 * float(np.mean(tri.areas)), reltol=1e-6)
+
+        def counted_run(cg):
+            ops = assemble(tri, f=1.0)
+            solve, calls = ops.solve_ddt, []
+            ops.solve_ddt = lambda rhs: calls.append(rhs) or solve(rhs)
+            monkeypatch.setattr(trust_region, "cg_steihaug", cg)
+            return (*solve_trs(params, ops, cfg=cfg), len(calls))
+
+        def projecting_again(*args, projected=None, **kwargs):
+            return cg_steihaug(*args, **kwargs)
+
+        tau, y, report, saved = counted_run(cg_steihaug)
+        tau_old, y_old, report_old, solves = counted_run(projecting_again)
+        assert report.converged and report.iterations > 10
+        assert np.array_equal(tau, tau_old) and np.array_equal(y, y_old)
+        assert report.kkt_history == report_old.kkt_history
+        assert solves - saved == len(report.cg_iterations) == report.iterations - 1
 
     def test_iterates_stay_feasible(self):
         tri = generate_disk_mesh(6)
