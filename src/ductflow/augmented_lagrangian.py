@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import DiscreteOperators
-from .objective import FluidParams, gradient, objective
+from .objective import FluidParams, block_norms, gradient, objective
 from .report import SolveReport
 
 
@@ -60,7 +60,6 @@ class Alg2Config:
     newton_abstol: float = 1e-13
     newton_reltol: float = 1e-8
     max_outer: int = 5000
-    newton_max: int = 100
 
     def __post_init__(self):
         if not 0.0 < self.r < math.inf:
@@ -69,8 +68,8 @@ class Alg2Config:
         if not all(0.0 < tol < math.inf for tol in (self.abstol, self.reltol,
                                                      self.newton_abstol, self.newton_reltol)):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_outer < 1 or self.newton_max < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
 
 
 def shrink_magnitude(params: FluidParams, r: float, w_norm: float,
@@ -82,13 +81,14 @@ def shrink_magnitude(params: FluidParams, r: float, w_norm: float,
     """
     if w_norm < 0.0 or not np.isfinite(w_norm):
         raise ValueError(f"w_norm must be finite and non-negative, got {w_norm}")
-    out = _shrink_field(params, r, np.array([w_norm]), cfg)
+    out = _shrink_field(params, r, np.array([w_norm]), cfg, np.zeros(1))
     return float(out[0])
 
 
 def _shrink_field(params: FluidParams, r: float, w_norms: np.ndarray,
-                  cfg: Alg2Config, previous: np.ndarray | None = None) -> np.ndarray:
-    """Shrink magnitudes for every element; ``previous`` warm-starts Newton."""
+                  cfg: Alg2Config, previous: np.ndarray) -> np.ndarray:
+    """Shrink magnitudes for every element; ``previous`` warm-starts Newton
+    and is zero where there is no previous root."""
     rhs = np.maximum(w_norms - params.tau0, 0.0)
     m = rhs / (params.kappa + r)
     if params.alpha == 2.0:
@@ -97,7 +97,7 @@ def _shrink_field(params: FluidParams, r: float, w_norms: np.ndarray,
     if active.size:
         m[active] = _newton_magnitudes(
             params.alpha, params.kappa, r, rhs[active], w_norms[active], active, cfg,
-            None if previous is None else previous[active])
+            previous[active])
     return m
 
 
@@ -105,8 +105,12 @@ def _shrink_field(params: FluidParams, r: float, w_norms: np.ndarray,
 # and round to an exact zero strain rate.
 _LOG_TINY = -700.0
 
+# Newton passes allowed per shrink step; an element still unconverged
+# after them raises RuntimeError naming it.
+_NEWTON_MAX = 100
 
-def _newton_magnitudes(alpha, kappa, r, rhs, w_norms, elements, cfg, previous=None):
+
+def _newton_magnitudes(alpha, kappa, r, rhs, w_norms, elements, cfg, previous):
     """Vectorised Newton for the scalar shrink equation, in log space.
 
     For alpha near 1 the root ``m`` of ``kappa m^(alpha-1) + r m = rhs``
@@ -136,15 +140,12 @@ def _newton_magnitudes(alpha, kappa, r, rhs, w_norms, elements, cfg, previous=No
     am1 = alpha - 1.0
     with np.errstate(divide="ignore"):
         t_cold = np.minimum(np.log(rhs / kappa) / am1, np.log(rhs / r))
-        if previous is None:
-            t = t_cold
-        else:
-            t = np.minimum(np.log(np.where(previous > 0.0, previous, np.inf)), t_cold)
+        t = np.minimum(np.log(np.where(previous > 0.0, previous, np.inf)), t_cold)
     live = t_cold >= _LOG_TINY
     abs_tol = cfg.newton_abstol * rhs
     done = ~live
 
-    for _ in range(cfg.newton_max):
+    for _ in range(_NEWTON_MAX):
         pow_term = kappa * np.exp(am1 * t)
         lin_term = r * np.exp(t)
         psi = pow_term + lin_term - rhs
@@ -192,7 +193,7 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
     # data-scale floor count as converged.
     floor = 1e-12 * (1.0 + (float(np.abs(ops.f_h).max()) if ops.f_h.size else 0.0))
 
-    magnitudes = None  # previous shrink magnitudes, the Newton warm start
+    magnitudes = np.zeros(ops.tri.n_triangles)  # the Newton warm start
     for k in range(cfg.max_outer):
         y_prev, q_prev = y, q
 
@@ -203,12 +204,11 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
         grad_y = dt_y / ops.area2
         relaxed = _RELAXATION * grad_y + (1.0 - _RELAXATION) * q_prev
         w = tau + cfg.r * relaxed
-        w_blocks = w.reshape(-1, 2)
-        w_norms = np.hypot(w_blocks[:, 0], w_blocks[:, 1])
+        w_norms = block_norms(w)
         magnitudes = _shrink_field(params, cfg.r, w_norms, cfg, magnitudes)
         scale = np.divide(magnitudes, w_norms, out=np.zeros_like(magnitudes),
                           where=w_norms > 0.0)
-        q = (scale[:, None] * w_blocks).ravel()
+        q = (scale[:, None] * w.reshape(-1, 2)).ravel()
 
         tau = tau + cfg.r * (relaxed - q)
 

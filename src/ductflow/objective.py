@@ -31,7 +31,8 @@ class FluidParams:
 
     alpha : power-law exponent in (1, 2]; 2 is the Bingham case where
         kappa plays the role of the plastic viscosity.
-    kappa : consistency, finite and > 0.
+    kappa : consistency, finite and > 0, with ``kappa^(1/(alpha-1))`` a
+        positive finite double.
     tau0 : yield stress, finite and >= 0.
     """
 
@@ -51,8 +52,15 @@ class FluidParams:
             raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
         if not (math.isfinite(self.tau0) and self.tau0 >= 0.0):
             raise ValueError(f"tau0 must be finite and non-negative, got {self.tau0}")
+        try:
+            kappa_pow = self.kappa ** (1.0 / (self.alpha - 1.0))
+        except OverflowError:
+            kappa_pow = math.inf
+        if not 0.0 < kappa_pow < math.inf:
+            raise ValueError(f"kappa = {self.kappa} is out of range for alpha = {self.alpha}: "
+                             "kappa^(1/(alpha-1)) leaves the double range")
         object.__setattr__(self, "alpha_prime", self.alpha / (self.alpha - 1.0))
-        object.__setattr__(self, "kappa_pow", self.kappa ** (1.0 / (self.alpha - 1.0)))
+        object.__setattr__(self, "kappa_pow", kappa_pow)
 
 
 def _blocks(tau: np.ndarray) -> np.ndarray:
@@ -76,7 +84,7 @@ def objective(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> f
 
 def gradient(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np.ndarray:
     t = _blocks(tau)
-    norms = np.hypot(t[:, 0], t[:, 1])
+    norms = block_norms(tau)
     excess = norms - params.tau0
     yielded = excess > 0.0
 
@@ -93,7 +101,7 @@ def gradient(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np
 def hessian(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np.ndarray:
     """Blockwise Hessian, shape ``(n_T, 2, 2)``; zero inside the yield surface."""
     t = _blocks(tau)
-    norms = np.hypot(t[:, 0], t[:, 1])
+    norms = block_norms(tau)
     excess = norms - params.tau0
     yielded = excess > 0.0
 
@@ -129,9 +137,3 @@ def hessian_apply(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError("Hessian block count does not match vector length")
     return np.einsum("kij,kj->ki", blocks, w).ravel()
 
-
-def kkt_residual(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray,
-                 y: np.ndarray) -> float:
-    """Stationarity defect ``max |grad J(tau) - D^T y|``."""
-    resid = gradient(params, ops, tau) - ops.DT @ np.asarray(y, dtype=float)
-    return float(np.max(np.abs(resid))) if resid.size else 0.0

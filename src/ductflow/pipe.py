@@ -54,7 +54,10 @@ def exact_velocity(sol: PipeSolution, radius):
     if r0 >= 1.0:
         return np.zeros_like(r) if r.ndim else 0.0
 
-    coeff = 1.0 / (2.0 ** beta * (1.0 + beta))
+    try:
+        coeff = 1.0 / (2.0 ** beta * (1.0 + beta))
+    except OverflowError:  # alpha within 1/1023 of 1; 2^-beta only underflows
+        coeff = 0.5 ** beta / (1.0 + beta)
     plug_value = coeff * (1.0 - r0) ** (1.0 + beta)
     values = plug_value - coeff * np.maximum(r - r0, 0.0) ** (1.0 + beta)
     return values if r.ndim else float(values)

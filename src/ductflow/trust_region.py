@@ -9,11 +9,11 @@ f_h`` (the starting point is projected onto it and all steps lie in
 by a projected CG-Steihaug iteration (Steihaug 1983; Nocedal & Wright,
 Alg. 7.2).  Both of its tests are scale-free: a direction ``d`` counts as
 one of non-positive curvature when its Rayleigh quotient
-``d^T H d / d^T d`` is below ``divtol``, and the outer loop stops CG once
+``d^T H d / d^T d`` is below ``_DIVTOL``, and the outer loop stops CG once
 the projected residual has fallen to ``_CG_FORCING = 0.5`` of its start,
 an inexact-Newton forcing term.  Steps are accepted and the radius
 updated from the ratio ``rho = ared/pred`` of actual to model decrease,
-with thresholds 0.9 / 0.3 for radius growth and ``eta`` for acceptance.
+with thresholds 0.9 / 0.3 for radius growth and ``_ETA`` for acceptance.
 
 Convergence is declared when the stationarity residual
 ``max |grad J - D^T y|`` drops below ``abstol`` and the recovered
@@ -41,53 +41,49 @@ _ARMIJO_MAX_HALVINGS = 60
 
 # Inexact-Newton forcing term of the outer loop: CG stops once the
 # projected residual is below this share of its start, the cap in
-# Nocedal & Wright's min(0.5, sqrt|g|) rule.  Solving each subproblem to
-# reltol instead costs thousands of CG iterations far from the solution.
+# Nocedal & Wright's min(0.5, sqrt|g|) rule.  Solving each subproblem
+# accurately instead costs thousands of CG iterations far from the solution.
 _CG_FORCING = 0.5
+
+# Least Rayleigh quotient d^T H d / d^T d of a CG direction that counts as
+# positive curvature; relative to |d|^2, so it does not fire merely
+# because the projected gradient has become small.
+_DIVTOL = 1e-10
+
+# Armijo fraction of the boundary step taken along a curvature direction.
+_GAMMA = 1e-2
+
+# Least ared/pred of an accepted step (Nocedal & Wright, Alg. 4.1).
+_ETA = 0.1
+
+# Initial and largest trust radius (Nocedal & Wright, Alg. 4.1).
+_DELTA0 = 10.0
+_DELTA_MAX = 1e5
+
+# CG iterations allowed per triangle in one subproblem.  null(D) has
+# fewer than 2 dimensions per triangle, which bounds CG in exact
+# arithmetic; the rest is room for rounding.
+_CG_PER_TRIANGLE = 10
 
 
 @dataclass
 class TrsConfig:
-    """Tolerances and trust-region constants.
+    """Stopping tolerances and the outer-iteration cap.
 
-    ``divtol`` is a floor on the Rayleigh quotient ``d^T H d / d^T d`` of
-    a CG direction: below it the direction is treated as one of
-    non-positive curvature and CG steps to the trust boundary.  It is
-    relative to ``|d|^2``, so it does not fire merely because the
-    projected gradient has become small.  ``reltol`` is also the CG
-    stopping tolerance of direct ``cg_steihaug`` calls; ``solve_trs``
-    stops CG at the forcing term ``_CG_FORCING`` instead.
-
-    ``max_cg = None`` means 10 inner iterations per triangle, resolved
-    against the mesh at solve time.
+    ``abstol`` bounds the stationarity residual, and CG returns the zero
+    step when the projected gradient is already below it.  ``reltol``
+    bounds the relative velocity increment between outer iterations.
     """
 
     abstol: float = 1e-4
     reltol: float = 1e-4
-    divtol: float = 1e-10
-    delta0: float = 10.0
-    delta_max: float = 1e5
-    eta: float = 0.1
-    gamma: float = 1e-2
     max_outer: int = 500
-    max_cg: int | None = None
 
     def __post_init__(self):
-        if not all(0.0 < tol < math.inf for tol in (self.abstol, self.reltol, self.divtol)):
+        if not all(0.0 < tol < math.inf for tol in (self.abstol, self.reltol)):
             raise ValueError("tolerances must be positive and finite")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 0.0 < self.delta0 <= self.delta_max:
-            raise ValueError("need 0 < delta0 <= delta_max")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if self.max_cg is not None and self.max_cg < 1:
-            raise ValueError("max_cg must be at least 1")
-
-    def resolve_max_cg(self, n_triangles: int) -> int:
-        return self.max_cg if self.max_cg is not None else 10 * n_triangles
 
 
 def _boundary_intersection(z: np.ndarray, d: np.ndarray, delta: float) -> float:
@@ -106,31 +102,30 @@ def _boundary_intersection(z: np.ndarray, d: np.ndarray, delta: float) -> float:
     return (disc - b) / (2.0 * a)
 
 
-def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, hess: np.ndarray,
-                delta: float, cfg: TrsConfig, callback=None, forcing=None,
-                projected=None):
+def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
+                hess: np.ndarray, delta: float, abstol: float, forcing: float,
+                callback=None):
     """Approximately solve the tangential trust-region subproblem.
 
+    ``projected`` is the projected gradient ``P grad`` onto null(D).
     Returns ``(step, exit_reason, inner_iterations)`` with reason one of
     ``converged`` (projected residual reduced below ``forcing`` of its
     start, or already below ``abstol`` -- then the step is zero and the
     count 0), ``boundary`` (iterate left the trust ball), ``curvature``
     (Rayleigh quotient ``d^T H d / d^T d`` of a direction below
-    ``divtol``; the boundary step is Armijo-backtracked) or ``cap``.
-    ``forcing=None`` means ``cfg.reltol``, i.e. an accurate Newton step.
-    Apart from the ``abstol`` shortcut, every test is invariant under
-    scaling ``grad``: a scaled gradient gives the same exit and count and
-    the same step, scaled.
+    ``_DIVTOL``; the boundary step is Armijo-backtracked) or ``cap``
+    (``_CG_PER_TRIANGLE`` iterations per triangle).  Apart from the
+    ``abstol`` shortcut, every test is invariant under scaling ``grad``:
+    a scaled gradient gives the same exit and count and the same step,
+    scaled.
 
     ``callback``, if given, receives every new accumulated step,
-    including the returned one.  ``projected``, if given, is the
-    projected gradient ``P grad`` the caller already holds; it saves the
-    first projection.
+    including the returned one.
     """
     n = grad.shape[0]
     z = np.zeros(n)
     r = np.array(grad, dtype=float)
-    g = ops.project_nullspace(r) if projected is None else projected
+    g = projected
     d = -g
     # g^T r equals |g|^2 for an orthogonal projection; the |g|^2 form
     # avoids the eps*|r|^2 rounding floor of the mixed product (r keeps
@@ -138,22 +133,21 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, hess: np.ndarray,
     gr = float(g @ g)
 
     sqrt_gr0 = math.sqrt(gr)
-    if sqrt_gr0 < cfg.abstol:
+    if sqrt_gr0 < abstol:
         return z, "converged", 0
 
-    rtol = cfg.reltol if forcing is None else forcing
-    max_cg = cfg.resolve_max_cg(ops.tri.n_triangles)
+    max_cg = _CG_PER_TRIANGLE * ops.tri.n_triangles
     for j in range(max_cg):
         h_d = hessian_apply(hess, d)
         curvature = float(d @ h_d)
 
-        if curvature < cfg.divtol * float(d @ d):
+        if curvature < _DIVTOL * float(d @ d):
             s = _boundary_intersection(z, d, delta)
             # model slope at z along d; Armijo guards against tiny
             # positive curvature making the full boundary step uphill
             slope = float((grad + hessian_apply(hess, z)) @ d)
             for _ in range(_ARMIJO_MAX_HALVINGS):
-                if s * slope + 0.5 * s * s * curvature <= cfg.gamma * s * slope:
+                if s * slope + 0.5 * s * s * curvature <= _GAMMA * s * slope:
                     break
                 s *= 0.5
             else:
@@ -181,7 +175,7 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, hess: np.ndarray,
         r = r + alpha * h_d
         g = ops.project_nullspace(r)
         gr_next = float(g @ g)
-        if gr_next == 0.0 or math.sqrt(gr_next) < rtol * sqrt_gr0:
+        if gr_next == 0.0 or math.sqrt(gr_next) < forcing * sqrt_gr0:
             return z, "converged", j + 1
         d = -g + (gr_next / gr) * d
         gr = gr_next
@@ -189,8 +183,7 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, hess: np.ndarray,
     return z, "cap", max_cg
 
 
-def update_radius(cfg: TrsConfig, delta: float, ared: float, pred: float,
-                  step_norm: float):
+def update_radius(delta: float, ared: float, pred: float, step_norm: float):
     """Accept/reject a trial step and rescale the trust radius.
 
     The shrink on rejection uses the norm of the rejected trial step.
@@ -202,18 +195,17 @@ def update_radius(cfg: TrsConfig, delta: float, ared: float, pred: float,
         rho = -math.inf
 
     if rho >= 0.9:
-        return True, min(max(10.0 * step_norm, delta), cfg.delta_max)
+        return True, min(max(10.0 * step_norm, delta), _DELTA_MAX)
     if rho >= 0.3:
-        return True, min(max(2.0 * step_norm, delta), cfg.delta_max)
-    if rho >= cfg.eta:
+        return True, min(max(2.0 * step_norm, delta), _DELTA_MAX)
+    if rho >= _ETA:
         return True, delta
-    factor = max(0.1, min(0.5, (1.0 - cfg.eta) / (1.0 - rho)))
+    factor = max(0.1, min(0.5, (1.0 - _ETA) / (1.0 - rho)))
     return False, factor * step_norm
 
 
 def solve_trs(params: FluidParams, ops: DiscreteOperators,
-              tau_init: np.ndarray | None = None, cfg: TrsConfig | None = None,
-              inner_callback=None):
+              tau_init: np.ndarray | None = None, cfg: TrsConfig | None = None):
     """Run the outer trust-region loop.
 
     Returns ``(tau, y, report)`` where ``tau`` is the final feasible
@@ -228,7 +220,7 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
     if tau_init is None:
         tau_init = np.zeros(ops.n_stress)
     tau = ops.project_feasible(tau_init)
-    delta = cfg.delta0
+    delta = _DELTA0
 
     report = SolveReport()
     y = np.zeros(ops.n_free)
@@ -259,9 +251,8 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
         y_prev = y
 
         hess = hessian(params, ops, tau)
-        step, reason, inner = cg_steihaug(ops, grad, hess, delta, cfg,
-                                          callback=inner_callback, forcing=_CG_FORCING,
-                                          projected=stationarity)
+        step, reason, inner = cg_steihaug(ops, grad, stationarity, hess, delta,
+                                          cfg.abstol, _CG_FORCING)
         report.cg_iterations.append((inner, reason))
 
         if inner == 0 and reason == "converged":
@@ -285,7 +276,7 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
 
         ared = value - objective(params, ops, tau + step)
         pred = -float(step @ grad) - 0.5 * float(step @ hessian_apply(hess, step))
-        accepted, delta = update_radius(cfg, delta, ared, pred, step_norm)
+        accepted, delta = update_radius(delta, ared, pred, step_norm)
         if accepted:
             tau = tau + step
             report.accepted_steps += 1

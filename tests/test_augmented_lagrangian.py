@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from conftest import dense_poisson_velocity, square_duct_mesh
+from ductflow import augmented_lagrangian
 from ductflow.augmented_lagrangian import (_RELAXATION, Alg2Config, _newton_magnitudes,
                                            _shrink_field, shrink_magnitude, solve_alg2)
 from ductflow.fem import assemble
@@ -64,7 +65,8 @@ class TestShrinkMagnitude:
         rng = np.random.default_rng(30)
         w = 0.2 + 3.0 * rng.random(50)
         rhs = np.maximum(w - 0.2, 0.0)
-        newton = _newton_magnitudes(2.0, 1.0, 10.0, rhs, w, np.arange(50), TIGHT)
+        newton = _newton_magnitudes(2.0, 1.0, 10.0, rhs, w, np.arange(50), TIGHT,
+                                    np.zeros(50))
         closed = rhs / (1.0 + 10.0)
         assert np.abs(newton - closed).max() <= 1e-12
 
@@ -75,28 +77,31 @@ class TestShrinkMagnitude:
         with pytest.raises(ValueError):
             shrink_magnitude(params, 10.0, float("nan"), TIGHT)
 
-    def test_newton_failure_names_element(self):
+    def test_newton_failure_names_element(self, monkeypatch):
         params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.0)
-        cramped = Alg2Config(newton_abstol=1e-13, newton_reltol=1e-16, newton_max=1)
+        cramped = Alg2Config(newton_abstol=1e-13, newton_reltol=1e-16)
+        monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
         with pytest.raises(RuntimeError, match="element 0"):
             shrink_magnitude(params, 10.0, 5.0, cramped)
 
-    def test_newton_failure_skips_converged_elements(self):
+    def test_newton_failure_skips_converged_elements(self, monkeypatch):
         # element 0 starts 1e-4 off its root and meets the step test in one
         # pass, still with a residual far above newton_abstol; element 1
         # starts cold and needs three passes
         params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.0)
         root = shrink_magnitude(params, 10.0, 1.0, TIGHT)
         previous = np.array([root * (1.0 + 1e-4), 0.0])
-        cfg = Alg2Config(newton_reltol=1e-3, newton_max=2)
+        cfg = Alg2Config(newton_reltol=1e-3)
+        monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 2)
         with pytest.raises(RuntimeError, match=r"element 1\b"):
             _shrink_field(params, 10.0, np.array([1.0, 5.0]), cfg, previous)
 
-    def test_warm_start_at_root_takes_one_pass(self):
+    def test_warm_start_at_root_takes_one_pass(self, monkeypatch):
         params = FluidParams(alpha=1.3, kappa=0.7, tau0=0.2)
         w = np.linspace(0.0, 4.0, 41)
-        roots = _shrink_field(params, 10.0, w, Alg2Config())
-        again = _shrink_field(params, 10.0, w, Alg2Config(newton_max=1), roots)
+        roots = _shrink_field(params, 10.0, w, Alg2Config(), np.zeros(w.size))
+        monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
+        again = _shrink_field(params, 10.0, w, Alg2Config(), roots)
         np.testing.assert_allclose(again, roots, rtol=1e-15, atol=0.0)
 
 
@@ -116,7 +121,7 @@ def test_warm_start_matches_cold_start_and_bisection(alpha, kappa, r, tau0, exce
     params = FluidParams(alpha=alpha, kappa=kappa, tau0=tau0)
     w = tau0 + np.array(excess)
     cfg = Alg2Config()
-    cold = _shrink_field(params, r, w, cfg)
+    cold = _shrink_field(params, r, w, cfg, np.zeros(w.size))
     previous = np.array([0.0 if kind == "zero" else m * 10.0 ** e
                          for m, (kind, e) in zip(cold, warm)])
     got = _shrink_field(params, r, w, cfg, previous)
@@ -149,7 +154,7 @@ def test_cold_start_near_yield_surface_is_relatively_exact(alpha, excess):
     # with rhs stops Newton while it is still far off
     params = FluidParams(alpha=alpha, kappa=1.0, tau0=0.3)
     w = np.array([0.3 + excess])
-    got = _shrink_field(params, 1.0, w, Alg2Config())[0]
+    got = _shrink_field(params, 1.0, w, Alg2Config(), np.zeros(1))[0]
     want = bisect_to_rounding(alpha, 1.0, 1.0, float(w[0]) - 0.3)
     # m = e^t carries the rounding of t = ln m, a relative |t| eps
     assert abs(got - want) <= max(1e-13, 4.0 * np.finfo(float).eps * abs(np.log(want))) * want
@@ -157,7 +162,7 @@ def test_cold_start_near_yield_surface_is_relatively_exact(alpha, excess):
 
 class TestConfig:
     @pytest.mark.parametrize("bad", [
-        dict(r=0.0), dict(r=-1.0), dict(abstol=0.0), dict(newton_max=0),
+        dict(r=0.0), dict(r=-1.0), dict(abstol=0.0), dict(newton_abstol=0.0),
         dict(max_outer=0), dict(r=float("inf")), dict(r=float("nan")),
         dict(abstol=float("nan")), dict(reltol=float("inf")), dict(newton_reltol=float("nan")),
     ])

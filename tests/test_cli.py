@@ -65,7 +65,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("flag, value, message", [
         ("--abstol", "nan", "tolerances must be positive and finite"),
         ("--r", "inf", "r must be positive and finite"),
-        ("--max-cg", "0", "max_cg must be at least 1"),
+        ("--max-outer", "0", "max_outer must be at least 1"),
     ])
     def test_out_of_range_setting_exits_one(self, tmp_path, capsys, flag, value, message):
         code = main(["solve", "--solver", "both", "--mesh", "disk:3", flag, value,
@@ -91,6 +91,41 @@ class TestSolveCommand:
         code = main(["solve", "--tau-0", "0.3", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "--tau-0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--divtol", "--delta0", "--delta-max", "--eta",
+                                      "--gamma", "--max-cg", "--newton-max"])
+    def test_solver_constants_are_not_options(self, tmp_path, capsys, flag):
+        code = main(["solve", "--mesh", "disk:2", flag, "0.2", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("kappa", ["1e-300", "1e300"])
+    def test_kappa_power_out_of_range_exits_one(self, tmp_path, capsys, kappa):
+        # kappa^(1/(alpha-1)) = kappa^2 under- or overflows
+        code = main(["solve", "--mesh", "disk:3", "--alpha", "1.5", "--kappa", kappa,
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: kappa = {float(kappa)} is out of range")
+        assert not (tmp_path / "x").exists()
+
+    def test_non_ascii_config_file_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "greek.cfg"
+        cfg.write_bytes("mesh = disk:2\ntau0 = 0.1  # \u03c4\u2080\n".encode("utf-8"))
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"error: {cfg}: config file must be ASCII" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_vanishing_analytic_profile_is_not_compared(self, tmp_path):
+        # beta = 10^4: the closed-form profile underflows to zero at every
+        # node, so there is no relative error to report
+        out = tmp_path / "thin"
+        code = main(["solve", "--solver", "both", "--mesh", "disk:3", "--alpha", "1.0001",
+                     "--tau0", "0.1", "--format", "json", "--out", str(out)])
+        assert code in (0, 2)
+        for solver in ("trs", "alg2"):
+            assert "error_vs_analytic" not in read_json(out / f"report_{solver}.json")
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -172,7 +207,7 @@ class TestMergedOptions:
         path = tmp_path / "all.cfg"
         path.write_text("".join(f"{name} = 1\n" for name in sorted(flags)))
         assert set(_read_config_file(path)) == flags
-        assert len(flags) == 22
+        assert len(flags) == 15
 
 
 class TestExports:

@@ -5,7 +5,7 @@ from conftest import fd_gradient, fd_hessian, random_stress_blocks
 from ductflow.fem import assemble
 from ductflow.mesh import Triangulation
 from ductflow.objective import (FluidParams, block_norms, gradient, hessian,
-                                hessian_apply, kkt_residual, objective)
+                                hessian_apply, objective)
 
 
 def unit_right_triangle_ops():
@@ -36,6 +36,20 @@ class TestFluidParams:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             FluidParams(alpha=2.0, **bad)
+
+    @pytest.mark.parametrize("alpha, kappa", [
+        (1.5, 1e-300), (1.5, 1e300), (1.01, 1e-4), (1.01, 1e4),
+    ])
+    def test_kappa_power_out_of_double_range_rejected(self, alpha, kappa):
+        # kappa^(1/(alpha-1)) underflows to 0 or overflows
+        with pytest.raises(ValueError, match="out of range"):
+            FluidParams(alpha=alpha, kappa=kappa)
+
+    @pytest.mark.parametrize("alpha, kappa", [(1.5, 1e-150), (1.5, 1e150), (1.01, 1e-3)])
+    def test_kappa_power_at_edge_of_double_range_kept(self, alpha, kappa):
+        p = FluidParams(alpha=alpha, kappa=kappa)
+        assert p.kappa_pow == kappa ** (1.0 / (alpha - 1.0))
+        assert 0.0 < p.kappa_pow < float("inf")
 
     @pytest.mark.parametrize("alpha", [2.0, 1.75, 1.5, 1.1])
     def test_dual_exponent_identity(self, alpha):
@@ -185,17 +199,3 @@ class TestHessianApply:
                                    2.0 * hessian_apply(blocks, u) + hessian_apply(blocks, v),
                                    rtol=1e-12)
 
-
-class TestKktResidual:
-    def test_unyielded_state_with_zero_velocity(self, disk2_ops):
-        params = FluidParams(alpha=2.0, tau0=10.0)
-        tau = 0.01 * np.ones(disk2_ops.n_stress)
-        assert kkt_residual(params, disk2_ops, tau, np.zeros(disk2_ops.n_free)) == 0.0
-
-    def test_exact_pair_in_quadratic_limit(self, disk2_ops):
-        # with A tau = D^T y the stationarity equation holds exactly
-        params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.0)
-        rng = np.random.default_rng(19)
-        y = rng.standard_normal(disk2_ops.n_free)
-        tau = (disk2_ops.D.T @ y) / disk2_ops.area2
-        assert kkt_residual(params, disk2_ops, tau, y) <= 1e-12

@@ -51,6 +51,19 @@ class TestExactVelocity:
     def test_radius_rounding_slack(self):
         assert exact_velocity(solution(), 1.0 + 1e-13) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1.0001, 1.0 + 1.0 / 1030.0, 1.001])
+    @pytest.mark.parametrize("tau0", [0.0, 0.1])
+    def test_finite_next_to_alpha_one(self, alpha, tau0):
+        values = exact_velocity(solution(alpha, tau0), np.linspace(0.0, 1.0, 11))
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+
+    def test_coefficient_underflows_where_two_to_beta_overflows(self):
+        # beta = 1030: 2^beta overflows, the centreline value 2^-beta/(1+beta)
+        # is a subnormal double
+        sol = solution(1.0 + 1.0 / 1030.0, 0.0)
+        beta = sol.beta
+        assert exact_velocity(sol, 0.0) == 0.5 ** beta / (1.0 + beta) > 0.0
+
     def test_non_unit_consistency_rejected(self):
         with pytest.raises(ValueError, match="kappa"):
             PipeSolution(FluidParams(alpha=2.0, kappa=2.0, tau0=0.1))

@@ -8,71 +8,74 @@ from ductflow import trust_region
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh
 from ductflow.objective import FluidParams, block_norms, gradient, hessian
-from ductflow.trust_region import (TrsConfig, cg_steihaug, solve_trs, update_radius)
+from ductflow.trust_region import TrsConfig, cg_steihaug, solve_trs, update_radius
+
+
+def run_cg(ops, grad, hess, delta, abstol=1e-4, forcing=0.5, callback=None):
+    """CG-Steihaug from the projected gradient, as the outer loop calls it."""
+    return cg_steihaug(ops, grad, ops.project_nullspace(grad), hess, delta,
+                       abstol, forcing, callback)
 
 
 class TestConfig:
     def test_defaults_match_documented_values(self):
         cfg = TrsConfig()
-        assert (cfg.abstol, cfg.reltol, cfg.divtol) == (1e-4, 1e-4, 1e-10)
-        assert (cfg.delta0, cfg.delta_max, cfg.eta, cfg.gamma) == (10.0, 1e5, 0.1, 1e-2)
+        assert (cfg.abstol, cfg.reltol, cfg.max_outer) == (1e-4, 1e-4, 500)
+        assert (trust_region._DIVTOL, trust_region._GAMMA, trust_region._ETA) == (1e-10, 1e-2, 0.1)
+        assert (trust_region._DELTA0, trust_region._DELTA_MAX) == (10.0, 1e5)
+        assert trust_region._CG_PER_TRIANGLE == 10
 
     @pytest.mark.parametrize("bad", [
-        dict(abstol=0.0), dict(eta=1.0), dict(eta=0.0), dict(gamma=1.5),
-        dict(delta0=0.0), dict(delta0=2.0, delta_max=1.0), dict(max_outer=0),
-        dict(abstol=float("nan")), dict(reltol=float("inf")), dict(divtol=float("nan")),
-        dict(max_cg=0),
+        dict(abstol=0.0), dict(abstol=-1.0), dict(reltol=0.0), dict(reltol=-1e-4),
+        dict(abstol=float("inf")), dict(reltol=float("nan")), dict(max_outer=0),
+        dict(abstol=float("nan")), dict(reltol=float("inf")), dict(max_outer=-1),
+        dict(abstol=-float("inf")),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
             TrsConfig(**bad)
 
-    def test_inner_cap_defaults_to_ten_per_triangle(self):
-        assert TrsConfig().resolve_max_cg(54) == 540
-        assert TrsConfig(max_cg=7).resolve_max_cg(54) == 7
-
 
 class TestUpdateRadius:
     def test_perfect_model_keeps_radius(self):
-        accepted, delta = update_radius(TrsConfig(), 10.0, ared=1.0, pred=1.0, step_norm=1.0)
+        accepted, delta = update_radius(10.0, ared=1.0, pred=1.0, step_norm=1.0)
         assert accepted and delta == 10.0
 
     def test_good_model_doubles_step_norm(self):
-        accepted, delta = update_radius(TrsConfig(), 3.0, ared=0.5, pred=1.0, step_norm=4.0)
+        accepted, delta = update_radius(3.0, ared=0.5, pred=1.0, step_norm=4.0)
         assert accepted and delta == 8.0
 
     def test_zero_reduction_rejects_and_halves(self):
-        accepted, delta = update_radius(TrsConfig(), 10.0, ared=0.0, pred=1.0, step_norm=2.0)
+        accepted, delta = update_radius(10.0, ared=0.0, pred=1.0, step_norm=2.0)
         assert not accepted and delta == 1.0
 
     def test_marginal_acceptance_keeps_radius(self):
-        accepted, delta = update_radius(TrsConfig(), 7.0, ared=0.2, pred=1.0, step_norm=2.0)
+        accepted, delta = update_radius(7.0, ared=0.2, pred=1.0, step_norm=2.0)
         assert accepted and delta == 7.0
 
     def test_nonpositive_predicted_reduction_is_model_failure(self):
-        accepted, delta = update_radius(TrsConfig(), 10.0, ared=0.5, pred=0.0, step_norm=2.0)
+        accepted, delta = update_radius(10.0, ared=0.5, pred=0.0, step_norm=2.0)
         assert not accepted and delta == pytest.approx(0.2)
-        accepted, delta = update_radius(TrsConfig(), 10.0, ared=0.5, pred=-1.0, step_norm=2.0)
+        accepted, delta = update_radius(10.0, ared=0.5, pred=-1.0, step_norm=2.0)
         assert not accepted and delta == pytest.approx(0.2)
 
     def test_radius_capped_and_positive(self):
         rng = np.random.default_rng(20)
-        cfg = TrsConfig()
+        delta_max = trust_region._DELTA_MAX
         for _ in range(200):
             delta = 10.0 ** rng.uniform(-3, 6)
-            delta = min(delta, cfg.delta_max)
+            delta = min(delta, delta_max)
             ared, pred = rng.standard_normal(), abs(rng.standard_normal()) + 1e-12
             step_norm = 10.0 ** rng.uniform(-3, 5)
-            _, new_delta = update_radius(cfg, delta, ared, pred, step_norm)
-            assert 0.0 < new_delta <= cfg.delta_max
+            _, new_delta = update_radius(delta, ared, pred, step_norm)
+            assert 0.0 < new_delta <= delta_max
 
 
 class TestCgSteihaug:
     def test_zero_gradient_early_return(self, disk2_ops):
         params = FluidParams(alpha=2.0, tau0=0.0)
         hess = hessian(params, disk2_ops, np.zeros(disk2_ops.n_stress))
-        step, reason, count = cg_steihaug(disk2_ops, np.zeros(disk2_ops.n_stress),
-                                          hess, 1.0, TrsConfig())
+        step, reason, count = run_cg(disk2_ops, np.zeros(disk2_ops.n_stress), hess, 1.0)
         assert reason == "converged" and count == 0
         np.testing.assert_array_equal(step, 0.0)
 
@@ -81,7 +84,7 @@ class TestCgSteihaug:
         rng = np.random.default_rng(21)
         grad = disk2_ops.D.T @ rng.standard_normal(disk2_ops.n_free)
         blocks = np.zeros((disk2_ops.tri.n_triangles, 2, 2))
-        step, reason, count = cg_steihaug(disk2_ops, grad, blocks, 1.0, TrsConfig())
+        step, reason, count = run_cg(disk2_ops, grad, blocks, 1.0)
         assert reason == "converged" and count == 0
         np.testing.assert_array_equal(step, 0.0)
 
@@ -97,10 +100,7 @@ class TestCgSteihaug:
         hess = hessian(params, ops, tau)
         y = ops.recover_velocity(grad)
 
-        # tiny divtol: the curvature test must not fire while
-        # CG polishes the step to oracle accuracy
-        cfg = TrsConfig(abstol=1e-14, reltol=1e-12, divtol=1e-30)
-        step, reason, _ = cg_steihaug(ops, grad, hess, 1e6, cfg)
+        step, reason, _ = run_cg(ops, grad, hess, 1e6, abstol=1e-14, forcing=1e-12)
         oracle = dense_projected_newton_step(ops, grad, hess, y)
         assert reason == "converged"
         assert np.abs(step - oracle).max() <= 1e-8
@@ -111,7 +111,7 @@ class TestCgSteihaug:
         grad = rng.standard_normal(disk2_ops.n_stress)
         blocks = np.zeros((disk2_ops.tri.n_triangles, 2, 2))
         delta = 0.7
-        step, reason, count = cg_steihaug(disk2_ops, grad, blocks, delta, TrsConfig())
+        step, reason, count = run_cg(disk2_ops, grad, blocks, delta)
         assert reason == "curvature" and count == 1
         assert np.linalg.norm(step) <= delta * (1.0 + 1e-12)
         model = float(step @ grad)  # quadratic part vanishes
@@ -123,8 +123,7 @@ class TestCgSteihaug:
         grad = gradient(params, disk3_ops, tau)
         hess = hessian(params, disk3_ops, tau)
         for delta in (1e-3, 1e-1, 1e3):
-            step, _, _ = cg_steihaug(disk3_ops, grad, hess, delta,
-                                     TrsConfig(reltol=1e-8))
+            step, _, _ = run_cg(disk3_ops, grad, hess, delta, forcing=1e-8)
             assert np.linalg.norm(step) <= delta * (1.0 + 1e-12)
             bound = 1e-8 * (1.0 + np.abs(disk3_ops.f_h).max())
             assert np.abs(disk3_ops.D @ step).max() <= bound
@@ -135,9 +134,8 @@ class TestCgSteihaug:
         grad = gradient(params, disk3_ops, tau)
         hess = hessian(params, disk3_ops, tau)
         norms = []
-        cg_steihaug(disk3_ops, grad, hess, 1e6,
-                    TrsConfig(reltol=1e-6, divtol=1e-30),
-                    callback=lambda z: norms.append(float(np.linalg.norm(z))))
+        run_cg(disk3_ops, grad, hess, 1e6, forcing=1e-6,
+               callback=lambda z: norms.append(float(np.linalg.norm(z))))
         assert len(norms) >= 3
         diffs = np.diff(norms)
         assert np.all(diffs > -1e-14 * max(norms))
@@ -153,21 +151,26 @@ class TestCgSteihaug:
         tau = ops.project_feasible(np.zeros(ops.n_stress))
         grad = gradient(params, ops, tau)
         hess = hessian(params, ops, tau)
-        cfg = TrsConfig(abstol=1e-300, reltol=1e-10)
         c = 10.0 ** e
-        step, reason, count = cg_steihaug(ops, c * grad, hess, 1e6, cfg)
-        base, base_reason, base_count = cg_steihaug(ops, grad, hess, 1e6, cfg)
+        step, reason, count = run_cg(ops, c * grad, hess, 1e6, abstol=1e-300, forcing=1e-10)
+        base, base_reason, base_count = run_cg(ops, grad, hess, 1e6, abstol=1e-300,
+                                               forcing=1e-10)
         assert (reason, count) == (base_reason, base_count)
         assert np.linalg.norm(step - c * base) <= 1e-9 * np.linalg.norm(c * base)
 
-    def test_inner_cap_reported(self, disk3_ops):
-        params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.2)
-        tau = disk3_ops.project_feasible(np.zeros(disk3_ops.n_stress))
+    def test_inner_cap_reported(self, disk3_ops, monkeypatch):
+        # from this start CG needs 68 iterations to reach forcing 1e-14;
+        # one per triangle caps it at 54
+        params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.2)
+        rng = np.random.default_rng(25)
+        tau = disk3_ops.project_feasible(rng.standard_normal(disk3_ops.n_stress))
         grad = gradient(params, disk3_ops, tau)
         hess = hessian(params, disk3_ops, tau)
-        step, reason, count = cg_steihaug(disk3_ops, grad, hess, 1e6,
-                                          TrsConfig(reltol=1e-12, divtol=1e-30, max_cg=2))
-        assert reason == "cap" and count == 2
+        _, reason, count = run_cg(disk3_ops, grad, hess, 1e6, forcing=1e-14)
+        assert reason == "converged" and count > disk3_ops.tri.n_triangles
+        monkeypatch.setattr(trust_region, "_CG_PER_TRIANGLE", 1)
+        step, reason, count = run_cg(disk3_ops, grad, hess, 1e6, forcing=1e-14)
+        assert reason == "cap" and count == disk3_ops.tri.n_triangles
         assert np.isfinite(step).all()
 
 
@@ -238,8 +241,8 @@ class TestSolveTrs:
             monkeypatch.setattr(trust_region, "cg_steihaug", cg)
             return (*solve_trs(params, ops, cfg=cfg), len(calls))
 
-        def projecting_again(*args, projected=None, **kwargs):
-            return cg_steihaug(*args, **kwargs)
+        def projecting_again(ops, grad, projected, *args):
+            return cg_steihaug(ops, grad, ops.project_nullspace(grad), *args)
 
         tau, y, report, saved = counted_run(cg_steihaug)
         tau_old, y_old, report_old, solves = counted_run(projecting_again)
