@@ -191,7 +191,7 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
     # Arrested flow leaves y and q at rounding-level noise where a purely
     # relative increment test can never pass; increments below the
     # data-scale floor count as converged.
-    floor = 1e-12 * (1.0 + (float(np.abs(ops.f_h).max()) if ops.f_h.size else 0.0))
+    floor = 1e-12 * (1.0 + float(np.abs(ops.f_h).max(initial=0.0)))
 
     magnitudes = np.zeros(ops.tri.n_triangles)  # the Newton warm start
     for k in range(cfg.max_outer):
@@ -213,9 +213,9 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
         tau = tau + cfg.r * (relaxed - q)
 
         stationarity = gradient(params, ops, tau) - dt_y
-        kkt = float(np.max(np.abs(stationarity))) if stationarity.size else 0.0
+        kkt = float(np.abs(stationarity).max(initial=0.0))
         d_tau = ops.D @ tau
-        momentum = float(np.max(np.abs(d_tau - ops.f_h))) if d_tau.size else 0.0
+        momentum = float(np.abs(d_tau - ops.f_h).max(initial=0.0))
         residual = max(kkt, momentum)
 
         report.kkt_history.append(residual)
@@ -223,17 +223,13 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
 
         if not (math.isfinite(kkt) and math.isfinite(momentum)):
             report.status = "non_finite"
-            report.iterations = k + 1
             break
         y_ok = float(np.linalg.norm(y - y_prev)) <= cfg.reltol * float(np.linalg.norm(y)) + floor
         q_ok = float(np.linalg.norm(q - q_prev)) <= cfg.reltol * float(np.linalg.norm(q)) + floor
         if residual <= cfg.abstol and y_ok and q_ok:
             report.status = "converged"
-            report.iterations = k + 1
             break
-    else:
-        report.status = "max_iterations"
-        report.iterations = cfg.max_outer
+    report.iterations = k + 1
 
     report.objective_history.append(objective(params, ops, tau))
     report.wall_time = time.perf_counter() - start

@@ -126,9 +126,7 @@ class DiscreteOperators:
 
     def momentum_residual(self, tau: np.ndarray) -> float:
         """``max |D tau - f_h|``, the feasibility defect."""
-        if self.n_free == 0:
-            return 0.0
-        return float(np.max(np.abs(self.D @ tau - self.f_h)))
+        return float(np.abs(self.D @ tau - self.f_h).max(initial=0.0))
 
 
 def assemble(tri: Triangulation, f=1.0) -> DiscreteOperators:

@@ -261,12 +261,20 @@ def load_mesh(path) -> Triangulation:
         pos += 1
         return item
 
+    def check_count(count, lineno, what):
+        # before allocating: a header count beyond the file's own length
+        # would otherwise ask for an array of any size
+        if count > len(tokens) - pos:
+            raise MeshError(f"line {lineno}: unexpected end of file, {count} {what} "
+                            f"announced but {len(tokens) - pos} content line(s) follow")
+
     lineno, fields = take("'nodes <count>'")
     if len(fields) != 2 or fields[0] != "nodes":
         raise MeshError(f"line {lineno}: expected 'nodes <count>'")
     n_nodes = _parse_int(fields[1], lineno, "node count")
     if n_nodes < 0:
         raise MeshError(f"line {lineno}: node count must be non-negative, got {n_nodes}")
+    check_count(n_nodes, lineno, "nodes")
 
     nodes = np.empty((n_nodes, 2))
     flags = np.empty(n_nodes, dtype=bool)
@@ -287,6 +295,7 @@ def load_mesh(path) -> Triangulation:
     n_triangles = _parse_int(fields[1], lineno, "triangle count")
     if n_triangles < 0:
         raise MeshError(f"line {lineno}: triangle count must be non-negative, got {n_triangles}")
+    check_count(n_triangles, lineno, "triangles")
 
     triangles = np.empty((n_triangles, 3), dtype=np.int64)
     for i in range(n_triangles):

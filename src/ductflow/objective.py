@@ -18,6 +18,7 @@ full matrix.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ class FluidParams:
     alpha : power-law exponent in (1, 2]; 2 is the Bingham case where
         kappa plays the role of the plastic viscosity.
     kappa : consistency, finite and > 0, with ``kappa^(1/(alpha-1))`` a
-        positive finite double.
+        finite normal double, so that its reciprocal is finite too.
     tau0 : yield stress, finite and >= 0.
     """
 
@@ -56,9 +57,9 @@ class FluidParams:
             kappa_pow = self.kappa ** (1.0 / (self.alpha - 1.0))
         except OverflowError:
             kappa_pow = math.inf
-        if not 0.0 < kappa_pow < math.inf:
+        if not sys.float_info.min <= kappa_pow < math.inf:
             raise ValueError(f"kappa = {self.kappa} is out of range for alpha = {self.alpha}: "
-                             "kappa^(1/(alpha-1)) leaves the double range")
+                             "kappa^(1/(alpha-1)) leaves the normal double range")
         object.__setattr__(self, "alpha_prime", self.alpha / (self.alpha - 1.0))
         object.__setattr__(self, "kappa_pow", kappa_pow)
 

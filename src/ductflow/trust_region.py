@@ -8,17 +8,19 @@ f_h`` (the starting point is projected onto it and all steps lie in
 
 by a projected CG-Steihaug iteration (Steihaug 1983; Nocedal & Wright,
 Alg. 7.2).  Both of its tests are scale-free: a direction ``d`` counts as
-one of non-positive curvature when its Rayleigh quotient
-``d^T H d / d^T d`` is below ``_DIVTOL``, and the outer loop stops CG once
-the projected residual has fallen to ``_CG_FORCING = 0.5`` of its start,
-an inexact-Newton forcing term.  Steps are accepted and the radius
-updated from the ratio ``rho = ared/pred`` of actual to model decrease,
-with thresholds 0.9 / 0.3 for radius growth and ``_ETA`` for acceptance.
+flat when its Rayleigh quotient ``d^T H d / d^T d`` is below
+``_DIVTOL``, and the outer loop stops CG once the projected residual has
+fallen to ``_CG_FORCING = 0.5`` of its start, an inexact-Newton forcing
+term.  Steps are accepted and the radius updated from the ratio
+``rho = ared/pred`` of actual to model decrease, with thresholds
+0.9 / 0.3 for radius growth and ``_ETA`` for acceptance.
 
-Convergence is declared when the stationarity residual
-``max |grad J - D^T y|`` drops below ``abstol`` and the recovered
-velocity is stable, ``|y_k - y_(k-1)| <= reltol |y_k|``.  A non-finite
-stationarity residual stops the loop with status ``non_finite``.
+Convergence is declared when the projected gradient
+``grad J - D^T y`` has Euclidean norm below ``abstol``, or when the
+stationarity residual ``max |grad J - D^T y|`` is below ``abstol`` and
+the recovered velocity is stable, ``|y_k - y_(k-1)| <= reltol |y_k|``.
+A non-finite stationarity residual stops the loop with status
+``non_finite``.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from .report import SolveReport
 # recurrence; re-project the accumulated step this often.
 _REPROJECT_EVERY = 50
 
-_ARMIJO_MAX_HALVINGS = 60
-
 # Inexact-Newton forcing term of the outer loop: CG stops once the
 # projected residual is below this share of its start, the cap in
 # Nocedal & Wright's min(0.5, sqrt|g|) rule.  Solving each subproblem
@@ -49,9 +49,6 @@ _CG_FORCING = 0.5
 # positive curvature; relative to |d|^2, so it does not fire merely
 # because the projected gradient has become small.
 _DIVTOL = 1e-10
-
-# Armijo fraction of the boundary step taken along a curvature direction.
-_GAMMA = 1e-2
 
 # Least ared/pred of an accepted step (Nocedal & Wright, Alg. 4.1).
 _ETA = 0.1
@@ -70,8 +67,8 @@ _CG_PER_TRIANGLE = 10
 class TrsConfig:
     """Stopping tolerances and the outer-iteration cap.
 
-    ``abstol`` bounds the stationarity residual, and CG returns the zero
-    step when the projected gradient is already below it.  ``reltol``
+    ``abstol`` bounds the stationarity residual; a projected gradient
+    whose Euclidean norm is below it stops the loop at once.  ``reltol``
     bounds the relative velocity increment between outer iterations.
     """
 
@@ -103,27 +100,24 @@ def _boundary_intersection(z: np.ndarray, d: np.ndarray, delta: float) -> float:
 
 
 def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
-                hess: np.ndarray, delta: float, abstol: float, forcing: float,
-                callback=None):
+                hess: np.ndarray, delta: float, forcing: float, callback=None):
     """Approximately solve the tangential trust-region subproblem.
 
     ``projected`` is the projected gradient ``P grad`` onto null(D).
     Returns ``(step, exit_reason, inner_iterations)`` with reason one of
     ``converged`` (projected residual reduced below ``forcing`` of its
-    start, or already below ``abstol`` -- then the step is zero and the
-    count 0), ``boundary`` (iterate left the trust ball), ``curvature``
-    (Rayleigh quotient ``d^T H d / d^T d`` of a direction below
-    ``_DIVTOL``; the boundary step is Armijo-backtracked) or ``cap``
-    (``_CG_PER_TRIANGLE`` iterations per triangle).  Apart from the
-    ``abstol`` shortcut, every test is invariant under scaling ``grad``:
-    a scaled gradient gives the same exit and count and the same step,
-    scaled.
+    start; a zero projected gradient gives the zero step and count 0),
+    ``boundary`` (iterate left the trust ball), ``curvature`` (Rayleigh
+    quotient ``d^T H d / d^T d`` of a direction below ``_DIVTOL``; the
+    step goes along it to the model minimiser, or to the boundary when
+    that is nearer) or ``cap`` (``_CG_PER_TRIANGLE`` iterations per
+    triangle).  Every test is invariant under scaling ``grad``: a scaled
+    gradient gives the same exit and count and the same step, scaled.
 
     ``callback``, if given, receives every new accumulated step,
     including the returned one.
     """
-    n = grad.shape[0]
-    z = np.zeros(n)
+    z = np.zeros(grad.shape[0])
     r = np.array(grad, dtype=float)
     g = projected
     d = -g
@@ -131,10 +125,9 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
     # avoids the eps*|r|^2 rounding floor of the mixed product (r keeps
     # its large range(D^T) part by construction).
     gr = float(g @ g)
-
-    sqrt_gr0 = math.sqrt(gr)
-    if sqrt_gr0 < abstol:
+    if gr == 0.0:
         return z, "converged", 0
+    sqrt_gr0 = math.sqrt(gr)
 
     max_cg = _CG_PER_TRIANGLE * ops.tri.n_triangles
     for j in range(max_cg):
@@ -142,16 +135,12 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
         curvature = float(d @ h_d)
 
         if curvature < _DIVTOL * float(d @ d):
+            # the model falls along d at slope -gr; stop at its minimiser
+            # gr / curvature or at the boundary, whichever is nearer, for
+            # a decrease of at least s gr / 2
             s = _boundary_intersection(z, d, delta)
-            # model slope at z along d; Armijo guards against tiny
-            # positive curvature making the full boundary step uphill
-            slope = float((grad + hessian_apply(hess, z)) @ d)
-            for _ in range(_ARMIJO_MAX_HALVINGS):
-                if s * slope + 0.5 * s * s * curvature <= _GAMMA * s * slope:
-                    break
-                s *= 0.5
-            else:
-                return np.zeros(n), "curvature", j + 1
+            if curvature > 0.0:
+                s = min(s, gr / curvature)
             step = z + s * d
             if callback is not None:
                 callback(step)
@@ -231,7 +220,7 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
         y = ops.recover_velocity(grad)
         # grad - D^T (D D^T)^-1 D grad: the projected gradient CG starts from
         stationarity = grad - ops.DT @ y
-        kkt = float(np.max(np.abs(stationarity))) if stationarity.size else 0.0
+        kkt = float(np.abs(stationarity).max(initial=0.0))
         value = objective(params, ops, tau)
 
         report.kkt_history.append(kkt)
@@ -241,39 +230,20 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
 
         if not math.isfinite(kkt):
             report.status = "non_finite"
-            report.iterations = k + 1
             break
-        if (kkt <= cfg.abstol and y_prev is not None
-                and float(np.linalg.norm(y - y_prev)) <= cfg.reltol * float(np.linalg.norm(y))):
+        stable = (y_prev is not None and float(np.linalg.norm(y - y_prev))
+                  <= cfg.reltol * float(np.linalg.norm(y)))
+        if (math.sqrt(float(stationarity @ stationarity)) < cfg.abstol
+                or (kkt <= cfg.abstol and stable)):
             report.status = "converged"
-            report.iterations = k + 1
             break
         y_prev = y
 
         hess = hessian(params, ops, tau)
-        step, reason, inner = cg_steihaug(ops, grad, stationarity, hess, delta,
-                                          cfg.abstol, _CG_FORCING)
+        step, reason, inner = cg_steihaug(ops, grad, stationarity, hess, delta, _CG_FORCING)
         report.cg_iterations.append((inner, reason))
 
-        if inner == 0 and reason == "converged":
-            # Projected gradient already below abstol.  At k = 0 there is
-            # no previous velocity to compare against, so this is the
-            # converged state; later on the unchanged iterate satisfies
-            # the velocity test on the next pass.
-            if k == 0:
-                report.status = "converged"
-                report.iterations = 1
-                break
-            continue
-
         step_norm = float(np.linalg.norm(step))
-        if step_norm == 0.0:
-            # Armijo exhaustion returned the zero step; shrink directly
-            # since a zero trial norm would collapse the radius update.
-            report.rejected_steps += 1
-            delta = 0.5 * delta
-            continue
-
         ared = value - objective(params, ops, tau + step)
         pred = -float(step @ grad) - 0.5 * float(step @ hessian_apply(hess, step))
         accepted, delta = update_radius(delta, ared, pred, step_norm)
@@ -282,9 +252,7 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
             report.accepted_steps += 1
         else:
             report.rejected_steps += 1
-    else:
-        report.status = "max_iterations"
-        report.iterations = cfg.max_outer
+    report.iterations = k + 1
 
     report.wall_time = time.perf_counter() - start
     return tau, y, report

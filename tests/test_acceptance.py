@@ -239,7 +239,7 @@ def test_criterion_7_cgs_structure():
         drifts.append(float(np.abs(ops.D @ z).max()))
 
     cg_steihaug(ops, grad, ops.project_nullspace(grad), blocks, 1e6,
-                abstol=1e-4, forcing=1e-6, callback=log)
+                forcing=1e-6, callback=log)
     increasing = (len(norms) >= 3
                   and all(b - a > -1e-14 * max(norms) for a, b in zip(norms, norms[1:])))
     in_nullspace = max(drifts) <= 1e-8
@@ -253,7 +253,7 @@ def test_criterion_7_cgs_structure():
     blocks_q = hessian(qparams, small, tau_q)
     y_q = small.recover_velocity(grad_q)
     step, reason, _ = cg_steihaug(small, grad_q, small.project_nullspace(grad_q), blocks_q,
-                                  1e6, abstol=1e-14, forcing=1e-13)
+                                  1e6, forcing=1e-13)
     newton_gap = float(np.abs(step - dense_projected_newton_step(
         small, grad_q, blocks_q, y_q)).max())
 

@@ -109,6 +109,15 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith(f"error: kappa = {float(kappa)} is out of range")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("alpha, kappa", [("2", "5e-324"), ("1.5", "1e-160")])
+    def test_subnormal_kappa_power_exits_one(self, tmp_path, capsys, alpha, kappa):
+        # kappa^(1/(alpha-1)) is subnormal, so its reciprocal overflows
+        code = main(["solve", "--mesh", "disk:3", "--alpha", alpha, "--kappa", kappa,
+                     "--tau0", "0.1", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: kappa = {float(kappa)} is out of range")
+        assert not (tmp_path / "x").exists()
+
     def test_non_ascii_config_file_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "greek.cfg"
         cfg.write_bytes("mesh = disk:2\ntau0 = 0.1  # \u03c4\u2080\n".encode("utf-8"))
@@ -301,6 +310,16 @@ class TestMeshCommands:
         path = tmp_path / "broken.mesh"
         path.write_text("nodes 3\n0 0 1\n1 0 1\n0 1 1\ntriangles 1\n0 1 5\n")
         assert main(["mesh", "check", str(path)]) == 1
+
+    @pytest.mark.parametrize("body,line", [
+        ("nodes 100000000000\n0 0 1\n", 1),
+        ("nodes 3\n0 0 1\n1 0 1\n0 1 0\ntriangles 100000000000\n0 1 2\n", 5),
+    ], ids=["nodes", "triangles"])
+    def test_check_huge_header_count_exits_one(self, tmp_path, capsys, body, line):
+        path = tmp_path / "huge.mesh"
+        path.write_text(body)
+        assert main(["mesh", "check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: line {line}: unexpected end of file")
 
     def test_gen_zero_refinement_exits_one(self, tmp_path, capsys):
         path = tmp_path / "zero.mesh"

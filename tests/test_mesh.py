@@ -179,6 +179,18 @@ class TestLoadSave:
             load_mesh(path)
 
     @pytest.mark.parametrize("body,line", [
+        ("nodes 100000000000\n0 0 1\n", 1),
+        ("nodes 3\n0 0 1\n1 0 1\n0 1 0\ntriangles 100000000000\n0 1 2\n", 5),
+    ], ids=["nodes", "triangles"])
+    def test_count_beyond_file_rejected_before_allocating(self, tmp_path, body, line):
+        # a header count is checked against the lines that follow, so a
+        # huge one never reaches the array allocation (a MemoryError)
+        path = tmp_path / "huge.mesh"
+        path.write_text(body)
+        with pytest.raises(MeshError, match=f"line {line}: unexpected end of file"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("body,line", [
         ("nodes -5\n", 1),
         ("nodes 1\n0 0 1\ntriangles -2\n", 3),
     ])

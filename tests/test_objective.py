@@ -39,9 +39,11 @@ class TestFluidParams:
 
     @pytest.mark.parametrize("alpha, kappa", [
         (1.5, 1e-300), (1.5, 1e300), (1.01, 1e-4), (1.01, 1e4),
+        (2.0, 5e-324), (1.5, 1e-160),
     ])
     def test_kappa_power_out_of_double_range_rejected(self, alpha, kappa):
-        # kappa^(1/(alpha-1)) underflows to 0 or overflows
+        # kappa^(1/(alpha-1)) underflows to 0 or a subnormal, whose
+        # reciprocal overflows, or it overflows
         with pytest.raises(ValueError, match="out of range"):
             FluidParams(alpha=alpha, kappa=kappa)
 

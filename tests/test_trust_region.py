@@ -7,21 +7,20 @@ from conftest import dense_poisson_velocity, dense_projected_newton_step, square
 from ductflow import trust_region
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh
-from ductflow.objective import FluidParams, block_norms, gradient, hessian
+from ductflow.objective import FluidParams, block_norms, gradient, hessian, hessian_apply
 from ductflow.trust_region import TrsConfig, cg_steihaug, solve_trs, update_radius
 
 
-def run_cg(ops, grad, hess, delta, abstol=1e-4, forcing=0.5, callback=None):
+def run_cg(ops, grad, hess, delta, forcing=0.5, callback=None):
     """CG-Steihaug from the projected gradient, as the outer loop calls it."""
-    return cg_steihaug(ops, grad, ops.project_nullspace(grad), hess, delta,
-                       abstol, forcing, callback)
+    return cg_steihaug(ops, grad, ops.project_nullspace(grad), hess, delta, forcing, callback)
 
 
 class TestConfig:
     def test_defaults_match_documented_values(self):
         cfg = TrsConfig()
         assert (cfg.abstol, cfg.reltol, cfg.max_outer) == (1e-4, 1e-4, 500)
-        assert (trust_region._DIVTOL, trust_region._GAMMA, trust_region._ETA) == (1e-10, 1e-2, 0.1)
+        assert (trust_region._DIVTOL, trust_region._ETA) == (1e-10, 0.1)
         assert (trust_region._DELTA0, trust_region._DELTA_MAX) == (10.0, 1e5)
         assert trust_region._CG_PER_TRIANGLE == 10
 
@@ -79,15 +78,6 @@ class TestCgSteihaug:
         assert reason == "converged" and count == 0
         np.testing.assert_array_equal(step, 0.0)
 
-    def test_gradient_in_range_of_Dt_early_return(self, disk2_ops):
-        # the projected gradient vanishes, so no step is available
-        rng = np.random.default_rng(21)
-        grad = disk2_ops.D.T @ rng.standard_normal(disk2_ops.n_free)
-        blocks = np.zeros((disk2_ops.tri.n_triangles, 2, 2))
-        step, reason, count = run_cg(disk2_ops, grad, blocks, 1.0)
-        assert reason == "converged" and count == 0
-        np.testing.assert_array_equal(step, 0.0)
-
     def test_matches_dense_projected_newton(self):
         # quadratic objective, positive definite Hessian, huge radius:
         # the CG limit is the exact Newton step of the KKT system
@@ -100,7 +90,7 @@ class TestCgSteihaug:
         hess = hessian(params, ops, tau)
         y = ops.recover_velocity(grad)
 
-        step, reason, _ = run_cg(ops, grad, hess, 1e6, abstol=1e-14, forcing=1e-12)
+        step, reason, _ = run_cg(ops, grad, hess, 1e6, forcing=1e-12)
         oracle = dense_projected_newton_step(ops, grad, hess, y)
         assert reason == "converged"
         assert np.abs(step - oracle).max() <= 1e-8
@@ -116,6 +106,20 @@ class TestCgSteihaug:
         assert np.linalg.norm(step) <= delta * (1.0 + 1e-12)
         model = float(step @ grad)  # quadratic part vanishes
         assert model < 0.0
+
+    def test_flat_direction_stops_at_model_minimiser(self, disk2_ops):
+        # Rayleigh quotient 1e-12 is below _DIVTOL, and the minimiser of
+        # the model along -Pg lies far inside the radius
+        rng = np.random.default_rng(26)
+        grad = rng.standard_normal(disk2_ops.n_stress)
+        blocks = np.broadcast_to(1e-12 * np.eye(2), (disk2_ops.tri.n_triangles, 2, 2))
+        pg = disk2_ops.project_nullspace(grad)
+        gr = float(pg @ pg)
+        curvature = float(pg @ hessian_apply(blocks, pg))
+        delta = 1e15 * float(np.linalg.norm(pg))
+        step, reason, count = run_cg(disk2_ops, grad, blocks, delta)
+        assert reason == "curvature" and count == 1
+        np.testing.assert_allclose(step, -(gr / curvature) * pg, rtol=1e-14, atol=0.0)
 
     def test_step_stays_in_nullspace_and_inside_ball(self, disk3_ops):
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.2)
@@ -152,9 +156,8 @@ class TestCgSteihaug:
         grad = gradient(params, ops, tau)
         hess = hessian(params, ops, tau)
         c = 10.0 ** e
-        step, reason, count = run_cg(ops, c * grad, hess, 1e6, abstol=1e-300, forcing=1e-10)
-        base, base_reason, base_count = run_cg(ops, grad, hess, 1e6, abstol=1e-300,
-                                               forcing=1e-10)
+        step, reason, count = run_cg(ops, c * grad, hess, 1e6, forcing=1e-10)
+        base, base_reason, base_count = run_cg(ops, grad, hess, 1e6, forcing=1e-10)
         assert (reason, count) == (base_reason, base_count)
         assert np.linalg.norm(step - c * base) <= 1e-9 * np.linalg.norm(c * base)
 
@@ -183,6 +186,26 @@ class TestSolveTrs:
         tau, y, report = solve_trs(params, ops)
         assert report.converged and report.iterations == 1
         assert np.abs(y - dense_poisson_velocity(ops)).max() <= 1e-8
+
+    def test_quadratic_limit_stops_before_cg(self, disk3_ops):
+        # the projected start is the minimiser: its projected gradient is
+        # below abstol, so the first pass stops without a subproblem
+        params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.0)
+        _, _, report = solve_trs(params, disk3_ops)
+        assert report.converged and report.iterations == 1
+        assert report.cg_iterations == []
+
+    def test_every_pass_but_the_last_takes_a_cg_step(self):
+        # a projected gradient below abstol stops the loop on the pass
+        # that sees it, not one pass later
+        tri = generate_disk_mesh(12)
+        ops = assemble(tri, f=1.0)
+        params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
+        cfg = TrsConfig(abstol=1e-4 * float(np.mean(tri.areas)), reltol=1e-6)
+        _, _, report = solve_trs(params, ops, cfg=cfg)
+        assert report.converged
+        assert all(inner > 0 for inner, _ in report.cg_iterations)
+        assert len(report.cg_iterations) == report.iterations - 1
 
     @pytest.mark.parametrize("tau0", [0.5, 0.6])
     def test_flow_stops_at_large_yield_stress(self, tau0):
