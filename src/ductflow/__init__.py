@@ -9,7 +9,8 @@ Lagrangian (ALG2).
 
 from .augmented_lagrangian import Alg2Config, shrink_magnitude, solve_alg2
 from .fem import DiscreteOperators, FactorizationError, assemble
-from .mesh import MeshError, Triangulation, generate_disk_mesh, load_mesh, save_mesh
+from .mesh import (MeshError, Triangulation, generate_disk_mesh, generate_square_mesh, load_mesh,
+                   save_mesh)
 from .objective import FluidParams, block_norms, gradient, hessian, hessian_apply, objective
 from .pipe import PipeSolution, exact_velocity, relative_difference, relative_error
 from .report import SolveReport
@@ -19,7 +20,7 @@ __all__ = [
     "Alg2Config", "DiscreteOperators", "FactorizationError", "FluidParams",
     "MeshError", "PipeSolution", "SolveReport", "Triangulation", "TrsConfig",
     "assemble", "block_norms", "cg_steihaug",
-    "exact_velocity", "generate_disk_mesh", "gradient", "hessian",
+    "exact_velocity", "generate_disk_mesh", "generate_square_mesh", "gradient", "hessian",
     "hessian_apply", "load_mesh", "objective",
     "relative_difference", "relative_error", "save_mesh", "shrink_magnitude",
     "solve_alg2", "solve_trs", "update_radius",

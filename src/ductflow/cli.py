@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    ductflow solve     --solver trs|alg2|both --mesh disk:N|file:PATH ...
+    ductflow solve     --solver trs|alg2|both --mesh disk:N|square:N|file:PATH ...
     ductflow reproduce --out DIR
     ductflow mesh gen   --refinement N --out FILE
     ductflow mesh check FILE
@@ -27,7 +27,7 @@ from . import export
 from .augmented_lagrangian import Alg2Config, solve_alg2
 from .experiments import reproduce_tables
 from .fem import assemble
-from .mesh import generate_disk_mesh, load_mesh, save_mesh
+from .mesh import generate_disk_mesh, generate_square_mesh, load_mesh, save_mesh
 from .objective import FluidParams
 from .pipe import PipeSolution, relative_difference, relative_error
 from .trust_region import TrsConfig, solve_trs
@@ -155,19 +155,23 @@ def _print_comparison(results, tri):
           f"speedup={speedup:.2g}")
 
 
+_GENERATORS = {"disk": generate_disk_mesh, "square": generate_square_mesh}
+
+
 def _make_mesh(spec: str):
+    """The mesh of ``spec`` and whether it is the unit disk."""
     kind, _, arg = spec.partition(":")
-    if kind == "disk":
+    if kind in _GENERATORS:
         try:
             refinement = int(arg)
         except ValueError:
-            raise ConfigError(f"disk mesh needs an integer refinement, got {arg!r}") from None
-        return generate_disk_mesh(refinement), True
+            raise ConfigError(f"{kind} mesh needs an integer refinement, got {arg!r}") from None
+        return _GENERATORS[kind](refinement), kind == "disk"
     if kind == "file":
         if not arg:
             raise ConfigError("file mesh needs a path, e.g. file:duct.mesh")
         return load_mesh(arg), False
-    raise ConfigError(f"unknown mesh spec {spec!r} (use disk:N or file:PATH)")
+    raise ConfigError(f"unknown mesh spec {spec!r} (use disk:N, square:N or file:PATH)")
 
 
 # -- argument handling -----------------------------------------------------
@@ -198,7 +202,7 @@ def _formats(text):
 
 _OPTIONS = (
     _Option("solver", str, "trs, alg2 or both", "run.solver"),
-    _Option("mesh", str, "disk:N or file:PATH", "run.mesh"),
+    _Option("mesh", str, "disk:N, square:N or file:PATH", "run.mesh"),
     _Option("alpha", float, "power-law exponent in (1, 2]", "run.alpha"),
     _Option("tau0", float, "yield stress", "run.tau0"),
     _Option("kappa", float, "consistency", "run.kappa"),

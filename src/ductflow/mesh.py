@@ -18,15 +18,13 @@ folded over a neighbour (oriented against it) is rejected as inverted.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 # Triangles thinner than this fraction of the bounding-box area are
 # rejected as degenerate.
 DEGENERATE_REL_AREA = 1e-14
-
-# Nodes of generated disk meshes within this distance of radius 1 are
-# marked Dirichlet.
-BOUNDARY_RADIUS_TOL = 1e-12
 
 
 class MeshError(ValueError):
@@ -69,11 +67,12 @@ class Triangulation:
         n_nodes = nodes.shape[0]
         if triangles.size and (triangles.min() < 0 or triangles.max() >= n_nodes):
             raise MeshError("triangle references a node index out of range")
-        if np.any(np.sort(triangles, axis=1)[:, :-1] == np.sort(triangles, axis=1)[:, 1:]):
+        ordered = np.sort(triangles, axis=1)
+        if np.any(ordered[:, :-1] == ordered[:, 1:]):
             raise MeshError("triangle with repeated vertex")
 
-        triangles, flipped = _orient_ccw(nodes, triangles)
-        _check_degenerate(nodes, triangles)
+        triangles, flipped, areas = _orient_ccw(nodes, triangles)
+        _check_degenerate(nodes, areas)
         _check_orphans(n_nodes, triangles)
         _check_conformity(triangles, flipped)
 
@@ -96,7 +95,8 @@ class Triangulation:
         self.free_nodes = np.flatnonzero(~is_dirichlet)
         self.free_index = np.full(n_nodes, -1, dtype=np.int64)
         self.free_index[self.free_nodes] = np.arange(self.free_nodes.size)
-        self.areas, self.grad_phi = _geometry(nodes, triangles)
+        self.areas = areas
+        self.grad_phi = _hat_gradients(nodes, triangles, areas)
 
         for arr in (self.nodes, self.triangles, self.is_dirichlet, self.free_nodes,
                     self.free_index, self.areas, self.grad_phi):
@@ -124,12 +124,17 @@ class Triangulation:
 def _orient_ccw(nodes, triangles):
     """Swap two vertices of every clockwise triangle.
 
-    Returns the reoriented triangles and the mask of those swapped.
+    Returns the reoriented triangles, the mask of those swapped and the
+    signed areas of the reoriented triangles.  Swapping two vertices
+    negates the area formula's result exactly, so the areas need not be
+    computed again.
     """
-    cw = _signed_areas(nodes, triangles) < 0
+    areas = _signed_areas(nodes, triangles)
+    cw = areas < 0
     oriented = triangles.copy()
     oriented[cw] = oriented[cw][:, [0, 2, 1]]
-    return oriented, cw
+    areas[cw] = -areas[cw]
+    return oriented, cw, areas
 
 
 def _signed_areas(nodes, triangles):
@@ -139,10 +144,9 @@ def _signed_areas(nodes, triangles):
     return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
 
 
-def _check_degenerate(nodes, triangles):
-    if triangles.shape[0] == 0:
+def _check_degenerate(nodes, areas):
+    if areas.size == 0:
         raise MeshError("mesh has no triangles")
-    areas = _signed_areas(nodes, triangles)
     span = nodes.max(axis=0) - nodes.min(axis=0)
     bbox = float(span[0] * span[1]) or 1.0
     bad = np.flatnonzero(areas < DEGENERATE_REL_AREA * bbox)
@@ -180,9 +184,8 @@ def _check_conformity(triangles, flipped):
                         f"{(int(a), int(b))} repeated")
 
 
-def _geometry(nodes, triangles):
+def _hat_gradients(nodes, triangles, areas):
     p = nodes[triangles]  # (n_T, 3, 2)
-    areas = _signed_areas(nodes, triangles)
     # grad phi_i = perp(p_{i+2} - p_{i+1}) / (2 |T|), perp(vx, vy) = (-vy, vx)
     grads = np.empty((triangles.shape[0], 3, 2))
     for i in range(3):
@@ -190,7 +193,7 @@ def _geometry(nodes, triangles):
         grads[:, i, 0] = -edge[:, 1]
         grads[:, i, 1] = edge[:, 0]
     grads /= (2.0 * areas)[:, None, None]
-    return areas, grads
+    return grads
 
 
 def generate_disk_mesh(refinement: int) -> Triangulation:
@@ -204,52 +207,184 @@ def generate_disk_mesh(refinement: int) -> Triangulation:
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
     n = int(refinement)
+    rings = np.arange(1, n + 1)
+    ring_start = 1 + 3 * rings * (rings - 1)  # first node of ring i is ring_start[i - 1]
 
-    points = [(0.0, 0.0)]
-    ring_start = [0]
-    for i in range(1, n + 1):
-        ring_start.append(len(points))
-        count = 6 * i
-        angles = 2.0 * np.pi * np.arange(count) / count
-        radius = i / n
-        points.extend(zip(radius * np.cos(angles), radius * np.sin(angles)))
-    nodes = np.asarray(points)
+    ring = np.repeat(rings, 6 * rings)  # ring of each node but the centre
+    within = np.arange(1, ring.size + 1) - ring_start[ring - 1]
+    angles = 2.0 * np.pi * within / (6 * ring)
+    radius = ring / n
+    nodes = np.zeros((ring.size + 1, 2))
+    nodes[1:, 0] = radius * np.cos(angles)
+    nodes[1:, 1] = radius * np.sin(angles)
 
-    triangles = []
     # innermost fan around the centre node
-    first = ring_start[1]
-    for j in range(6):
-        triangles.append((0, first + j, first + (j + 1) % 6))
-    # zip consecutive rings by increasing angle
-    for i in range(2, n + 1):
-        s_in, s_out = ring_start[i - 1], ring_start[i]
-        m, big = 6 * (i - 1), 6 * i
-        a = b = 0
-        while a < m or b < big:
-            next_in = 2.0 * np.pi * (a + 1) / m if a < m else np.inf
-            next_out = 2.0 * np.pi * (b + 1) / big if b < big else np.inf
-            if next_out <= next_in:
-                triangles.append((s_in + a % m, s_out + b % big, s_out + (b + 1) % big))
-                b += 1
-            else:
-                triangles.append((s_in + a % m, s_out + b % big, s_in + (a + 1) % m))
-                a += 1
+    j = np.arange(6)
+    fan = np.column_stack([np.zeros(6, dtype=np.int64), 1 + j, 1 + (j + 1) % 6])
+    triangles = np.concatenate([fan, _ring_bands(ring_start, n)])
 
-    radii = np.sqrt((nodes ** 2).sum(axis=1))
-    dirichlet = np.abs(radii - 1.0) <= BOUNDARY_RADIUS_TOL
-    return Triangulation(nodes, np.asarray(triangles), dirichlet)
+    dirichlet = np.zeros(nodes.shape[0], dtype=bool)
+    dirichlet[ring_start[-1]:] = True
+    return Triangulation(nodes, triangles, dirichlet)
+
+
+def _ring_bands(ring_start, n):
+    """Triangles of the bands joining each ring ``i >= 2`` to ring ``i - 1``.
+
+    Every node ``b`` of the outer ring (``6 i`` nodes) and every node
+    ``a`` of the inner ring (``m = 6(i - 1)`` nodes) starts one triangle
+    of the band, which ends at angle ``2 pi (b + 1) / 6i`` or ``2 pi
+    (a + 1) / m``.  Sorting a band's triangles by that angle, outer
+    first on ties, zips the two rings; a triangle's vertex on the other
+    ring is the number of that ring's triangles sorted before it.
+    """
+    outer = np.arange(2, n + 1)
+    band_size = 12 * outer - 6
+    band = np.repeat(outer, band_size)
+    local = np.arange(band.size) - np.repeat(np.cumsum(band_size) - band_size, band_size)
+    # each band lists its outer ring's triangles first, then its inner ring's
+    big, m = 6 * band, 6 * (band - 1)
+    inner = local >= big
+    own = np.where(inner, local - big, local)
+    angle = 2.0 * np.pi * (own + 1) / np.where(inner, m, big)
+    # a stable sort, so outer triangles stay first on ties; the bands keep
+    # their places, so ``local`` is then each triangle's place in its band
+    order = np.lexsort((angle, band))
+    inner, own = inner[order], own[order]
+    other = local - own
+    a = np.where(inner, own, other)
+    b = np.where(inner, other, own)
+    s_in, s_out = ring_start[band - 2], ring_start[band - 1]
+    third = np.where(inner, s_in + (a + 1) % m, s_out + (b + 1) % big)
+    return np.column_stack([s_in + a % m, s_out + b % big, third])
+
+
+def generate_square_mesh(n: int) -> Triangulation:
+    """Uniform ``n x n`` triangulation of [-1, 1]^2 with a no-slip rim.
+
+    Each grid square is cut along the same diagonal, giving ``(n + 1)^2``
+    nodes and ``2 n^2`` triangles.
+    """
+    if n < 1:
+        raise ValueError("refinement must be >= 1")
+    n = int(n)
+    x = np.linspace(-1.0, 1.0, n + 1)
+    gx, gy = np.meshgrid(x, x)
+    nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    col, row = np.meshgrid(np.arange(n), np.arange(n))
+    a = (row * (n + 1) + col).ravel()
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    triangles = np.concatenate([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
+    rim = (np.abs(nodes[:, 0]) == 1.0) | (np.abs(nodes[:, 1]) == 1.0)
+    return Triangulation(nodes, triangles, rim)
+
+
+_COMMENT = re.compile("#[^\n]*")
+_NODE_ROW = np.dtype([("x", float), ("y", float), ("flag", np.int64)])
+
+
+class _Irregular(ValueError):
+    """The bulk parser met something only the line-by-line parser names."""
 
 
 def load_mesh(path) -> Triangulation:
-    """Read a mesh file, validating all Triangulation invariants."""
+    """Read a mesh file, validating all Triangulation invariants.
+
+    Each section is converted in bulk.  Only when that fails are the
+    lines walked one at a time, to name the first bad line.
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
+    try:
+        nodes, flags, triangles = _parse_bulk(lines)
+    except ValueError:  # MeshError and _Irregular included
+        nodes, flags, triangles = _parse_lines(lines)
+    return Triangulation(nodes, triangles, flags)
 
+
+def _non_blank(chars):
+    """Mask of the ASCII codes that are not ``str.isspace`` whitespace,
+    which is tab to carriage return, 0x1c to 0x1f and space."""
+    return (chars > 32) | (chars < 9) | ((chars > 13) & (chars < 28))
+
+
+def _content_lines(text, n_lines):
+    """Indices of the lines holding more than whitespace before any ``#``."""
+    # the extra newline keeps a last line that was all comment non-empty
+    chars = np.frombuffer((_COMMENT.sub("", text) + "\n").encode("ascii"), dtype=np.uint8)
+    starts = np.concatenate([[0], np.flatnonzero(chars == ord("\n")) + 1])[:n_lines]
+    return np.flatnonzero(np.logical_or.reduceat(_non_blank(chars), starts))
+
+
+def _parse_bulk(lines):
+    """``(nodes, flags, triangles)`` of a well-formed file.
+
+    Raises ``ValueError`` for anything else, without naming a line.
+    Numbers go through the C parser of ``np.loadtxt``, which splits on
+    the same whitespace as ``str.split`` and reads a token as ``float``
+    and ``int`` do, apart from rejecting ``_`` digit separators.
+    """
+    text = "".join(lines)
+    if not text or "\0" in text:  # loadtxt reads some NULs as line ends
+        raise _Irregular
+    content = _content_lines(text, len(lines))
+
+    def header(at, keyword, what):
+        if at >= content.size:
+            raise _Irregular
+        lineno = int(content[at]) + 1
+        return _count(_fields(lines[content[at]]), lineno, keyword, what)
+
+    def rows(first, count, dtype, shape):
+        if count == 0:
+            return np.zeros(shape, dtype=dtype)
+        if first + count > content.size:
+            raise _Irregular
+        # blank and comment lines between content lines are skipped by loadtxt
+        block = lines[content[first]:content[first + count - 1] + 1]
+        values = np.loadtxt(block, dtype=dtype, ndmin=len(shape))
+        if values.shape != shape:
+            raise _Irregular
+        return values
+
+    n_nodes = header(0, "nodes", "node count")
+    node_rows = rows(1, n_nodes, _NODE_ROW, (n_nodes,))
+    n_triangles = header(n_nodes + 1, "triangles", "triangle count")
+    triangles = rows(n_nodes + 2, n_triangles, np.int64, (n_triangles, 3))
+    if content.size != n_nodes + n_triangles + 2:
+        raise _Irregular
+
+    nodes = np.column_stack([node_rows["x"], node_rows["y"]])
+    flags = node_rows["flag"]
+    if not (np.isfinite(nodes).all() and ((flags == 0) | (flags == 1)).all()):
+        raise _Irregular
+    return nodes, flags == 1, triangles
+
+
+def _fields(raw):
+    return raw.split("#", 1)[0].split()
+
+
+def _count(fields, lineno, keyword, what):
+    """The count of a ``<keyword> <count>`` section header."""
+    if len(fields) != 2 or fields[0] != keyword:
+        raise MeshError(f"line {lineno}: expected '{keyword} <count>'")
+    count = _parse_int(fields[1], lineno, what)
+    if count < 0:
+        raise MeshError(f"line {lineno}: {what} must be non-negative, got {count}")
+    return count
+
+
+def _parse_lines(lines):
+    """``(nodes, flags, triangles)``, walking the lines one at a time.
+
+    Raises ``MeshError`` naming the first bad line.
+    """
     tokens = []  # (line_number, [fields])
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if text:
-            tokens.append((lineno, text.split()))
+        fields = _fields(raw)
+        if fields:
+            tokens.append((lineno, fields))
 
     pos = 0
 
@@ -269,11 +404,7 @@ def load_mesh(path) -> Triangulation:
                             f"announced but {len(tokens) - pos} content line(s) follow")
 
     lineno, fields = take("'nodes <count>'")
-    if len(fields) != 2 or fields[0] != "nodes":
-        raise MeshError(f"line {lineno}: expected 'nodes <count>'")
-    n_nodes = _parse_int(fields[1], lineno, "node count")
-    if n_nodes < 0:
-        raise MeshError(f"line {lineno}: node count must be non-negative, got {n_nodes}")
+    n_nodes = _count(fields, lineno, "nodes", "node count")
     check_count(n_nodes, lineno, "nodes")
 
     nodes = np.empty((n_nodes, 2))
@@ -290,11 +421,7 @@ def load_mesh(path) -> Triangulation:
         flags[i] = bool(flag)
 
     lineno, fields = take("'triangles <count>'")
-    if len(fields) != 2 or fields[0] != "triangles":
-        raise MeshError(f"line {lineno}: expected 'triangles <count>'")
-    n_triangles = _parse_int(fields[1], lineno, "triangle count")
-    if n_triangles < 0:
-        raise MeshError(f"line {lineno}: triangle count must be non-negative, got {n_triangles}")
+    n_triangles = _count(fields, lineno, "triangles", "triangle count")
     check_count(n_triangles, lineno, "triangles")
 
     triangles = np.empty((n_triangles, 3), dtype=np.int64)
@@ -308,7 +435,7 @@ def load_mesh(path) -> Triangulation:
     if pos != len(tokens):
         lineno = tokens[pos][0]
         raise MeshError(f"line {lineno}: trailing content after triangle list")
-    return Triangulation(nodes, triangles, flags)
+    return nodes, flags, triangles
 
 
 def save_mesh(tri: Triangulation, path) -> None:

@@ -19,8 +19,8 @@ Convergence is declared when the projected gradient
 ``grad J - D^T y`` has Euclidean norm below ``abstol``, or when the
 stationarity residual ``max |grad J - D^T y|`` is below ``abstol`` and
 the recovered velocity is stable, ``|y_k - y_(k-1)| <= reltol |y_k|``.
-A non-finite stationarity residual stops the loop with status
-``non_finite``.
+A non-finite stationarity residual, model decrease or step norm stops
+the loop with status ``non_finite``.
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
     Returns ``(tau, y, report)`` where ``tau`` is the final feasible
     stress, ``y`` the least-squares velocity recovered from it and
     ``report`` the full iteration record.  Non-convergence within
-    ``max_outer`` passes, or a non-finite residual, is reported, not
-    raised.
+    ``max_outer`` passes, or a non-finite residual or model, is reported,
+    not raised.
     """
     cfg = cfg if cfg is not None else TrsConfig()
     start = time.perf_counter()
@@ -244,8 +244,11 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
         report.cg_iterations.append((inner, reason))
 
         step_norm = float(np.linalg.norm(step))
-        ared = value - objective(params, ops, tau + step)
         pred = -float(step @ grad) - 0.5 * float(step @ hessian_apply(hess, step))
+        if not (math.isfinite(pred) and math.isfinite(step_norm)):
+            report.status = "non_finite"
+            break
+        ared = value - objective(params, ops, tau + step)
         accepted, delta = update_radius(delta, ared, pred, step_norm)
         if accepted:
             tau = tau + step

@@ -21,19 +21,6 @@ def square_center_mesh():
     return Triangulation(nodes, triangles, {0, 1, 2, 3})
 
 
-def square_duct_mesh(n):
-    """Uniform ``n x n`` triangulation of [-1, 1]^2, no-slip on the rim."""
-    x = np.linspace(-1.0, 1.0, n + 1)
-    gx, gy = np.meshgrid(x, x)
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    col, row = np.meshgrid(np.arange(n), np.arange(n))
-    a = (row * (n + 1) + col).ravel()
-    b, c, d = a + 1, a + n + 2, a + n + 1
-    triangles = np.concatenate([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
-    rim = (np.abs(nodes[:, 0]) == 1.0) | (np.abs(nodes[:, 1]) == 1.0)
-    return Triangulation(nodes, triangles, rim)
-
-
 def jiggled_disk_nodes(base, refinement, amplitude, seed):
     """Nodes of ``base`` with the interior ones moved by up to ``amplitude / refinement``."""
     rng = np.random.default_rng(seed)

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from conftest import dense_poisson_velocity, square_duct_mesh
+from conftest import dense_poisson_velocity
 from ductflow import augmented_lagrangian
 from ductflow.augmented_lagrangian import (_RELAXATION, Alg2Config, _newton_magnitudes,
                                            _shrink_field, shrink_magnitude, solve_alg2)
 from ductflow.fem import assemble
-from ductflow.mesh import generate_disk_mesh
+from ductflow.mesh import generate_disk_mesh, generate_square_mesh
 from ductflow.objective import FluidParams, objective
 from ductflow.pipe import relative_difference
 from ductflow.trust_region import TrsConfig, solve_trs
@@ -289,7 +289,7 @@ def test_square_duct_converges_at_tight_tolerance():
     # a shrink step that is only accurate to its Newton tolerance leaves
     # the stationarity residual on a floor above this abstol, and the
     # loop then runs to its cap
-    tri = square_duct_mesh(8)
+    tri = generate_square_mesh(8)
     ops = assemble(tri, f=1.0)
     params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.1)
     cfg = Alg2Config(abstol=1e-5 * float(np.mean(tri.areas)), reltol=1e-6, max_outer=1000)

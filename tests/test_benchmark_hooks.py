@@ -12,10 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import square_duct_mesh
 from ductflow.augmented_lagrangian import Alg2Config, solve_alg2
 from ductflow.fem import assemble
-from ductflow.mesh import generate_disk_mesh
+from ductflow.mesh import generate_disk_mesh, generate_square_mesh
 from ductflow.objective import FluidParams
 from ductflow.trust_region import TrsConfig, solve_trs
 
@@ -60,7 +59,7 @@ def test_module_patches_are_called(monkeypatch):
             key = f"{module.__name__}.{name}"
             monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
 
-    tri = square_duct_mesh(8)
+    tri = generate_square_mesh(8)
     ops = assemble(tri, f=1.0)
     params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
     abstol = 1e-4 * float(np.mean(tri.areas))

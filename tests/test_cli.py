@@ -118,6 +118,14 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith(f"error: kappa = {float(kappa)} is out of range")
         assert not (tmp_path / "x").exists()
 
+    def test_non_finite_model_exits_two(self, tmp_path, capsys):
+        # the Hessian prefactor divides by kappa^(1/(alpha-1)) = 8.7e-308
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["solve", "--mesh", "disk:3", "--alpha", "1.01", "--kappa", "8.5e-4",
+                         "--tau0", "0.1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "[trs] status=non_finite" in capsys.readouterr().out
+
     def test_non_ascii_config_file_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "greek.cfg"
         cfg.write_bytes("mesh = disk:2\ntau0 = 0.1  # \u03c4\u2080\n".encode("utf-8"))
@@ -146,6 +154,23 @@ class TestSolveCommand:
         code = main(["solve", "--mesh", "disk:0", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "refinement must be >= 1" in capsys.readouterr().err
+
+    def test_square_mesh_solves_without_analytic_error(self, tmp_path, capsys):
+        out = tmp_path / "square"
+        code = main(["solve", "--solver", "both", "--mesh", "square:6", "--alpha", "2",
+                     "--tau0", "0.1", "--format", "json", "--out", str(out)])
+        assert code == 0
+        report = read_json(out / "report_trs.json")
+        assert report["mesh"] == "square:6" and report["n_triangles"] == 72
+        assert "error_vs_analytic" not in report
+        assert "[both] n_nodes=49" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", ["square:0", "square:x"])
+    def test_bad_square_refinement_exits_one(self, tmp_path, capsys, spec):
+        code = main(["solve", "--mesh", spec, "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "refinement must be >= 1" in err or "square mesh needs an integer" in err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,10 +1,60 @@
+import hashlib
+import io
+import json
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import jiggled_disk_nodes, perturbed_disk
-from ductflow.mesh import MeshError, Triangulation, generate_disk_mesh, load_mesh, save_mesh
+from ductflow import mesh
+from ductflow.mesh import (MeshError, Triangulation, generate_disk_mesh, generate_square_mesh,
+                           load_mesh, save_mesh)
+
+SQUARE_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "square_refs.json"
+
+
+def reference_disk_mesh(n):
+    """Disk nodes, triangles and Dirichlet mask built ring by ring, as the
+    mesher once did, merging each pair of rings one triangle per pass."""
+    points = [(0.0, 0.0)]
+    ring_start = [0]
+    for i in range(1, n + 1):
+        ring_start.append(len(points))
+        count = 6 * i
+        angles = 2.0 * np.pi * np.arange(count) / count
+        radius = i / n
+        points.extend(zip(radius * np.cos(angles), radius * np.sin(angles)))
+    nodes = np.asarray(points)
+
+    first = ring_start[1]
+    triangles = [(0, first + j, first + (j + 1) % 6) for j in range(6)]
+    for i in range(2, n + 1):
+        s_in, s_out = ring_start[i - 1], ring_start[i]
+        m, big = 6 * (i - 1), 6 * i
+        a = b = 0
+        while a < m or b < big:
+            next_in = 2.0 * np.pi * (a + 1) / m if a < m else np.inf
+            next_out = 2.0 * np.pi * (b + 1) / big if b < big else np.inf
+            if next_out <= next_in:
+                triangles.append((s_in + a % m, s_out + b % big, s_out + (b + 1) % big))
+                b += 1
+            else:
+                triangles.append((s_in + a % m, s_out + b % big, s_in + (a + 1) % m))
+                a += 1
+
+    radii = np.sqrt((nodes ** 2).sum(axis=1))
+    return nodes, np.asarray(triangles), np.abs(radii - 1.0) <= 1e-12
+
+
+def mesh_arrays_equal(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("nodes", "triangles", "is_dirichlet", "areas", "grad_phi"))
 
 
 def reference_repeated_edge(triangles):
@@ -75,6 +125,37 @@ class TestDiskMesh:
         with pytest.raises(ValueError):
             generate_disk_mesh(0)
 
+    @pytest.mark.parametrize("n", [*range(1, 41), 120])
+    def test_matches_ring_by_ring_construction(self, n):
+        nodes, triangles, dirichlet = reference_disk_mesh(n)
+        tri = generate_disk_mesh(n)
+        assert np.array_equal(tri.nodes, nodes)
+        assert np.array_equal(tri.triangles, triangles)
+        assert np.array_equal(tri.is_dirichlet, dirichlet)
+
+
+class TestSquareMesh:
+    def test_matches_benchmark_reference_mesh(self):
+        # hashed as the benchmark fingerprints the mesh its references use
+        refs = json.loads(SQUARE_REFS.read_text(encoding="ascii"))
+        assert refs["mesh"] == "square:32"
+        tri = generate_square_mesh(32)
+        digest = hashlib.sha256()
+        for arr in (tri.nodes, tri.triangles, tri.is_dirichlet):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        assert digest.hexdigest() == refs["mesh_sha256"]
+
+    def test_counts_and_rim(self):
+        tri = generate_square_mesh(4)
+        assert tri.n_nodes == 25 and tri.n_triangles == 32
+        assert tri.is_dirichlet.sum() == 16
+        assert tri.areas.sum() == pytest.approx(4.0, rel=1e-14)
+        assert np.all(tri.areas > 0.0)
+
+    def test_refinement_must_be_positive(self):
+        with pytest.raises(ValueError):
+            generate_square_mesh(0)
+
 
 class TestTriangleGeometry:
     def unit_right_triangle(self, shift=(0.0, 0.0), scale=1.0):
@@ -92,6 +173,13 @@ class TestTriangleGeometry:
         moved = self.unit_right_triangle(shift=(3.7, -1.2))
         assert moved.areas[0] == pytest.approx(base.areas[0], rel=1e-14)
         np.testing.assert_allclose(moved.grad_phi[0], base.grad_phi[0], atol=1e-13)
+
+    def test_clockwise_input_gives_the_same_geometry(self):
+        # swapping two vertices negates the signed area exactly, so the
+        # reoriented mesh is bit for bit the counter-clockwise one
+        disk = generate_disk_mesh(5)
+        flipped = Triangulation(disk.nodes, disk.triangles[:, [0, 2, 1]], disk.is_dirichlet)
+        assert mesh_arrays_equal(flipped, disk)
 
     def test_scaling_law(self):
         base = self.unit_right_triangle()
@@ -199,6 +287,166 @@ class TestLoadSave:
         path.write_text(body)
         with pytest.raises(MeshError, match=f"line {line}"):
             load_mesh(path)
+
+
+SQUARE = "nodes 3\n0 0 1\n1 0 1\n0 1 1\ntriangles 1\n0 1 2\n"
+NODES_3 = "nodes 3\n0 0 1\n1 0 1\n"
+
+# Malformed files and the exact message the line-by-line parser gives;
+# the bulk parser must leave every one of them unchanged.
+MALFORMED = [
+    ("bad_float", NODES_3.replace("1 0 1", "1 oops 1") + "0 1 1\n",
+     "line 3: invalid y coordinate 'oops'"),
+    ("bad_exponent", "nodes 3\n0 0 1\n1e 0 1\n0 1 1\n", "line 3: invalid x coordinate '1e'"),
+    ("nan", "nodes 3\n0 0 1\nnan 0 1\n0 1 1\n", "line 3: non-finite x coordinate 'nan'"),
+    ("inf", NODES_3 + "0 -inf 1\n", "line 4: non-finite y coordinate '-inf'"),
+    ("float_overflow", NODES_3 + "0 1e999 1\n", "line 4: non-finite y coordinate '1e999'"),
+    ("flag_2", "nodes 3\n0 0 1\n1 0 2\n0 1 1\n", "line 3: dirichlet flag must be 0 or 1, got 2"),
+    ("flag_minus_1", "nodes 3\n0 0 -1\n1 0 1\n0 1 1\n",
+     "line 2: dirichlet flag must be 0 or 1, got -1"),
+    ("flag_1.0", "nodes 3\n0 0 1\n1 0 1.0\n0 1 1\n", "line 3: invalid dirichlet flag '1.0'"),
+    ("node_2_fields", "nodes 3\n0 0 1\n1 0\n0 1 1\n", "line 3: expected 'x y dirichlet_flag'"),
+    ("node_4_fields", "nodes 3\n0 0 1\n1 0 1 7\n0 1 1\n",
+     "line 3: expected 'x y dirichlet_flag'"),
+    ("hash_in_token", "nodes 3\n0 0 1\n1 0#1\n0 1 1\n", "line 3: expected 'x y dirichlet_flag'"),
+    ("triangle_2_fields", SQUARE.replace("0 1 2\n", "0 1\n"),
+     "line 6: expected three node indices"),
+    ("triangle_4_fields", SQUARE.replace("0 1 2\n", "0 1 2 3\n"),
+     "line 6: expected three node indices"),
+    ("bad_index", SQUARE.replace("0 1 2\n", "0 1 two\n"), "line 6: invalid node index 'two'"),
+    ("float_index", SQUARE.replace("0 1 2\n", "0 1 2.0\n"), "line 6: invalid node index '2.0'"),
+    ("index_out_of_range", SQUARE.replace("0 1 2\n", "0 1 3\n"),
+     "triangle references a node index out of range"),
+    ("nodes_typo", SQUARE.replace("nodes", "node"), "line 1: expected 'nodes <count>'"),
+    ("nodes_no_count", SQUARE.replace("nodes 3", "nodes"), "line 1: expected 'nodes <count>'"),
+    ("nodes_bad_count", SQUARE.replace("nodes 3", "nodes three"),
+     "line 1: invalid node count 'three'"),
+    ("triangles_typo", SQUARE.replace("triangles", "triangle"),
+     "line 5: expected 'triangles <count>'"),
+    ("triangles_two_counts", SQUARE.replace("triangles 1", "triangles 1 2"),
+     "line 5: expected 'triangles <count>'"),
+    ("triangles_float_count", SQUARE.replace("triangles 1", "triangles 1.0"),
+     "line 5: invalid triangle count '1.0'"),
+    ("too_few_nodes", SQUARE.replace("nodes 3", "nodes 4"),
+     "line 5: expected 'x y dirichlet_flag'"),
+    ("too_many_nodes", SQUARE.replace("nodes 3", "nodes 2"),
+     "line 4: expected 'triangles <count>'"),
+    ("trailing_content", SQUARE + "0 2 1\n", "line 7: trailing content after triangle list"),
+    ("trailing_after_comment", SQUARE + "# end\n\nmore\n",
+     "line 9: trailing content after triangle list"),
+    ("no_triangle_header", NODES_3 + "0 1 1\n",
+     "line 5: unexpected end of file, expected 'triangles <count>'"),
+    ("short_triangle_list", SQUARE.replace("triangles 1", "triangles 2"),
+     "line 5: unexpected end of file, 2 triangles announced but 1 content line(s) follow"),
+    ("empty", "", "line 1: unexpected end of file, expected 'nodes <count>'"),
+    ("only_comments", "# a mesh\n\n   # nothing here\n",
+     "line 4: unexpected end of file, expected 'nodes <count>'"),
+    ("blank_and_comment_lines", "# square\n\nnodes 3  # three\n0 0 1\n\n   # the second\n"
+     "1 0 1\n0 1 x\n", "line 8: invalid dirichlet flag 'x'"),
+    ("crlf", SQUARE.replace("0 1 1", "0 1 oops").replace("\n", "\r\n"),
+     "line 4: invalid dirichlet flag 'oops'"),
+    ("lone_cr", SQUARE.replace("0 1 1", "0 1 oops").replace("\n", "\r"),
+     "line 4: invalid dirichlet flag 'oops'"),
+    # readlines breaks lines at "\n" only, never at "\f", "\v" or "\x1c"-"\x1e"
+    ("form_feed_line", "nodes 3\n\f\n0 0 1\n1 0 1\n0 1 x\n", "line 5: invalid dirichlet flag 'x'"),
+    ("separators_in_lines", "nodes 3\n0\f0 1\n1\v0 1\n0\x1c1 x\n",
+     "line 4: invalid dirichlet flag 'x'"),
+    ("separator_lines", "nodes 3\n\x1d\n0 0 1\n\x1e  \n1 0 1\n0 1 x\n",
+     "line 6: invalid dirichlet flag 'x'"),
+    ("nul", "nodes 3\n0 0 1\n1 0 1\x00\n0 1 1\n", "line 3: invalid dirichlet flag '1\\x00'"),
+    ("no_final_newline", SQUARE.replace("0 1 2\n", "0 1"), "line 6: expected three node indices"),
+]
+
+
+def bulk_only():
+    """Make the line-by-line parser fail, so a load must succeed in bulk."""
+    return mock.patch.object(mesh, "_parse_lines", side_effect=AssertionError("walked"))
+
+
+class TestBulkParse:
+    @pytest.mark.parametrize("body, message", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_malformed_file_message(self, tmp_path, body, message):
+        path = tmp_path / "bad.mesh"
+        path.write_bytes(body.encode("ascii"))
+        with pytest.raises(MeshError) as err:
+            load_mesh(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("body", [
+        "# unit triangle\n\nnodes 3  # count\n0 0 1\n  # inner comment\n1 0 1\n\f\n0 1 1\n"
+        "triangles 1\n\n0 1 2   # last\n# end\n\n",
+        SQUARE.replace("\n", "\r\n"),
+        SQUARE.replace("0 0 1", "0\t0\f1").replace("0 1 2", "\v0\x1c1 2 "),
+        SQUARE.rstrip("\n"),
+        SQUARE + "# no final newline",
+    ], ids=["comments", "crlf", "separators", "no_final_newline", "final_comment"])
+    def test_irregular_layout_parsed_in_bulk(self, tmp_path, body):
+        path = tmp_path / "tri.mesh"
+        path.write_bytes(body.encode("ascii"))
+        plain = tmp_path / "plain.mesh"
+        plain.write_text(SQUARE)
+        with bulk_only():
+            tri = load_mesh(path)
+        assert mesh_arrays_equal(tri, load_mesh(plain))
+
+    def test_digit_separators_fall_back_to_the_line_walk(self, tmp_path):
+        # float() and int() accept "0_1"; loadtxt does not
+        path = tmp_path / "underscores.mesh"
+        path.write_text(SQUARE.replace("1 0 1", "0_1 0 1").replace("0 1 2", "0 0_1 2"))
+        plain = tmp_path / "plain.mesh"
+        plain.write_text(SQUARE)
+        with pytest.raises(AssertionError, match="walked"), bulk_only():
+            load_mesh(path)
+        assert mesh_arrays_equal(load_mesh(path), load_mesh(plain))
+
+    def test_whitespace_mask_matches_str_isspace(self):
+        codes = np.arange(128, dtype=np.uint8)
+        expected = [not chr(c).isspace() for c in range(128)]
+        assert mesh._non_blank(codes).tolist() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(refinement=st.integers(1, 3), data=st.data())
+    def test_round_trip_with_comments_and_blank_lines(self, refinement, data):
+        tri = perturbed_disk(refinement, seed=refinement) if refinement > 1 else \
+            generate_disk_mesh(1)
+        filler = st.sampled_from(["\n", "   \n", "\t\f\n", "\x1c\n", "# note\n",
+                                  "  # nodes 3\n", "#\n"])
+        suffix = st.sampled_from(["", " ", "\t", "  # x y flag", "#0 0 1"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "disk.mesh"
+            save_mesh(tri, path)
+            lines = path.read_text().splitlines()
+            out = []
+            for line in lines:
+                out.extend(data.draw(st.lists(filler, max_size=2)))
+                out.append(line + data.draw(suffix) + "\n")
+            out.extend(data.draw(st.lists(filler, max_size=2)))
+            path.write_text("".join(out))
+            with bulk_only():
+                back = load_mesh(path)
+        assert mesh_arrays_equal(back, tri)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 2),
+                                    st.sampled_from("0123456789.-+e_n#\n \t\f\x1c\x00xi")),
+                          min_size=1, max_size=4))
+    def test_bulk_result_is_the_line_walk_result(self, edits):
+        # whenever the bulk parser accepts a corrupted file, the line
+        # walk accepts it too and reads the same arrays
+        text = SQUARE.replace("triangles 1\n0 1 2\n", "0.5 0.5 0\ntriangles 3\n0 1 3\n1 2 3\n"
+                              "2 0 3\n").replace("nodes 3", "nodes 4")
+        for at, drop, char in edits:
+            at = at % (len(text) + 1)
+            text = text[:at] + char + text[at + drop:]
+        lines = io.StringIO(text).readlines()
+        try:
+            bulk = mesh._parse_bulk(lines)
+        except ValueError:
+            return
+        walk = mesh._parse_lines(lines)
+        for a, b in zip(bulk, walk):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 class TestConformity:

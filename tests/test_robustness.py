@@ -170,3 +170,17 @@ class TestHalfDiskNeumann:
         y_alg2, _, _, rep_alg2 = solve_alg2(params, ops)
         assert rep_trs.converged and rep_alg2.converged
         assert relative_difference(y_trs, y_alg2) <= 5e-3
+
+
+def test_velocity_underflows_to_zero_near_alpha_one():
+    # beta = 1/(alpha - 1) = 10^4: the stress exceeds tau0 by at most 0.4
+    # (the wall stress f R / 2 = 0.5; 0.33 on this mesh), and 0.4^(10^4)
+    # underflows, so the exact velocity is 0 in double precision.  TRS's
+    # y = 0 is right, and ALG2's velocity is noise at its own tolerance.
+    params = FluidParams(alpha=1.0001, kappa=1.0, tau0=0.1)
+    assert exact_velocity(PipeSolution(params), 0.0) == 0.0
+    ops = assemble(generate_disk_mesh(3), f=1.0)
+    _, y_trs, _ = solve_trs(params, ops)
+    y_alg2, _, _, _ = solve_alg2(params, ops)
+    assert np.abs(y_trs).max() <= 1e-10
+    assert np.abs(y_alg2).max() <= 1e-10

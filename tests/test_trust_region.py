@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_poisson_velocity, dense_projected_newton_step, square_duct_mesh
+from conftest import dense_poisson_velocity, dense_projected_newton_step
 from ductflow import trust_region
 from ductflow.fem import assemble
-from ductflow.mesh import generate_disk_mesh
+from ductflow.mesh import generate_disk_mesh, generate_square_mesh
 from ductflow.objective import FluidParams, block_norms, gradient, hessian, hessian_apply
 from ductflow.trust_region import TrsConfig, cg_steihaug, solve_trs, update_radius
 
@@ -240,7 +240,7 @@ class TestSolveTrs:
     def test_square_duct_plug_converges(self):
         # large plugs on a square duct: every Hessian block on the plug is
         # zero, yet the yielded blocks give CG positive curvature to use
-        tri = square_duct_mesh(12)
+        tri = generate_square_mesh(12)
         ops = assemble(tri, f=1.0)
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.3)
         cfg = TrsConfig(abstol=1e-4 * float(np.mean(tri.areas)), reltol=1e-6)
@@ -253,7 +253,7 @@ class TestSolveTrs:
         # grad - D^T y from the velocity recovery is CG's first projected
         # gradient, so each outer iteration that runs CG saves one D D^T
         # solve and the iterates do not change
-        tri = square_duct_mesh(8)
+        tri = generate_square_mesh(8)
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.3)
         cfg = TrsConfig(abstol=1e-4 * float(np.mean(tri.areas)), reltol=1e-6)
 
@@ -327,6 +327,16 @@ class TestSolveTrs:
         assert report.status == "non_finite"
         assert report.iterations == 1
         assert not report.converged
+
+    def test_non_finite_model_stops(self, disk3_ops):
+        # kappa^(1/(alpha-1)) = 8.7e-308 is barely normal: the gradient and
+        # Hessian are finite, but CG overflows, so the step and pred are not
+        params = FluidParams(alpha=1.01, kappa=8.5e-4, tau0=0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tau, _, report = solve_trs(params, disk3_ops)
+        assert report.status == "non_finite"
+        assert report.iterations <= 2
+        assert np.all(np.isfinite(tau))
 
     def test_custom_start_is_projected_first(self, disk3_ops):
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
