@@ -1,10 +1,13 @@
-"""The benchmark tracer patches solver internals by name; keep those names alive.
+"""The benchmark calls and patches the package by name; keep those names alive.
 
 ``perfbench/tracing.py`` replaces module attributes of the solvers and
-shadows methods of ``DiscreteOperators``.  A rename in the package
-would otherwise surface only when the benchmark itself runs.
+shadows methods of ``DiscreteOperators``; ``perfbench/workloads.py``
+calls the writers and mesh I/O.  A rename in the package would otherwise
+surface only when the benchmark itself runs.
 """
 
+import ast
+import importlib
 import importlib.util
 import inspect
 from collections import Counter
@@ -12,13 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
+from ductflow import export
 from ductflow.augmented_lagrangian import Alg2Config, solve_alg2
 from ductflow.fem import assemble
-from ductflow.mesh import generate_disk_mesh, generate_square_mesh
+from ductflow.mesh import generate_disk_mesh, generate_square_mesh, load_mesh, save_mesh
 from ductflow.objective import FluidParams
 from ductflow.trust_region import TrsConfig, solve_trs
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -69,3 +74,48 @@ def test_module_patches_are_called(monkeypatch):
         for name in attrs:
             key = f"{module.__name__}.{name}"
             assert calls[key] > 0, key
+
+
+def test_workload_names_resolve():
+    # every name workloads.py imports from ductflow, and every attribute
+    # it reads from an imported ductflow module, must exist
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("ductflow"):
+            source = importlib.import_module(node.module)
+            for alias in node.names:
+                # as ``from package import name`` does, fall back to a submodule
+                value = getattr(source, alias.name, None) or \
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                if inspect.ismodule(value):
+                    modules[alias.asname or alias.name] = value
+    assert "export" in modules
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            assert hasattr(modules[node.value.id], node.attr), f"{node.value.id}.{node.attr}"
+
+
+def test_writers_accept_the_benchmark_calls(tmp_path):
+    # the call shapes of workloads.Pass.export and Pass.mesh_round_trip
+    tri = generate_disk_mesh(2)
+    params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
+    tau, y, report = solve_trs(params, assemble(tri, f=1.0))
+    paths = [tmp_path / name for name in
+             ("velocity_0.csv", "stress_0.csv", "solution_0.vtk", "report_0.json")]
+    export.write_velocity_csv(paths[0], tri, y)
+    export.write_stress_csv(paths[1], tau, params.tau0)
+    export.write_vtk(paths[2], tri, y, tau, params.tau0)
+    export.write_report_json(paths[3], report, {
+        "solver": "trs", "alpha": params.alpha, "tau0": params.tau0, "kappa": params.kappa,
+        "mesh": "disk:2", "n_nodes": tri.n_nodes, "n_triangles": tri.n_triangles})
+    assert all(p.stat().st_size > 0 for p in paths)
+    written = np.loadtxt(paths[0], delimiter=",", skiprows=1, ndmin=2)[:, 2]
+    assert np.array_equal(written, export.expand_velocity(tri, y))
+
+    save_mesh(tri, tmp_path / "mesh.txt")
+    loaded = load_mesh(tmp_path / "mesh.txt")
+    for a, b in ((loaded.nodes, tri.nodes), (loaded.triangles, tri.triangles),
+                 (loaded.is_dirichlet, tri.is_dirichlet)):
+        assert np.array_equal(a, b)

@@ -346,6 +346,13 @@ class TestMeshCommands:
         assert main(["mesh", "check", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: line {line}: unexpected end of file")
 
+    def test_check_huge_node_index_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "huge.mesh"
+        path.write_text("nodes 3\n0 0 1\n1 0 1\n0 1 1\ntriangles 1\n0 1 99999999999999999999\n")
+        assert main(["mesh", "check", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: line 6: node index "
+                                           "'99999999999999999999' out of range\n")
+
     def test_gen_zero_refinement_exits_one(self, tmp_path, capsys):
         path = tmp_path / "zero.mesh"
         assert main(["mesh", "gen", "--refinement", "0", "--out", str(path)]) == 1

@@ -1,14 +1,20 @@
 """Writers against per-line reference loops: the row helper must not
 change a byte of any exported or saved file."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ductflow.augmented_lagrangian import solve_alg2
 from ductflow.export import write_stress_csv, write_velocity_csv, write_vtk
 from ductflow.fem import assemble
-from ductflow.mesh import generate_disk_mesh, save_mesh
+from ductflow.mesh import Triangulation, generate_disk_mesh, save_mesh
 from ductflow.objective import FluidParams, block_norms
+from ductflow.trust_region import solve_trs
 
 
 def reference_velocity_csv(path, tri, y):
@@ -99,3 +105,59 @@ def test_writer_bytes_match_reference_loop(tmp_path, disk3_solution, name):
     write(tmp_path / "new")
     reference(tmp_path / "reference")
     assert (tmp_path / "new").read_bytes() == (tmp_path / "reference").read_bytes()
+
+
+def assert_all_writers_match(out, tri, y, tau, tau0):
+    """Every writer against its reference loop, in the order a solve exports."""
+    pairs = [
+        (lambda p: write_velocity_csv(p, tri, y), lambda p: reference_velocity_csv(p, tri, y)),
+        (lambda p: write_stress_csv(p, tau, tau0), lambda p: reference_stress_csv(p, tau, tau0)),
+        (lambda p: write_vtk(p, tri, y, tau, tau0),
+         lambda p: reference_vtk(p, tri, y, tau, tau0)),
+    ]
+    for write, reference in pairs:
+        write(out / "new")
+        reference(out / "reference")
+        assert (out / "new").read_bytes() == (out / "reference").read_bytes()
+
+
+def assert_mesh_file_matches(out, tri):
+    save_mesh(tri, out / "new.mesh")
+    reference_mesh(out / "reference.mesh", tri)
+    assert (out / "new.mesh").read_bytes() == (out / "reference.mesh").read_bytes()
+
+
+def test_cached_mesh_text_carries_no_field_data(tmp_path, disk3_solution):
+    # a fresh mesh, so the first save_mesh builds its text; two solutions
+    # exported after it must not see each other, nor change a later save
+    _, y_alg2, tau_alg2, tau0 = disk3_solution
+    tri = generate_disk_mesh(3)
+    assert_mesh_file_matches(tmp_path, tri)
+    assert {"node_text", "triangle_text"} <= vars(tri).keys()
+    tau_trs, y_trs, _ = solve_trs(FluidParams(alpha=2.0, kappa=1.0, tau0=0.1),
+                                  assemble(tri, f=1.0))
+    assert not np.array_equal(y_trs, y_alg2)
+    for y, tau, t0 in ((y_trs, tau_trs, 0.1), (y_alg2, tau_alg2, tau0), (y_trs, tau_trs, 0.1)):
+        assert_all_writers_match(tmp_path, tri, y, tau, t0)
+    assert_mesh_file_matches(tmp_path, tri)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scale=st.sampled_from([1e-7, 1e17]), sign=st.sampled_from([1.0, -1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_exponent_and_negative_zero_text(scale, sign, seed):
+    # sign -1 turns the centre node and the axis nodes' zeros into -0.0;
+    # either scale gives every other coordinate an exponent in its repr
+    disk = generate_disk_mesh(2)
+    tri = Triangulation(sign * scale * disk.nodes, disk.triangles, disk.is_dirichlet)
+    assert "e" in tri.node_text
+    assert ("-0.0" in tri.node_text) == (sign < 0)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(tri.n_free) * 10.0 ** rng.integers(-30, 30, tri.n_free)
+    y[::3] = -0.0
+    tau = rng.standard_normal(2 * tri.n_triangles) * scale
+    tau0 = float(np.median(block_norms(tau)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        assert_mesh_file_matches(out, tri)
+        assert_all_writers_match(out, tri, y, tau, tau0)

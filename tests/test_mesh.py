@@ -315,6 +315,13 @@ MALFORMED = [
      "line 6: expected three node indices"),
     ("bad_index", SQUARE.replace("0 1 2\n", "0 1 two\n"), "line 6: invalid node index 'two'"),
     ("float_index", SQUARE.replace("0 1 2\n", "0 1 2.0\n"), "line 6: invalid node index '2.0'"),
+    # beyond int64: the line walk must not let numpy's OverflowError through
+    ("huge_index", SQUARE.replace("0 1 2\n", "0 1 99999999999999999999\n"),
+     "line 6: node index '99999999999999999999' out of range"),
+    ("huge_negative_index", SQUARE.replace("0 1 2\n", "-9223372036854775809 1 2\n"),
+     "line 6: node index '-9223372036854775809' out of range"),
+    ("index_2_pow_63", SQUARE.replace("0 1 2\n", "0 9223372036854775808 2\n"),
+     "line 6: node index '9223372036854775808' out of range"),
     ("index_out_of_range", SQUARE.replace("0 1 2\n", "0 1 3\n"),
      "triangle references a node index out of range"),
     ("nodes_typo", SQUARE.replace("nodes", "node"), "line 1: expected 'nodes <count>'"),
