@@ -11,7 +11,7 @@ parameter ``r`` and over-relaxation factor ``rho = _RELAXATION``:
                 solving ``kappa m^(alpha-1) + r m = (|w_k| - tau0)_+``
                 (closed form for alpha = 2, scalar Newton in log space
                 otherwise, solved to rounding)
-3. multiplier:  ``tau_k += r (g_k - q_k)``
+3. multiplier:  ``tau_k += r (g_k - q_k)``, which is ``w_k - r q_k``
 
 With ``rho = 1`` this is the classical ALG2.  Over-relaxation (Eckstein
 & Bertsekas 1992) keeps its fixed points, ``grad y = q``, and takes
@@ -23,6 +23,22 @@ solve.  The stopping test mirrors the trust-region solver: stationarity
 and momentum residuals below ``abstol`` plus relative velocity and
 strain-rate increments below ``reltol``.  A non-finite residual stops
 the loop with status ``non_finite``.
+
+After steps 2 and 3 the stress gradient is known without evaluating it:
+``grad J(tau) = A q`` holds exactly, ADMM's dual-feasibility identity
+(Boyd et al. 2011, sec. 3.3).  The new ``tau_k = w_k - r q_k`` is
+parallel to ``w_k``; on a yielded block its norm is ``|w_k| - r m =
+tau0 + kappa m^(alpha-1)`` by the shrink equation, so the gradient
+block ``|T_k| ((|tau_k| - tau0) / kappa)^(1/(alpha-1)) tau_k / |tau_k|``
+is ``|T_k| m w_k / |w_k| = |T_k| q_k``; elsewhere ``q_k = 0`` and
+``|tau_k| = |w_k| <= tau0``, where the gradient vanishes too.  Each pass
+therefore reads its stationarity residual from ``A q - D^T y``, which
+differs from ``grad J(tau) - D^T y`` only by the rounding of the shrink
+step.  On the pass whose residuals and increments would stop the loop,
+``gradient`` is evaluated once to confirm: the loop stops only if the
+residual from it passes too, and records that residual, so a solve
+evaluates the gradient once and ``converged`` means what it did when
+every pass evaluated it.
 
 The strain-rate Newton stops only once a log-space step is below
 ``newton_reltol = 1e-8``; quadratic convergence then leaves a relative
@@ -36,7 +52,9 @@ solve.
 Each iteration takes three sparse products: ``D q``, ``D^T y`` (shared
 by the gradient step and the stationarity residual) and ``D tau``
 (shared by the momentum residual and the next velocity right-hand side).
-The objective is evaluated once, at the returned iterate.
+Its per-triangle work runs in three buffers allocated once per solve:
+``w``, the previous strain rate and the stationarity residual.  The
+objective is evaluated once, at the returned iterate.
 """
 
 from __future__ import annotations
@@ -128,38 +146,54 @@ def _newton_magnitudes(alpha, kappa, r, rhs, w_norms, elements, cfg, previous):
     Every step is clamped at ``t_cold``, which keeps an overshoot from
     far left inside ``[root, t_cold]``, where the iteration is monotone.
 
-    An element stops after the step in which ``|step| <= newton_reltol``
-    or ``|psi| <= newton_abstol rhs``.  Since ``psi'' / psi' <= 1`` in
-    log space, quadratic convergence leaves an error of at most
-    ``step^2 / 2``, about 5e-17 for a step of 1e-8.  The residual test is
-    relative to ``rhs`` because ``psi' >= min(alpha - 1, 1) rhs`` near
-    the root: a residual of ``newton_abstol rhs`` is then a log error of
-    at most ``newton_abstol / (alpha - 1)`` however close ``|w|`` is to
-    the yield stress, where an absolute test would stop at once.
+    An element counts as converged after the step in which ``|step| <=
+    newton_reltol`` or ``|psi| <= newton_abstol rhs``, and the sweeps end
+    once every element has.  Since ``psi'' / psi' <= 1`` in log space,
+    quadratic convergence leaves an error of at most ``step^2 / 2``,
+    about 5e-17 for a step of 1e-8.  The residual test is relative to
+    ``rhs`` because ``psi' >= min(alpha - 1, 1) rhs`` near the root: a
+    residual of ``newton_abstol rhs`` is then a log error of at most
+    ``newton_abstol / (alpha - 1)`` however close ``|w|`` is to the
+    yield stress, where an absolute test would stop at once.
+
+    Converged elements are not frozen: a further step on them moves ``t``
+    by rounding only, and sweeping every element saves a per-sweep
+    select.  A sweep is two ``exp`` and about a dozen other elementwise
+    operations, written in place into four work arrays allocated once per
+    call.
     """
     am1 = alpha - 1.0
-    with np.errstate(divide="ignore"):
+    # Elements whose root is not representable (not live) iterate along,
+    # unfrozen, through infinities and NaNs that the final mask discards.
+    with np.errstate(divide="ignore", invalid="ignore"):
         t_cold = np.minimum(np.log(rhs / kappa) / am1, np.log(rhs / r))
         t = np.minimum(np.log(np.where(previous > 0.0, previous, np.inf)), t_cold)
-    live = t_cold >= _LOG_TINY
-    abs_tol = cfg.newton_abstol * rhs
-    done = ~live
+        live = t_cold >= _LOG_TINY
+        abs_tol = cfg.newton_abstol * rhs
+        done = ~live
+        pow_term, lin_term, psi, step = (np.empty_like(t) for _ in range(4))
 
-    for _ in range(_NEWTON_MAX):
-        pow_term = kappa * np.exp(am1 * t)
-        lin_term = r * np.exp(t)
-        psi = pow_term + lin_term - rhs
-        step = psi / (am1 * pow_term + lin_term)
-        t = np.where(done, t, np.minimum(t - step, t_cold))
-        done |= (np.abs(psi) <= abs_tol) | (np.abs(step) <= cfg.newton_reltol)
-        if done.all():
-            break
-    else:
-        i = np.flatnonzero(~done)[0]
-        raise RuntimeError(
-            f"strain-rate Newton did not converge on element {elements[i]} "
-            f"(|w| = {w_norms[i]!r}, residual {psi[i]!r})"
-        )
+        for _ in range(_NEWTON_MAX):
+            np.exp(np.multiply(t, am1, out=pow_term), out=pow_term)
+            pow_term *= kappa
+            np.exp(t, out=lin_term)
+            lin_term *= r
+            np.add(pow_term, lin_term, out=psi)
+            psi -= rhs
+            np.multiply(pow_term, am1, out=step)
+            step += lin_term
+            np.divide(psi, step, out=step)
+            t -= step
+            np.minimum(t, t_cold, out=t)
+            done |= (np.abs(psi) <= abs_tol) | (np.abs(step) <= cfg.newton_reltol)
+            if done.all():
+                break
+        else:
+            i = np.flatnonzero(~done)[0]
+            raise RuntimeError(
+                f"strain-rate Newton did not converge on element {elements[i]} "
+                f"(|w| = {w_norms[i]!r}, residual {psi[i]!r})"
+            )
     return np.where(live, np.exp(t), 0.0)
 
 
@@ -182,11 +216,17 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
     """
     cfg = cfg if cfg is not None else Alg2Config()
     start = time.perf_counter()
+    r = cfg.r
 
     y = np.zeros(ops.n_free)
     q = np.zeros(ops.n_stress)
     tau = np.zeros(ops.n_stress)
     d_tau = np.zeros(ops.n_free)  # D @ tau, carried from the momentum check
+    # Buffers reused by every pass: w, the previous strain rate, and the
+    # stationarity residual (also scratch while w is formed).
+    w = np.empty(ops.n_stress)
+    q_prev = np.empty(ops.n_stress)
+    stationarity = np.empty(ops.n_stress)
     report = SolveReport()
     # Arrested flow leaves y and q at rounding-level noise where a purely
     # relative increment test can never pass; increments below the
@@ -195,27 +235,41 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
 
     magnitudes = np.zeros(ops.tri.n_triangles)  # the Newton warm start
     for k in range(cfg.max_outer):
-        y_prev, q_prev = y, q
+        rhs = ops.f_h - d_tau + r * (ops.D @ q)
+        y_prev, y = y, ops.solve_stiffness(rhs) / r
 
-        rhs = ops.f_h - d_tau + cfg.r * (ops.D @ q)
-        y = ops.solve_stiffness(rhs) / cfg.r
-
+        # w = tau + r (rho grad y + (1 - rho) q),  grad y = A^-1 D^T y
         dt_y = ops.DT @ y
-        grad_y = dt_y / ops.area2
-        relaxed = _RELAXATION * grad_y + (1.0 - _RELAXATION) * q_prev
-        w = tau + cfg.r * relaxed
+        np.divide(dt_y, ops.area2, out=w)
+        w *= r * _RELAXATION
+        w += np.multiply(q, r * (1.0 - _RELAXATION), out=stationarity)
+        w += tau
         w_norms = block_norms(w)
-        magnitudes = _shrink_field(params, cfg.r, w_norms, cfg, magnitudes)
+        magnitudes = _shrink_field(params, r, w_norms, cfg, magnitudes)
         scale = np.divide(magnitudes, w_norms, out=np.zeros_like(magnitudes),
                           where=w_norms > 0.0)
-        q = (scale[:, None] * w.reshape(-1, 2)).ravel()
+        q, q_prev = q_prev, q
+        np.multiply(w.reshape(-1, 2), scale[:, None], out=q.reshape(-1, 2))
 
-        tau = tau + cfg.r * (relaxed - q)
+        # the multiplier step tau + r (relaxed - q) is w - r q
+        np.multiply(q, -r, out=tau)
+        tau += w
 
-        stationarity = gradient(params, ops, tau) - dt_y
-        kkt = float(np.abs(stationarity).max(initial=0.0))
+        # grad J(tau) = A q by the shrink equation, so the stationarity
+        # residual needs no gradient evaluation until the loop would stop
+        np.multiply(ops.area2, q, out=stationarity)
+        stationarity -= dt_y
+        kkt = float(np.abs(stationarity, out=stationarity).max(initial=0.0))
         d_tau = ops.D @ tau
         momentum = float(np.abs(d_tau - ops.f_h).max(initial=0.0))
+        stop = (max(kkt, momentum) <= cfg.abstol
+                and float(np.linalg.norm(y - y_prev))
+                <= cfg.reltol * float(np.linalg.norm(y)) + floor
+                and float(np.linalg.norm(q - q_prev))
+                <= cfg.reltol * float(np.linalg.norm(q)) + floor)
+        if stop:
+            kkt = float(np.abs(gradient(params, ops, tau) - dt_y).max(initial=0.0))
+            stop = max(kkt, momentum) <= cfg.abstol
         residual = max(kkt, momentum)
 
         report.kkt_history.append(residual)
@@ -224,9 +278,7 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
         if not (math.isfinite(kkt) and math.isfinite(momentum)):
             report.status = "non_finite"
             break
-        y_ok = float(np.linalg.norm(y - y_prev)) <= cfg.reltol * float(np.linalg.norm(y)) + floor
-        q_ok = float(np.linalg.norm(q - q_prev)) <= cfg.reltol * float(np.linalg.norm(q)) + floor
-        if residual <= cfg.abstol and y_ok and q_ok:
+        if stop:
             report.status = "converged"
             break
     report.iterations = k + 1

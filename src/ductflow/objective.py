@@ -71,10 +71,29 @@ def _blocks(tau: np.ndarray) -> np.ndarray:
     return tau.reshape(-1, 2)
 
 
+# Square root of the smallest positive normal double, 2^-511.  A norm
+# below it comes from a sum of squares that has lost relative precision
+# to underflow; an infinite one from a sum that has overflowed.
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
+
 def block_norms(tau: np.ndarray) -> np.ndarray:
-    """Per-triangle Euclidean stress magnitudes ``|t_k|``."""
+    """Per-triangle Euclidean stress magnitudes ``|t_k|``.
+
+    ``sqrt(x*x + y*y)`` is within an ulp or two of ``np.hypot`` at a
+    fraction of its cost wherever the sum of squares is a finite normal
+    double; blocks whose sum overflows, or underflows from nonzero
+    components, are recomputed by ``np.hypot``.
+    """
     t = _blocks(tau)
-    return np.hypot(t[:, 0], t[:, 1])
+    x, y = t[:, 0], t[:, 1]
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(x * x + y * y)
+    if not (norms.min(initial=np.inf) >= _SQRT_TINY and norms.max(initial=0.0) < np.inf):
+        out_of_range = ~((norms >= _SQRT_TINY) & (norms < np.inf))
+        redo = np.flatnonzero(out_of_range & ((x != 0.0) | (y != 0.0)))
+        norms[redo] = np.hypot(x[redo], y[redo])
+    return norms
 
 
 def objective(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> float:
@@ -83,58 +102,58 @@ def objective(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> f
     return coeff * float(np.dot(ops.tri.areas, excess ** params.alpha_prime))
 
 
-def gradient(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np.ndarray:
-    t = _blocks(tau)
+def _norms_and_excess(params: FluidParams, tau: np.ndarray):
+    """Block norms, the truncated excess ``(n_k - tau0)_+`` and the yield mask."""
     norms = block_norms(tau)
     excess = norms - params.tau0
     yielded = excess > 0.0
+    np.maximum(excess, 0.0, out=excess)
+    return norms, excess, yielded
 
-    scale = np.zeros(norms.shape)
-    if yielded.any():
-        exponent = 1.0 / (params.alpha - 1.0)
-        scale[yielded] = (
-            ops.tri.areas[yielded] / params.kappa_pow
-            * excess[yielded] ** exponent / norms[yielded]
-        )
+
+def gradient(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np.ndarray:
+    t = _blocks(tau)
+    norms, excess, yielded = _norms_and_excess(params, tau)
+    scale = ops.tri.areas / params.kappa_pow * excess ** (1.0 / (params.alpha - 1.0))
+    # zero already where unyielded, since excess is 0 there
+    np.divide(scale, norms, out=scale, where=yielded)
     return (scale[:, None] * t).ravel()
 
 
 def hessian(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np.ndarray:
     """Blockwise Hessian, shape ``(n_T, 2, 2)``; zero inside the yield surface."""
     t = _blocks(tau)
-    norms = block_norms(tau)
-    excess = norms - params.tau0
-    yielded = excess > 0.0
-
-    blocks = np.zeros((t.shape[0], 2, 2))
-    if not yielded.any():
-        return blocks
-
+    norms, excess, yielded = _norms_and_excess(params, tau)
     am1 = params.alpha - 1.0
-    e = excess[yielded]
-    n = norms[yielded]
-    t1 = t[yielded, 0]
-    t2 = t[yielded, 1]
+    t1 = t[:, 0]
+    t2 = t[:, 1]
 
-    prefactor = (
-        ops.tri.areas[yielded] / (params.kappa_pow * am1)
-        * e ** (1.0 / am1 - 1.0) / n ** 3
-    )
-    h11 = am1 * t2 ** 2 * e + t1 ** 2 * n
-    h12 = -t1 * t2 * (am1 * e - n)
-    h22 = am1 * t1 ** 2 * e + t2 ** 2 * n
+    # excess^0 = 1 at alpha = 2, so the unyielded prefactor is zeroed explicitly
+    coeff = ops.tri.areas / (params.kappa_pow * am1) * excess ** (1.0 / am1 - 1.0)
+    prefactor = np.divide(coeff, norms ** 3, out=np.zeros_like(norms), where=yielded)
+    h12 = prefactor * (-t1 * t2 * (am1 * excess - norms))
 
-    blocks[yielded, 0, 0] = prefactor * h11
-    blocks[yielded, 0, 1] = prefactor * h12
-    blocks[yielded, 1, 0] = prefactor * h12
-    blocks[yielded, 1, 1] = prefactor * h22
+    blocks = np.empty((t.shape[0], 2, 2))
+    blocks[:, 0, 0] = prefactor * (am1 * t2 ** 2 * excess + t1 ** 2 * norms)
+    blocks[:, 0, 1] = h12
+    blocks[:, 1, 0] = h12
+    blocks[:, 1, 1] = prefactor * (am1 * t1 ** 2 * excess + t2 ** 2 * norms)
     return blocks
 
 
 def hessian_apply(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Blockwise product of an ``(n_T, 2, 2)`` Hessian with a stress vector."""
+    """Blockwise product of an ``(n_T, 2, 2)`` Hessian with a stress vector.
+
+    Reads the components ``h11``, ``h12`` and ``h22`` of each symmetric
+    block; the products are those of ``einsum("kij,kj->ki")``, bit for
+    bit, without its per-block contraction loop.
+    """
     w = _blocks(v)
     if blocks.shape[0] != w.shape[0]:
         raise ValueError("Hessian block count does not match vector length")
-    return np.einsum("kij,kj->ki", blocks, w).ravel()
-
+    w1, w2 = w[:, 0], w[:, 1]
+    h11, h12, h22 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
+    out = np.empty_like(w)
+    out[:, 0] = h11 * w1 + h12 * w2
+    out[:, 1] = h12 * w1 + h22 * w2
+    return out.ravel()

@@ -16,7 +16,10 @@ class SolveReport:
     ``objective_history`` holds one value per pass for the trust-region
     solver; the augmented-Lagrangian solver records only the value at the
     returned iterate.  ``status`` is ``converged``, ``max_iterations``,
-    or ``non_finite`` when a residual became NaN or infinite.
+    ``non_finite`` when a residual became NaN or infinite, or
+    ``stalled`` (trust-region solver only) when a rejected step's model
+    decrease was below the rounding of the objective, so that no further
+    step could be judged.
     """
 
     iterations: int = 0

@@ -20,7 +20,9 @@ Convergence is declared when the projected gradient
 stationarity residual ``max |grad J - D^T y|`` is below ``abstol`` and
 the recovered velocity is stable, ``|y_k - y_(k-1)| <= reltol |y_k|``.
 A non-finite stationarity residual, model decrease or step norm stops
-the loop with status ``non_finite``.
+the loop with status ``non_finite``; a rejected step whose model
+decrease is below the rounding of ``J`` (``pred <= 8 eps |J|``) stops it
+with status ``stalled``.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ _ETA = 0.1
 _DELTA0 = 10.0
 _DELTA_MAX = 1e5
 
+# A rejected step whose model decrease is at most this share of |J| is
+# below the rounding of J: no trial step can be judged any more, and the
+# loop stops as stalled rather than shrink the radius towards zero.
+_STALL_PRED = 8.0 * np.finfo(float).eps
+
 # CG iterations allowed per triangle in one subproblem.  null(D) has
 # fewer than 2 dimensions per triangle, which bounds CG in exact
 # arithmetic; the rest is room for rounding.
@@ -86,12 +93,14 @@ class TrsConfig:
 def _boundary_intersection(z: np.ndarray, d: np.ndarray, delta: float) -> float:
     """Positive root ``s`` of ``|z + s d| = delta`` for ``|z| < delta``.
 
-    Uses the sign-aware quadratic formula to avoid cancellation.
+    Uses the sign-aware quadratic formula to avoid cancellation.  When
+    ``z`` is already on the boundary to rounding (``|z|^2 >= delta^2``,
+    as once ``delta^2`` underflows) the root is 0.
     """
     a = float(d @ d)
     b = 2.0 * float(z @ d)
     c = float(z @ z) - delta * delta
-    if a == 0.0:
+    if a == 0.0 or c >= 0.0:
         return 0.0
     disc = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
     if b >= 0.0:
@@ -200,8 +209,8 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
     Returns ``(tau, y, report)`` where ``tau`` is the final feasible
     stress, ``y`` the least-squares velocity recovered from it and
     ``report`` the full iteration record.  Non-convergence within
-    ``max_outer`` passes, or a non-finite residual or model, is reported,
-    not raised.
+    ``max_outer`` passes, a non-finite residual or model, or a stall at
+    the rounding of ``J`` is reported, not raised.
     """
     cfg = cfg if cfg is not None else TrsConfig()
     start = time.perf_counter()
@@ -255,6 +264,9 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
             report.accepted_steps += 1
         else:
             report.rejected_steps += 1
+            if pred <= _STALL_PRED * abs(value):
+                report.status = "stalled"
+                break
     report.iterations = k + 1
 
     report.wall_time = time.perf_counter() - start

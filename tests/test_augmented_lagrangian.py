@@ -11,7 +11,7 @@ from ductflow.augmented_lagrangian import (_RELAXATION, Alg2Config, _newton_magn
                                            _shrink_field, shrink_magnitude, solve_alg2)
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, generate_square_mesh
-from ductflow.objective import FluidParams, objective
+from ductflow.objective import FluidParams, gradient, objective
 from ductflow.pipe import relative_difference
 from ductflow.trust_region import TrsConfig, solve_trs
 
@@ -295,6 +295,84 @@ def test_square_duct_converges_at_tight_tolerance():
     cfg = Alg2Config(abstol=1e-5 * float(np.mean(tri.areas)), reltol=1e-6, max_outer=1000)
     _, _, _, report = solve_alg2(params, ops, cfg)
     assert report.converged
+    assert report.kkt_history[-1] <= cfg.abstol
+
+
+@pytest.fixture(scope="module")
+def disk12_ops():
+    return assemble(generate_disk_mesh(12), f=1.0)
+
+
+@pytest.fixture(scope="module")
+def square32_ops():
+    return assemble(generate_square_mesh(32), f=1.0)
+
+
+def strain_rate_config(ops):
+    # the tolerances the benchmark solves with
+    return Alg2Config(abstol=1e-4 * float(np.mean(ops.tri.areas)), reltol=1e-6)
+
+
+def check_gradient_identity(params, ops):
+    y, q, tau, report = solve_alg2(params, ops, strain_rate_config(ops))
+    assert report.converged
+    area_q = ops.area2 * q
+    grad = gradient(params, ops, tau)
+    assert np.abs(grad - area_q).max() <= 1e-10 * np.abs(area_q).max()
+    # the stopping pass records the gradient-based residual
+    kkt = float(np.abs(grad - ops.DT @ y).max())
+    assert report.kkt_history[-1] == max(kkt, report.feasibility_history[-1])
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.75, 1.5])
+@pytest.mark.parametrize("tau0", [0.1, 0.2])
+def test_area_weighted_strain_rate_is_the_gradient_on_the_pipe(alpha, tau0, disk12_ops):
+    # after the shrink and multiplier steps grad J(tau) = A q exactly
+    check_gradient_identity(FluidParams(alpha=alpha, kappa=1.0, tau0=tau0), disk12_ops)
+
+
+@pytest.mark.parametrize("alpha, tau0", [(2.0, 0.1), (2.0, 0.3), (1.5, 0.1), (1.5, 0.3)])
+def test_area_weighted_strain_rate_is_the_gradient_on_the_square(alpha, tau0, square32_ops):
+    check_gradient_identity(FluidParams(alpha=alpha, kappa=1.0, tau0=tau0), square32_ops)
+
+
+class CountingGradient:
+    """Stand-in for ``augmented_lagrangian.gradient`` that counts calls and
+    can spoil the first ``spoil`` results."""
+
+    def __init__(self, spoil=0):
+        self.calls = 0
+        self.spoil = spoil
+
+    def __call__(self, params, ops, tau):
+        self.calls += 1
+        grad = gradient(params, ops, tau)
+        return grad + 1.0 if self.calls <= self.spoil else grad
+
+
+def test_gradient_runs_once_per_converged_solve(monkeypatch, disk12_ops):
+    counter = CountingGradient()
+    monkeypatch.setattr(augmented_lagrangian, "gradient", counter)
+    params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.1)
+    _, _, _, report = solve_alg2(params, disk12_ops, strain_rate_config(disk12_ops))
+    assert report.converged and report.iterations > 1
+    assert counter.calls == 1
+
+
+def test_failed_confirmation_keeps_iterating(monkeypatch, disk12_ops):
+    # a pass whose cheap residual passes but whose gradient check does
+    # not is no stop: the loop goes on and stops at the next pass that
+    # passes both
+    params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.1)
+    cfg = strain_rate_config(disk12_ops)
+    _, _, _, plain = solve_alg2(params, disk12_ops, cfg)
+    counter = CountingGradient(spoil=1)
+    monkeypatch.setattr(augmented_lagrangian, "gradient", counter)
+    _, _, _, report = solve_alg2(params, disk12_ops, cfg)
+    assert report.converged
+    assert counter.calls == 2
+    assert report.iterations == plain.iterations + 1
+    assert report.kkt_history[plain.iterations - 1] >= 1.0 > cfg.abstol
     assert report.kkt_history[-1] <= cfg.abstol
 
 

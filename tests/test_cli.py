@@ -62,6 +62,14 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_stalled_run_exits_two(self, tmp_path, capsys):
+        code = main(["solve", "--solver", "trs", "--mesh", "square:12", "--alpha", "1.5",
+                     "--tau0", "0.3", "--abstol", "1e-12", "--reltol", "1e-6",
+                     "--max-outer", "5000", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "[trs] status=stalled" in capsys.readouterr().out
+        assert read_json(tmp_path / "x" / "report_trs.json")["status"] == "stalled"
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--abstol", "nan", "tolerances must be positive and finite"),
         ("--r", "inf", "r must be positive and finite"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fd_gradient, fd_hessian, random_stress_blocks
 from ductflow.fem import assemble
@@ -57,6 +59,33 @@ class TestFluidParams:
     def test_dual_exponent_identity(self, alpha):
         p = FluidParams(alpha=alpha)
         assert 1.0 / p.alpha + 1.0 / p.alpha_prime == pytest.approx(1.0, abs=1e-14)
+
+
+_TINY = np.finfo(float).tiny
+# Block components at the edges of the double range: squares that
+# underflow (subnormals, 1e-160) or overflow (1e160, 1e308), mixed with
+# ordinary values.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, _TINY, -_TINY,
+          1e-160, -1e-160, 1e160, -1e160, 1e308, -1e308]
+_COMPONENT = st.one_of(st.sampled_from(_EDGES),
+                       st.floats(-_TINY, _TINY, allow_subnormal=True),
+                       st.floats(-1e300, 1e300, allow_nan=False))
+
+
+class TestBlockNorms:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_COMPONENT, _COMPONENT), min_size=1, max_size=12))
+    def test_matches_hypot_across_the_double_range(self, blocks):
+        tau = np.array(blocks, dtype=float).ravel()
+        x, y = tau[0::2], tau[1::2]
+        got = block_norms(tau)
+        want = np.hypot(x, y)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+        np.testing.assert_array_equal(got == 0.0, (x == 0.0) & (y == 0.0))
+
+    def test_empty(self):
+        assert block_norms(np.zeros(0)).shape == (0,)
 
 
 class TestObjective:
@@ -191,6 +220,16 @@ class TestHessianApply:
         for k in range(n_blocks):
             dense[2 * k:2 * k + 2, 2 * k:2 * k + 2] = blocks[k]
         np.testing.assert_allclose(hessian_apply(blocks, v), dense @ v, rtol=1e-13)
+
+    @pytest.mark.parametrize("n_blocks", [1, 7, 2048])
+    def test_bit_identical_to_einsum(self, n_blocks):
+        rng = np.random.default_rng(19 + n_blocks)
+        scales = 10.0 ** rng.integers(-8, 8, (n_blocks, 1, 1))
+        blocks = scales * rng.standard_normal((n_blocks, 2, 2))
+        blocks = blocks + blocks.transpose(0, 2, 1)
+        v = rng.standard_normal(2 * n_blocks)
+        reference = np.einsum("kij,kj->ki", blocks, v.reshape(-1, 2)).ravel()
+        np.testing.assert_array_equal(hessian_apply(blocks, v), reference)
 
     def test_linear_in_v(self):
         rng = np.random.default_rng(18)

@@ -8,7 +8,8 @@ from ductflow import trust_region
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, generate_square_mesh
 from ductflow.objective import FluidParams, block_norms, gradient, hessian, hessian_apply
-from ductflow.trust_region import TrsConfig, cg_steihaug, solve_trs, update_radius
+from ductflow.trust_region import (TrsConfig, _boundary_intersection, cg_steihaug, solve_trs,
+                                   update_radius)
 
 
 def run_cg(ops, grad, hess, delta, forcing=0.5, callback=None):
@@ -346,3 +347,32 @@ class TestSolveTrs:
         assert report.converged
         bound = 1e-8 * (1.0 + np.abs(disk3_ops.f_h).max())
         assert disk3_ops.momentum_residual(tau) <= bound
+
+
+class TestStall:
+    @pytest.mark.parametrize("z_norm2, delta", [(1.0, 1.0), (1.5, 1.0), (0.0, 1e-170)])
+    def test_boundary_intersection_is_zero_on_or_outside_the_ball(self, z_norm2, delta):
+        # the last case is delta^2 underflowing to 0 with z = 0, where the
+        # quadratic formula would give 0/0
+        z = np.array([np.sqrt(z_norm2), 0.0])
+        d = np.array([0.0, 1.0])
+        assert _boundary_intersection(z, d, delta) == 0.0
+
+    def test_tight_tolerance_stalls_instead_of_crashing(self):
+        # 12^2, alpha = 1.5, tau0 = 0.3 at 1e-10 mean|T_k|: once the model
+        # decrease is below the rounding of J, trial steps are rejected
+        # and, without the stall stop, the radius shrinks until delta^2
+        # underflows and the boundary root is 0/0
+        tri = generate_square_mesh(12)
+        ops = assemble(tri, f=1.0)
+        params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.3)
+        cfg = TrsConfig(abstol=1e-10 * float(np.mean(tri.areas)), reltol=1e-6, max_outer=5000)
+        tau, y, report = solve_trs(params, ops, cfg=cfg)
+        assert report.status == "stalled"
+        assert not report.converged
+        assert report.iterations < cfg.max_outer
+        assert report.rejected_steps >= 1
+        assert report.radius_history[-1] > 0.0
+        assert np.all(np.isfinite(report.kkt_history)) and np.all(np.isfinite(y))
+        bound = 1e-8 * (1.0 + np.abs(ops.f_h).max())
+        assert ops.momentum_residual(tau) <= bound
