@@ -4,19 +4,31 @@ Floats are written with ``repr`` so identical runs produce bit-identical
 files (wall time excluded from determinism guarantees).  The node and
 triangle rows come from the mesh's own text, formatted once per mesh
 (``Triangulation.node_text`` and ``triangle_text``), and each writer
-changes only their separators; value columns are joined in bulk.  The
-bytes are the same as formatting every row afresh.
+changes only their separators.  A float value column (velocities or
+stress magnitudes) is formatted once per distinct content and the text
+is shared by the CSV and VTK writers: it is cached under the column's
+exact bytes, so ``-0.0`` and ``0.0`` or two NaN payloads never share
+text, and a field changed in place is formatted afresh.  The bytes are
+the same as formatting every row afresh.
+
+The JSON report is standard JSON: a NaN or infinite value is written
+as ``null``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 
 import numpy as np
 
-from .mesh import Triangulation, write_rows
+from .mesh import Triangulation, rows_text, write_rows
 from .objective import block_norms
 from .report import SolveReport
+
+# yielded-flag lines, indexed by the flag
+_FLAG_LINES = np.array([b"0\n", b"1\n"])
 
 
 def expand_velocity(tri: Triangulation, y: np.ndarray) -> np.ndarray:
@@ -26,24 +38,40 @@ def expand_velocity(tri: Triangulation, y: np.ndarray) -> np.ndarray:
     return full
 
 
-def _yield_columns(tau: np.ndarray, tau0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-triangle stress magnitudes and yielded flags (``|t_k| > tau0``)."""
+@functools.lru_cache(maxsize=2)
+def _float_lines(key: bytes) -> str:
+    """``repr`` of each float64 packed in ``key``, one per line."""
+    return rows_text(np.frombuffer(key))
+
+
+def _column_text(values: np.ndarray) -> str:
+    """Lines of a float column, formatted once for as long as it is cached.
+
+    Two slots cover one solve's export: the velocity column and the
+    stress-magnitude column, each written by a CSV and by the VTK.
+    """
+    return _float_lines(np.ascontiguousarray(values, dtype=float).tobytes())
+
+
+def _yield_columns(tau: np.ndarray, tau0: float) -> tuple[str, str]:
+    """Lines of the per-triangle stress magnitudes and yielded flags (``|t_k| > tau0``)."""
     mags = block_norms(tau)
-    return mags, (mags > tau0).astype(np.int8)
+    flags = _FLAG_LINES[(mags > tau0).astype(np.int8)]
+    return _column_text(mags), flags.tobytes().decode("ascii")
 
 
 def write_velocity_csv(path, tri: Triangulation, y: np.ndarray) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,y,velocity\n")
         write_rows(fh, tri.node_text.replace(" ", ",").splitlines(),
-                   expand_velocity(tri, y), sep=",")
+                   _column_text(expand_velocity(tri, y)).splitlines(), sep=",")
 
 
 def write_stress_csv(path, tau: np.ndarray, tau0: float) -> None:
-    mags, yielded = _yield_columns(tau, tau0)
+    mags, yielded = (text.splitlines() for text in _yield_columns(tau, tau0))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("triangle,stress_magnitude,yielded\n")
-        write_rows(fh, np.arange(mags.size), mags, yielded, sep=",")
+        write_rows(fh, np.arange(len(mags)), mags, yielded, sep=",")
 
 
 def write_vtk(path, tri: Triangulation, y: np.ndarray, tau: np.ndarray,
@@ -66,14 +94,25 @@ def write_vtk(path, tri: Triangulation, y: np.ndarray, tau: np.ndarray,
         fh.write(f"POINT_DATA {tri.n_nodes}\n")
         fh.write("SCALARS velocity double 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        write_rows(fh, expand_velocity(tri, y))
+        fh.write(_column_text(expand_velocity(tri, y)))
         fh.write(f"CELL_DATA {tri.n_triangles}\n")
         fh.write("SCALARS stress_magnitude double 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        write_rows(fh, mags)
+        fh.write(mags)
         fh.write("SCALARS yielded int 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        write_rows(fh, yielded)
+        fh.write(yielded)
+
+
+def _null_non_finite(value):
+    """``value`` with every NaN or infinite float replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _null_non_finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_null_non_finite(v) for v in value]
+    return value
 
 
 def write_report_json(path, report: SolveReport, extra: dict | None = None) -> None:
@@ -81,5 +120,5 @@ def write_report_json(path, report: SolveReport, extra: dict | None = None) -> N
     if extra:
         data.update(extra)
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(data, fh, indent=2)
+        json.dump(_null_non_finite(data), fh, indent=2, allow_nan=False)
         fh.write("\n")

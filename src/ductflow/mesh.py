@@ -126,11 +126,11 @@ class Triangulation:
 
     @cached_property
     def node_text(self) -> str:
-        return _rows_text(*self.nodes.T)
+        return rows_text(*self.nodes.T)
 
     @cached_property
     def triangle_text(self) -> str:
-        return _rows_text(*self.triangles.T)
+        return rows_text(*self.triangles.T)
 
     def h_max(self) -> float:
         """Longest edge over the whole mesh."""
@@ -488,7 +488,7 @@ def write_rows(fh, *columns, sep=" ") -> None:
         fh.write("\n")
 
 
-def _rows_text(*columns) -> str:
+def rows_text(*columns) -> str:
     """Space-separated rows of ``columns`` as one string."""
     buf = io.StringIO()
     write_rows(buf, *columns)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+# version of the layout of ``SolveReport.to_dict()``, raised when a field
+# is renamed, removed or changes meaning
+SCHEMA_VERSION = 1
+
 
 @dataclass
 class SolveReport:
@@ -40,4 +44,4 @@ class SolveReport:
     def to_dict(self) -> dict:
         data = asdict(self)
         data["cg_iterations"] = [[count, reason] for count, reason in self.cg_iterations]
-        return data
+        return {"schema_version": SCHEMA_VERSION, **data}

@@ -1,6 +1,7 @@
-"""Writers against per-line reference loops: the row helper must not
-change a byte of any exported or saved file."""
+"""Writers against per-line reference loops: the row helper and the
+shared column text must not change a byte of any exported or saved file."""
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ductflow import export
 from ductflow.augmented_lagrangian import solve_alg2
-from ductflow.export import write_stress_csv, write_velocity_csv, write_vtk
+from ductflow.export import write_report_json, write_stress_csv, write_velocity_csv, write_vtk
 from ductflow.fem import assemble
 from ductflow.mesh import Triangulation, generate_disk_mesh, save_mesh
 from ductflow.objective import FluidParams, block_norms
+from ductflow.report import SolveReport
 from ductflow.trust_region import solve_trs
 
 
@@ -161,3 +164,98 @@ def test_exponent_and_negative_zero_text(scale, sign, seed):
         out = Path(tmp)
         assert_mesh_file_matches(out, tri)
         assert_all_writers_match(out, tri, y, tau, tau0)
+
+
+def test_column_text_follows_in_place_changes(tmp_path, disk3_solution):
+    tri, y0, tau0_field, tau0 = disk3_solution
+    y, tau = y0.copy(), tau0_field.copy()
+    assert_all_writers_match(tmp_path, tri, y, tau, tau0)
+    y *= 1.5
+    tau[::3] *= -2.0
+    assert_all_writers_match(tmp_path, tri, y, tau, tau0)
+
+
+def test_vtk_before_csvs_gives_the_same_bytes(tmp_path, disk3_solution):
+    tri, y, tau, tau0 = disk3_solution
+    export._float_lines.cache_clear()
+    pairs = [
+        (lambda p: write_vtk(p, tri, y, tau, tau0),
+         lambda p: reference_vtk(p, tri, y, tau, tau0)),
+        (lambda p: write_velocity_csv(p, tri, y), lambda p: reference_velocity_csv(p, tri, y)),
+        (lambda p: write_stress_csv(p, tau, tau0), lambda p: reference_stress_csv(p, tau, tau0)),
+    ]
+    for write, reference in pairs:
+        write(tmp_path / "new")
+        reference(tmp_path / "reference")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "reference").read_bytes()
+    # the VTK formatted both columns, and the CSVs reused them
+    assert export._float_lines.cache_info().misses == 2
+
+
+NAN_PAYLOADS = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), tuple(NAN_PAYLOADS)],
+                         ids=["signed_zero", "nan_payload"])
+def test_columns_differing_in_bits_only_get_their_own_text(tmp_path, disk3_solution,
+                                                           first, second):
+    tri, y, _, _ = disk3_solution
+    texts = []
+    export._float_lines.cache_clear()
+    for value in (first, second):
+        y_mod = y.copy()
+        y_mod[0] = value
+        write_velocity_csv(tmp_path / "new", tri, y_mod)
+        reference_velocity_csv(tmp_path / "reference", tri, y_mod)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "reference").read_bytes()
+        texts.append((tmp_path / "new").read_text())
+    assert export._float_lines.cache_info().misses == 2
+    # the two NaNs both print as nan; the zeros keep their sign
+    assert (texts[0] == texts[1]) == np.isnan(first)
+
+
+def test_cache_holds_at_most_two_columns(tmp_path, disk3_solution):
+    tri, y_alg2, tau_alg2, tau0 = disk3_solution
+    ops = assemble(tri, f=1.0)
+    trs_params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
+    alg2_params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.1)
+    tau_trs, y_trs, _ = solve_trs(trs_params, ops)
+    y_b, _, tau_b, _ = solve_alg2(alg2_params, ops)
+    for y, tau, t0 in ((y_alg2, tau_alg2, tau0), (y_trs, tau_trs, 0.1), (y_b, tau_b, 0.1)):
+        before = export._float_lines.cache_info()
+        assert_all_writers_match(tmp_path, tri, y, tau, t0)
+        after = export._float_lines.cache_info()
+        # one solve formats its velocity and magnitude columns once each
+        assert after.misses - before.misses == 2
+        assert after.hits - before.hits == 2
+        assert after.currsize <= 2
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_report_json_is_standard_json(tmp_path):
+    report = SolveReport(kkt_history=[1.0, float("nan"), float("inf"), float("-inf")],
+                         status="non_finite")
+    write_report_json(tmp_path / "report.json", report,
+                      {"error_vs_analytic": float("nan"), "alpha": 2.0})
+    data = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject_constant)
+    assert data["schema_version"] == 1
+    assert data["kkt_history"] == [1.0, None, None, None]
+    assert data["error_vs_analytic"] is None
+    assert data["alpha"] == 2.0
+    assert data["status"] == "non_finite"
+
+
+def test_non_finite_run_writes_standard_json(tmp_path, disk3_solution):
+    tri = disk3_solution[0]
+    ops = assemble(tri, f=1.0)
+    _, _, report = solve_trs(FluidParams(alpha=2.0, kappa=1.0, tau0=0.1), ops,
+                             tau_init=np.full(ops.n_stress, np.nan))
+    assert report.status == "non_finite"
+    assert not np.all(np.isfinite(report.kkt_history))
+    write_report_json(tmp_path / "report.json", report)
+    data = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject_constant)
+    assert data["status"] == "non_finite"
+    assert data["kkt_history"] == [v if np.isfinite(v) else None for v in report.kkt_history]
