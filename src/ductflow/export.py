@@ -8,8 +8,10 @@ changes only their separators.  A float value column (velocities or
 stress magnitudes) is formatted once per distinct content and the text
 is shared by the CSV and VTK writers: it is cached under the column's
 exact bytes, so ``-0.0`` and ``0.0`` or two NaN payloads never share
-text, and a field changed in place is formatted afresh.  The bytes are
-the same as formatting every row afresh.
+text, and a field changed in place is formatted afresh.  The stress
+CSV's triangle-index column depends only on the triangle count and is
+cached under it.  The bytes are the same as formatting every row
+afresh.
 
 The JSON report is standard JSON: a NaN or infinite value is written
 as ``null``.
@@ -53,6 +55,12 @@ def _column_text(values: np.ndarray) -> str:
     return _float_lines(np.ascontiguousarray(values, dtype=float).tobytes())
 
 
+@functools.lru_cache(maxsize=2)
+def _index_lines(n: int) -> str:
+    """Row indices ``0 .. n-1``, one per line: the same for every field on a mesh."""
+    return rows_text(np.arange(n))
+
+
 def _yield_columns(tau: np.ndarray, tau0: float) -> tuple[str, str]:
     """Lines of the per-triangle stress magnitudes and yielded flags (``|t_k| > tau0``)."""
     mags = block_norms(tau)
@@ -63,15 +71,15 @@ def _yield_columns(tau: np.ndarray, tau0: float) -> tuple[str, str]:
 def write_velocity_csv(path, tri: Triangulation, y: np.ndarray) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,y,velocity\n")
-        write_rows(fh, tri.node_text.replace(" ", ",").splitlines(),
-                   _column_text(expand_velocity(tri, y)).splitlines(), sep=",")
+        write_rows(fh, tri.node_text.replace(" ", ","), _column_text(expand_velocity(tri, y)),
+                   sep=",")
 
 
 def write_stress_csv(path, tau: np.ndarray, tau0: float) -> None:
-    mags, yielded = (text.splitlines() for text in _yield_columns(tau, tau0))
+    mags, yielded = _yield_columns(tau, tau0)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("triangle,stress_magnitude,yielded\n")
-        write_rows(fh, np.arange(len(mags)), mags, yielded, sep=",")
+        write_rows(fh, _index_lines(len(tau) // 2), mags, yielded, sep=",")
 
 
 def write_vtk(path, tri: Triangulation, y: np.ndarray, tau: np.ndarray,

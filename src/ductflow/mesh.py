@@ -463,7 +463,7 @@ def save_mesh(tri: Triangulation, path) -> None:
     """Write a mesh file; coordinates round-trip bit-identically."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"nodes {tri.n_nodes}\n")
-        write_rows(fh, tri.node_text.splitlines(), tri.is_dirichlet.astype(np.int8))
+        write_rows(fh, tri.node_text, tri.is_dirichlet.astype(np.int8))
         fh.write(f"triangles {tri.n_triangles}\n")
         fh.write(tri.triangle_text)
 
@@ -472,17 +472,38 @@ def save_mesh(tri: Triangulation, path) -> None:
 _CHUNK_ROWS = 1 << 14
 
 
+def _chunks(column):
+    """Entries of ``column`` as strings, ``_CHUNK_ROWS`` at a time.
+
+    Text is split chunk by chunk, never whole, so no more than a chunk
+    of per-entry strings is alive at once.
+    """
+    if not isinstance(column, str):
+        for start in range(0, len(column), _CHUNK_ROWS):
+            yield map(repr, column[start:start + _CHUNK_ROWS].tolist())
+        return
+    text = column
+    while text:
+        lines = text.split("\n", _CHUNK_ROWS)
+        if len(lines) > _CHUNK_ROWS:
+            text = lines.pop()
+        else:
+            # the last chunk: drop the empty tail after a final newline
+            text = ""
+            if not lines[-1]:
+                lines.pop()
+        yield lines
+
+
 def write_rows(fh, *columns, sep=" ") -> None:
     """Write rows joining one entry of each column by ``sep``, one per line.
 
     A column is a numeric array, whose values become Python numbers
-    written by ``repr`` (so floats round-trip bit for bit), or a list of
-    ready-made strings.  Each chunk of rows is joined at C speed, without
-    a ``str.format`` call per row.
+    written by ``repr`` (so floats round-trip bit for bit), or ready-made
+    text with one entry per line.  Each chunk of rows is joined at C
+    speed, without a ``str.format`` call per row.
     """
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        chunk = [col[start:start + _CHUNK_ROWS] for col in columns]
-        cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) else c for c in chunk]
+    for cells in zip(*map(_chunks, columns)):
         rows = cells[0] if len(cells) == 1 else map(sep.join, zip(*cells))
         fh.write("\n".join(rows))
         fh.write("\n")

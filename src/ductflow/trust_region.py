@@ -15,6 +15,14 @@ term.  Steps are accepted and the radius updated from the ratio
 ``rho = ared/pred`` of actual to model decrease, with thresholds
 0.9 / 0.3 for radius growth and ``_ETA`` for acceptance.
 
+Each iterate is evaluated once.  The first pass at an iterate computes
+its gradient, recovered velocity, stationarity vector and momentum
+residual, and builds its Hessian before running CG; its objective value
+is the trial value that accepted it (only the start point gets an
+``objective`` call of its own).  A rejected step changes only the radius,
+so the pass after it reuses all of these and re-runs only CG and the
+trial objective (Nocedal & Wright, Alg. 4.1).
+
 Convergence is declared when the projected gradient
 ``grad J - D^T y`` has Euclidean norm below ``abstol``, or when the
 stationarity residual ``max |grad J - D^T y|`` is below ``abstol`` and
@@ -157,7 +165,7 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
 
         alpha = gr / curvature
         z_trial = z + alpha * d
-        if float(np.linalg.norm(z_trial)) >= delta:
+        if math.sqrt(float(z_trial @ z_trial)) >= delta:
             s = _boundary_intersection(z, d, delta)
             step = z + s * d
             if callback is not None:
@@ -220,22 +228,27 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
     tau = ops.project_feasible(tau_init)
     delta = _DELTA0
 
+    value = objective(params, ops, tau)
+    grad = hess = None
+
     report = SolveReport()
-    y = np.zeros(ops.n_free)
     y_prev = None
 
     for k in range(cfg.max_outer):
-        grad = gradient(params, ops, tau)
-        y = ops.recover_velocity(grad)
-        # grad - D^T (D D^T)^-1 D grad: the projected gradient CG starts from
-        stationarity = grad - ops.DT @ y
-        kkt = float(np.abs(stationarity).max(initial=0.0))
-        value = objective(params, ops, tau)
+        if grad is None:
+            # first pass at this iterate; a pass after a rejected step
+            # reuses all of it, since only the radius has changed
+            grad = gradient(params, ops, tau)
+            y = ops.recover_velocity(grad)
+            # grad - D^T (D D^T)^-1 D grad: the projected gradient CG starts from
+            stationarity = grad - ops.DT @ y
+            kkt = float(np.abs(stationarity).max(initial=0.0))
+            residual = ops.momentum_residual(tau)
 
         report.kkt_history.append(kkt)
         report.objective_history.append(value)
         report.radius_history.append(delta)
-        report.feasibility_history.append(ops.momentum_residual(tau))
+        report.feasibility_history.append(residual)
 
         if not math.isfinite(kkt):
             report.status = "non_finite"
@@ -248,19 +261,23 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
             break
         y_prev = y
 
-        hess = hessian(params, ops, tau)
+        if hess is None:
+            hess = hessian(params, ops, tau)
         step, reason, inner = cg_steihaug(ops, grad, stationarity, hess, delta, _CG_FORCING)
         report.cg_iterations.append((inner, reason))
 
-        step_norm = float(np.linalg.norm(step))
+        step_norm = math.sqrt(float(step @ step))
         pred = -float(step @ grad) - 0.5 * float(step @ hessian_apply(hess, step))
         if not (math.isfinite(pred) and math.isfinite(step_norm)):
             report.status = "non_finite"
             break
-        ared = value - objective(params, ops, tau + step)
+        trial = tau + step
+        trial_value = objective(params, ops, trial)
+        ared = value - trial_value
         accepted, delta = update_radius(delta, ared, pred, step_norm)
         if accepted:
-            tau = tau + step
+            tau, value = trial, trial_value
+            grad = hess = None
             report.accepted_steps += 1
         else:
             report.rejected_steps += 1

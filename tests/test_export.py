@@ -192,6 +192,20 @@ def test_vtk_before_csvs_gives_the_same_bytes(tmp_path, disk3_solution):
     assert export._float_lines.cache_info().misses == 2
 
 
+def test_index_column_is_formatted_once_per_triangle_count(tmp_path):
+    # 20,000 rows cross a write_rows chunk boundary; each size is written twice
+    rng = np.random.default_rng(13)
+    export._index_lines.cache_clear()
+    for n in (7, 20_000):
+        tau = rng.standard_normal(2 * n)
+        for _ in range(2):
+            write_stress_csv(tmp_path / "new", tau, 1.0)
+            reference_stress_csv(tmp_path / "reference", tau, 1.0)
+            assert (tmp_path / "new").read_bytes() == (tmp_path / "reference").read_bytes()
+    info = export._index_lines.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
 NAN_PAYLOADS = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
 
 

@@ -198,6 +198,20 @@ class TestLoadSave:
         assert np.array_equal(back.triangles, tri.triangles)
         assert np.array_equal(back.is_dirichlet, tri.is_dirichlet)
 
+    @pytest.mark.parametrize("n", [0, 1, mesh._CHUNK_ROWS, 2 * mesh._CHUNK_ROWS + 3])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_text_columns_are_split_chunk_by_chunk(self, n, final_newline):
+        # a text column gives the same rows as the array it was formatted
+        # from, with or without a newline after its last line
+        values = np.arange(n) * 0.5
+        text = mesh.rows_text(values)
+        if not final_newline:
+            text = text.removesuffix("\n")
+        expected, got = io.StringIO(), io.StringIO()
+        mesh.write_rows(expected, np.arange(n), values, sep=",")
+        mesh.write_rows(got, np.arange(n), text, sep=",")
+        assert got.getvalue() == expected.getvalue()
+
     def test_square_file(self, tmp_path):
         path = tmp_path / "square.mesh"
         path.write_text(

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,6 +349,67 @@ class TestSolveTrs:
         assert report.converged
         bound = 1e-8 * (1.0 + np.abs(disk3_ops.f_h).max())
         assert disk3_ops.momentum_residual(tau) <= bound
+
+
+def rejecting_square_cell():
+    """8^2 plug cell at the benchmark tolerance: some of its steps are rejected."""
+    tri = generate_square_mesh(8)
+    params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.3)
+    cfg = TrsConfig(abstol=1e-4 * float(np.mean(tri.areas)), reltol=1e-6)
+    return params, assemble(tri, f=1.0), cfg
+
+
+class TestEvaluationReuse:
+    def test_each_iterate_is_evaluated_once(self, monkeypatch):
+        # a rejected step changes only the radius, so the pass after it
+        # reruns CG and the trial objective and nothing else
+        params, ops, cfg = rejecting_square_cell()
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("gradient", "objective", "hessian"):
+            monkeypatch.setattr(trust_region, name, counted(name, getattr(trust_region, name)))
+        ops.recover_velocity = counted("recover_velocity", ops.recover_velocity)
+        outcomes = []
+
+        def recorded_update(*args):
+            accepted, delta = update_radius(*args)
+            outcomes.append(accepted)
+            return accepted, delta
+
+        monkeypatch.setattr(trust_region, "update_radius", recorded_update)
+        _, _, report = solve_trs(params, ops, cfg=cfg)
+        assert report.converged and report.rejected_steps > 0
+        assert calls["gradient"] == calls["recover_velocity"] == report.accepted_steps + 1
+        assert calls["objective"] == len(report.cg_iterations) + 1
+        assert calls["hessian"] <= report.accepted_steps + 1
+        after_rejection = [k + 1 for k, accepted in enumerate(outcomes) if not accepted]
+        assert after_rejection
+        for k in after_rejection:
+            assert report.kkt_history[k] == report.kkt_history[k - 1]
+            assert report.objective_history[k] == report.objective_history[k - 1]
+
+    def test_reused_vectors_are_not_changed_by_cg(self, monkeypatch):
+        # passes after a rejection hand CG the gradient and projected
+        # gradient of an earlier pass; CG on copies must give the same run
+        params, ops, cfg = rejecting_square_cell()
+        tau, y, report = solve_trs(params, ops, cfg=cfg)
+        assert report.rejected_steps > 0
+
+        def on_copies(ops, grad, projected, *args):
+            return cg_steihaug(ops, grad.copy(), projected.copy(), *args)
+
+        monkeypatch.setattr(trust_region, "cg_steihaug", on_copies)
+        tau_copy, y_copy, report_copy = solve_trs(params, ops, cfg=cfg)
+        assert tau.tobytes() == tau_copy.tobytes() and y.tobytes() == y_copy.tobytes()
+        for history in ("kkt_history", "objective_history", "radius_history",
+                        "feasibility_history", "cg_iterations"):
+            assert getattr(report, history) == getattr(report_copy, history)
 
 
 class TestStall:
