@@ -7,7 +7,7 @@ minimisation or by the classical alternating-direction augmented
 Lagrangian (ALG2).
 """
 
-from .augmented_lagrangian import Alg2Config, shrink_magnitude, solve_alg2
+from .augmented_lagrangian import Alg2Config, solve_alg2
 from .fem import DiscreteOperators, FactorizationError, assemble
 from .mesh import (MeshError, Triangulation, generate_disk_mesh, generate_square_mesh, load_mesh,
                    save_mesh)
@@ -22,7 +22,7 @@ __all__ = [
     "assemble", "block_norms", "cg_steihaug",
     "exact_velocity", "generate_disk_mesh", "generate_square_mesh", "gradient", "hessian",
     "hessian_apply", "load_mesh", "objective",
-    "relative_difference", "relative_error", "save_mesh", "shrink_magnitude",
+    "relative_difference", "relative_error", "save_mesh",
     "solve_alg2", "solve_trs", "update_radius",
 ]
 

@@ -90,23 +90,11 @@ class Alg2Config:
             raise ValueError("max_outer must be at least 1")
 
 
-def shrink_magnitude(params: FluidParams, r: float, w_norm: float,
-                     cfg: Alg2Config) -> float:
-    """Magnitude of the strain-rate minimiser for one element.
-
-    Solves ``kappa m^(alpha-1) + r m = (w_norm - tau0)_+`` for ``m >= 0``;
-    exactly 0 at or below the yield stress.
-    """
-    if w_norm < 0.0 or not np.isfinite(w_norm):
-        raise ValueError(f"w_norm must be finite and non-negative, got {w_norm}")
-    out = _shrink_field(params, r, np.array([w_norm]), cfg, np.zeros(1))
-    return float(out[0])
-
-
 def _shrink_field(params: FluidParams, r: float, w_norms: np.ndarray,
                   cfg: Alg2Config, previous: np.ndarray) -> np.ndarray:
-    """Shrink magnitudes for every element; ``previous`` warm-starts Newton
-    and is zero where there is no previous root."""
+    """Per element, the ``m >= 0`` solving ``kappa m^(alpha-1) + r m = (|w| - tau0)_+``,
+    exactly 0 at or below the yield stress; ``previous`` warm-starts
+    Newton and is zero where there is no previous root."""
     rhs = np.maximum(w_norms - params.tau0, 0.0)
     m = rhs / (params.kappa + r)
     if params.alpha == 2.0:

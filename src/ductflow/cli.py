@@ -26,7 +26,7 @@ import numpy as np
 from . import export
 from .augmented_lagrangian import Alg2Config, solve_alg2
 from .experiments import reproduce_tables
-from .fem import assemble
+from .fem import FactorizationError, assemble
 from .mesh import generate_disk_mesh, generate_square_mesh, load_mesh, save_mesh
 from .objective import FluidParams
 from .pipe import PipeSolution, relative_difference, relative_error
@@ -72,7 +72,8 @@ def run(cfg: RunConfig) -> int:
     try:
         tri, is_disk = _make_mesh(cfg.mesh)
         params = FluidParams(alpha=cfg.alpha, kappa=cfg.kappa, tau0=cfg.tau0)
-    except (ConfigError, ValueError) as exc:
+        ops = assemble(tri, f=cfg.force)
+    except (ConfigError, ValueError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
@@ -86,7 +87,6 @@ def run(cfg: RunConfig) -> int:
     try:
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        ops = assemble(tri, f=cfg.force)
 
         all_converged = True
         results = {}

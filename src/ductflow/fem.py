@@ -15,6 +15,9 @@ are factorised once, by one helper in SuperLU's symmetric mode
 every solver iteration.  ``D^T`` is likewise built once, as the CSR
 matrix ``DT``: ``D.T`` of a CSR matrix is a new CSC object on every
 access, and its products equal those of ``DT`` bit for bit.
+
+The force density is a finite constant.  A mesh with no free node needs
+no special case: its ``0 x 0`` matrices factorise and solve to empty arrays.
 """
 
 from __future__ import annotations
@@ -40,40 +43,30 @@ class DiscreteOperators:
     Parameters
     ----------
     tri : Triangulation
-    f : float or callable
-        Force density, finite everywhere.  A callable receives coordinate
-        arrays ``(x, y)`` and must return nodal values; the load vector
-        uses vertex quadrature ``|T|/3`` per corner, exact for constant
-        ``f``.
+    f : float
+        Constant force density, finite; the load vector's vertex
+        quadrature ``|T|/3`` per corner is exact for it.
     """
 
     def __init__(self, tri: Triangulation, f=1.0):
         self.tri = tri
-        n_free = tri.n_free
-        n_stress = 2 * tri.n_triangles
-
         self.area2 = np.repeat(tri.areas, 2)
         self.D = _constraint_matrix(tri)
         self.DT = self.D.T.tocsr()
         self.f_h = _load_vector(tri, f)
 
-        if n_free:
-            self.stiffness = (self.D @ sp.diags(1.0 / self.area2) @ self.DT).tocsr()
-            try:
-                self._lu_gram = _factor_spd(self.D @ self.DT)
-                self._lu_stiffness = _factor_spd(self.stiffness)
-            except RuntimeError as exc:
-                raise FactorizationError(
-                    f"factorisation of D*D^T / D*A^-1*D^T failed ({exc}); "
-                    "constraint matrix is rank deficient"
-                ) from exc
-        else:
-            self.stiffness = sp.csr_matrix((0, 0))
-            self._lu_gram = None
-            self._lu_stiffness = None
+        stiffness = self.D @ sp.diags(1.0 / self.area2) @ self.DT
+        try:
+            self._lu_gram = _factor_spd(self.D @ self.DT)
+            self._lu_stiffness = _factor_spd(stiffness)
+        except RuntimeError as exc:
+            raise FactorizationError(
+                f"factorisation of D*D^T / D*A^-1*D^T failed ({exc}); "
+                "constraint matrix is rank deficient"
+            ) from exc
 
-        self.n_free = n_free
-        self.n_stress = n_stress
+        self.n_free = tri.n_free
+        self.n_stress = 2 * tri.n_triangles
         self.area2.flags.writeable = False
         self.f_h.flags.writeable = False
 
@@ -81,14 +74,10 @@ class DiscreteOperators:
 
     def solve_ddt(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(D D^T) x = rhs``."""
-        if self._lu_gram is None:
-            return np.zeros(0)
         return self._lu_gram.solve(np.asarray(rhs, dtype=float))
 
     def solve_stiffness(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(D A^-1 D^T) x = rhs`` (discrete Laplacian solve)."""
-        if self._lu_stiffness is None:
-            return np.zeros(0)
         return self._lu_stiffness.solve(np.asarray(rhs, dtype=float))
 
     # -- projections and recovery ----------------------------------------
@@ -99,8 +88,6 @@ class DiscreteOperators:
         Returns ``tau - A^-1 D^T (D A^-1 D^T)^-1 (D tau - f_h)``.
         """
         tau = np.asarray(tau, dtype=float)
-        if self.n_free == 0:
-            return tau.copy()
         defect = self.D @ tau - self.f_h
         return tau - (self.DT @ self.solve_stiffness(defect)) / self.area2
 
@@ -109,15 +96,11 @@ class DiscreteOperators:
 
         Minimises ``|grad - D^T y|^2`` over nodal velocities.
         """
-        if self.n_free == 0:
-            return np.zeros(0)
         return self.solve_ddt(self.D @ np.asarray(grad, dtype=float))
 
     def project_nullspace(self, v: np.ndarray) -> np.ndarray:
         """Euclidean projection onto ``null(D)``: ``v - D^T (D D^T)^-1 D v``."""
         v = np.asarray(v, dtype=float)
-        if self.n_free == 0:
-            return v.copy()
         return v - self.DT @ self.solve_ddt(self.D @ v)
 
     def velocity_gradient(self, y: np.ndarray) -> np.ndarray:
@@ -130,7 +113,7 @@ class DiscreteOperators:
 
 
 def assemble(tri: Triangulation, f=1.0) -> DiscreteOperators:
-    """Assemble all discrete operators for ``tri`` with force density ``f``."""
+    """Assemble all discrete operators for ``tri`` with constant force density ``f``."""
     return DiscreteOperators(tri, f)
 
 
@@ -156,16 +139,9 @@ def _constraint_matrix(tri: Triangulation) -> sp.csr_matrix:
 
 
 def _load_vector(tri: Triangulation, f) -> np.ndarray:
-    if callable(f):
-        f_nodes = np.asarray(f(tri.nodes[:, 0], tri.nodes[:, 1]), dtype=float)
-        if f_nodes.shape != (tri.n_nodes,):
-            raise ValueError("force density callable must return one value per node")
-    else:
-        f_nodes = np.full(tri.n_nodes, float(f))
-    if not np.all(np.isfinite(f_nodes)):
+    f = float(f)
+    if not np.isfinite(f):
         raise ValueError("force density must be finite")
-
     full = np.zeros(tri.n_nodes)
-    contrib = (tri.areas[:, None] / 3.0) * f_nodes[tri.triangles]
-    np.add.at(full, tri.triangles, contrib)
+    np.add.at(full, tri.triangles, (tri.areas / 3.0 * f)[:, None])
     return full[tri.free_nodes]

@@ -1,9 +1,9 @@
 """Conforming triangulations of polygonal duct cross-sections.
 
 A mesh consists of node coordinates, counter-clockwise triangles and a
-Dirichlet marking of the no-slip boundary nodes.  All remaining nodes
-(interior or traction-free boundary) are "free" and carry velocity
-unknowns.
+boolean mask of the no-slip (Dirichlet) nodes, at least one in each
+vertex-connected part of the mesh.  All remaining nodes (interior or
+traction-free boundary) are "free" and carry velocity unknowns.
 
 Plain-text file format (whitespace separated, ``#`` starts a comment)::
 
@@ -27,6 +27,7 @@ import re
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 # Triangles thinner than this fraction of the bounding-box area are
 # rejected as degenerate.
@@ -40,9 +41,9 @@ class MeshError(ValueError):
 class Triangulation:
     """Immutable conforming triangle mesh with Dirichlet marking.
 
-    ``dirichlet`` is either a boolean mask over the nodes or an iterable
-    of node indices.  All arrays are frozen after construction, so a
-    mesh can be shared freely between solver runs.
+    ``dirichlet`` is a boolean mask over the nodes.  All arrays are
+    frozen after construction, so a mesh can be shared freely between
+    solver runs.
 
     Attributes
     ----------
@@ -86,18 +87,12 @@ class Triangulation:
         _check_orphans(n_nodes, triangles)
         _check_conformity(triangles, flipped)
 
-        if isinstance(dirichlet, np.ndarray) and dirichlet.dtype == bool:
-            if dirichlet.shape != (n_nodes,):
-                raise MeshError("boolean dirichlet mask has wrong length")
-            is_dirichlet = dirichlet.copy()
-        else:
-            indices = np.asarray(sorted(dirichlet), dtype=np.int64)
-            if indices.size and (indices.min() < 0 or indices.max() >= n_nodes):
-                raise MeshError("dirichlet node index out of range")
-            is_dirichlet = np.zeros(n_nodes, dtype=bool)
-            is_dirichlet[indices] = True
+        is_dirichlet = np.array(dirichlet)
+        if is_dirichlet.dtype != bool or is_dirichlet.shape != (n_nodes,):
+            raise MeshError(f"dirichlet must be a boolean mask over the {n_nodes} nodes")
         if not is_dirichlet.any():
             raise MeshError("invariant violated: no Dirichlet nodes (boundary must have positive measure)")
+        _check_held(n_nodes, triangles, is_dirichlet)
 
         self.nodes = nodes
         self.triangles = triangles
@@ -200,6 +195,22 @@ def _check_conformity(triangles, flipped):
         a, b = edges[at]
         raise MeshError("invariant violated: non-conforming mesh, directed edge "
                         f"{(int(a), int(b))} repeated")
+
+
+def _check_held(n_nodes, triangles, is_dirichlet):
+    # a vertex-connected part with no Dirichlet node makes the stiffness
+    # singular; graph vertex n_nodes + k is triangle k, linked to its corners
+    n_t = len(triangles)
+    starts = np.concatenate([np.zeros(n_nodes, dtype=np.int64), 3 * np.arange(n_t + 1)])
+    links = csr_matrix((np.ones(3 * n_t), triangles.ravel(), starts),
+                       shape=(n_nodes + n_t, n_nodes + n_t))
+    part = csgraph.connected_components(links, directed=False)[1][:n_nodes]
+    held = np.zeros(part.max() + 1, dtype=bool)
+    held[part[is_dirichlet]] = True
+    loose = np.flatnonzero(~held[part])
+    if loose.size:
+        raise MeshError("invariant violated: the mesh part containing node "
+                        f"{loose[0]} has no Dirichlet node")
 
 
 def _hat_gradients(nodes, triangles, areas):

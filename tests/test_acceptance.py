@@ -13,7 +13,7 @@ import pytest
 
 from conftest import (dense_poisson_velocity, dense_projected_newton_step,
                       fd_gradient, fd_hessian, random_stress_blocks)
-from ductflow.augmented_lagrangian import Alg2Config, shrink_magnitude, solve_alg2
+from ductflow.augmented_lagrangian import Alg2Config, _shrink_field, solve_alg2
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh
 from ductflow.objective import FluidParams, block_norms, gradient, hessian
@@ -277,7 +277,7 @@ def test_criterion_8_shrink_oracle():
         tau0 = float(rng.uniform(0.0, 2.0))
         w = float(rng.uniform(0.0, 5.0))
         params = FluidParams(alpha=alpha, kappa=kappa, tau0=tau0)
-        m = shrink_magnitude(params, r, w, tight)
+        m = float(_shrink_field(params, r, np.array([w]), tight, np.zeros(1))[0])
         if w <= tau0 and m != 0.0:
             zero_rule = False
         worst = max(worst, abs(m - bisect_magnitude(alpha, kappa, r, tau0, w)))

@@ -10,6 +10,7 @@ from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, load_mesh
 from ductflow.objective import FluidParams
 from ductflow.trust_region import TrsConfig, solve_trs
+from test_mesh import TWO_PART_MESH
 
 
 def read_json(path):
@@ -162,6 +163,32 @@ class TestSolveCommand:
         code = main(["solve", "--mesh", "disk:0", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "refinement must be >= 1" in capsys.readouterr().err
+
+    def test_non_finite_force_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["solve", "--mesh", "disk:2", "--force", "nan", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: force density must be finite\n"
+        assert not out.exists()
+
+    def test_factorisation_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        import ductflow.fem as fem
+
+        def singular(matrix, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+        monkeypatch.setattr(fem, "splu", singular)
+        code = main(["solve", "--mesh", "disk:2", "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: factorisation of D*D^T") and "Traceback" not in err
+
+    def test_mesh_part_without_dirichlet_node_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "two_parts.mesh"
+        path.write_text(TWO_PART_MESH)
+        code = main(["solve", "--mesh", f"file:{path}", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: invariant violated: the mesh part "
+                                           "containing node 3 has no Dirichlet node\n")
 
     def test_square_mesh_solves_without_analytic_error(self, tmp_path, capsys):
         out = tmp_path / "square"
@@ -353,6 +380,15 @@ class TestMeshCommands:
         path.write_text(body)
         assert main(["mesh", "check", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: line {line}: unexpected end of file")
+
+    def test_check_mesh_part_without_dirichlet_node_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "two_parts.mesh"
+        path.write_text(TWO_PART_MESH)
+        assert main(["mesh", "check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        assert captured.err == ("error: invariant violated: the mesh part "
+                                "containing node 3 has no Dirichlet node\n")
 
     def test_check_huge_node_index_exits_one(self, tmp_path, capsys):
         path = tmp_path / "huge.mesh"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import jiggled_disk_nodes, perturbed_disk
 from ductflow import mesh
+from ductflow.fem import assemble
 from ductflow.mesh import (MeshError, Triangulation, generate_disk_mesh, generate_square_mesh,
                            load_mesh, save_mesh)
 
@@ -75,6 +76,10 @@ def signed_areas(tri):
     v = p[:, 2] - p[:, 0]
     return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
 
+
+# Two triangles apart from each other; only the first has Dirichlet nodes.
+TWO_PART_MESH = ("nodes 6\n0 0 1\n1 0 1\n0 1 1\n5 5 0\n6 5 0\n5 6 0\n"
+                 "triangles 2\n0 1 2\n3 4 5\n")
 
 class TestDiskMesh:
     def test_coarse_mesh_is_valid(self):
@@ -160,7 +165,8 @@ class TestSquareMesh:
 class TestTriangleGeometry:
     def unit_right_triangle(self, shift=(0.0, 0.0), scale=1.0):
         base = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-        return Triangulation(scale * base + np.asarray(shift), [(0, 1, 2)], {0, 1, 2})
+        return Triangulation(scale * base + np.asarray(shift), [(0, 1, 2)],
+                             np.ones(3, dtype=bool))
 
     def test_reference_element(self):
         tri = self.unit_right_triangle()
@@ -266,6 +272,14 @@ class TestLoadSave:
         path = tmp_path / "free.mesh"
         path.write_text("nodes 3\n0 0 0\n1 0 0\n0 1 0\ntriangles 1\n0 1 2\n")
         with pytest.raises(MeshError, match="Dirichlet"):
+            load_mesh(path)
+
+    def test_part_without_dirichlet_node_rejected(self, tmp_path):
+        # one triangle held by no-slip nodes, a second one apart from it
+        # with none: its velocity would be fixed only up to a constant
+        path = tmp_path / "two_parts.mesh"
+        path.write_text(TWO_PART_MESH)
+        with pytest.raises(MeshError, match="mesh part containing node 3 has no Dirichlet node"):
             load_mesh(path)
 
     def test_bad_flag_rejected(self, tmp_path):
@@ -470,12 +484,43 @@ class TestBulkParse:
             assert a.shape == b.shape and np.array_equal(a, b)
 
 
+class TestDirichletMask:
+    NODES = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    BOW_TIE = [(0, 1, 2), (0, 3, 4)]  # two triangles sharing only node 0
+
+    @pytest.mark.parametrize("dirichlet", [{0, 1}, [0, 1], [1, 1, 0, 0, 0],
+                                           np.ones(4, dtype=bool)],
+                             ids=["index_set", "index_list", "int_flags", "short_mask"])
+    def test_only_a_boolean_mask_over_the_nodes(self, dirichlet):
+        with pytest.raises(MeshError, match="boolean mask over the 5 nodes"):
+            Triangulation(self.NODES, self.BOW_TIE, dirichlet)
+
+    def test_parts_joined_at_a_vertex_share_its_dirichlet_node(self):
+        # node 1 holds the first triangle, and through node 0 the second
+        mask = np.array([False, True, False, False, False])
+        tri = Triangulation(self.NODES, self.BOW_TIE, mask)
+        ops = assemble(tri, f=1.0)
+        y = ops.solve_stiffness(ops.f_h)
+        assert tri.n_free == 4 and np.all(np.isfinite(y))
+
+    def test_each_loose_part_is_named_by_its_first_node(self):
+        # three disjoint triangles, only the middle one held
+        nodes = [(3.0 * k + x, y) for k in range(3) for x, y in ((0, 0), (1, 0), (0, 1))]
+        mask = np.zeros(9, dtype=bool)
+        mask[3:6] = True
+        with pytest.raises(MeshError, match="containing node 0 has"):
+            Triangulation(nodes, [(0, 1, 2), (3, 4, 5), (6, 7, 8)], mask)
+        mask[:3] = True
+        with pytest.raises(MeshError, match="containing node 6 has"):
+            Triangulation(nodes, [(0, 1, 2), (3, 4, 5), (6, 7, 8)], mask)
+
+
 class TestConformity:
     def test_repeated_directed_edge_rejected(self):
         nodes = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
         # both triangles traverse edge (0, 1) in the same direction
         with pytest.raises(MeshError, match="non-conforming"):
-            Triangulation(nodes, [(0, 1, 2), (0, 1, 3)], {0, 1})
+            Triangulation(nodes, [(0, 1, 2), (0, 1, 3)], np.array([True, True, False, False]))
 
     def test_repeated_edge_deep_in_large_mesh_named(self):
         disk = generate_disk_mesh(40)
@@ -503,7 +548,7 @@ class TestConformity:
         # both triangles are clockwise, so reorienting them is no fold
         nodes = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
         with pytest.raises(MeshError, match=r"directed edge \(0, 1\) repeated"):
-            Triangulation(nodes, [(0, 2, 1), (0, 3, 1)], {0, 1})
+            Triangulation(nodes, [(0, 2, 1), (0, 3, 1)], np.array([True, True, False, False]))
 
     def test_shared_edges_have_both_orientations(self):
         tri = generate_disk_mesh(3)
@@ -517,4 +562,4 @@ class TestConformity:
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(MeshError, match="repeated"):
-            Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 1)], {0})
+            Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 1)], np.array([True, False, False]))

@@ -11,7 +11,7 @@ from ductflow.objective import (FluidParams, block_norms, gradient, hessian,
 
 
 def unit_right_triangle_ops():
-    tri = Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], {0, 1, 2})
+    tri = Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], np.ones(3, dtype=bool))
     return assemble(tri, f=1.0)
 
 
