@@ -7,7 +7,7 @@ minimisation or by the classical alternating-direction augmented
 Lagrangian (ALG2).
 """
 
-from .augmented_lagrangian import Alg2Config, solve_alg2
+from .augmented_lagrangian import Alg2Config, ShrinkConvergenceError, solve_alg2
 from .fem import DiscreteOperators, FactorizationError, assemble
 from .mesh import (MeshError, Triangulation, generate_disk_mesh, generate_square_mesh, load_mesh,
                    save_mesh)
@@ -18,7 +18,8 @@ from .trust_region import TrsConfig, cg_steihaug, solve_trs, update_radius
 
 __all__ = [
     "Alg2Config", "DiscreteOperators", "FactorizationError", "FluidParams",
-    "MeshError", "PipeSolution", "SolveReport", "Triangulation", "TrsConfig",
+    "MeshError", "PipeSolution", "ShrinkConvergenceError", "SolveReport", "Triangulation",
+    "TrsConfig",
     "assemble", "block_norms", "cg_steihaug",
     "exact_velocity", "generate_disk_mesh", "generate_square_mesh", "gradient", "hessian",
     "hessian_apply", "load_mesh", "objective",

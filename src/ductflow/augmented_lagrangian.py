@@ -9,8 +9,9 @@ parameter ``r`` and over-relaxation factor ``rho = _RELAXATION``:
                 ``w_k = tau_k + r g_k``, the relaxed gradient
                 ``g = rho grad y + (1 - rho) q_prev`` and magnitude ``m``
                 solving ``kappa m^(alpha-1) + r m = (|w_k| - tau0)_+``
-                (closed form for alpha = 2, scalar Newton in log space
-                otherwise, solved to rounding)
+                (closed form for alpha = 2 and alpha = 3/2, a quadratic
+                in ``sqrt(m)``; scalar Newton in log space otherwise,
+                solved to rounding)
 3. multiplier:  ``tau_k += r (g_k - q_k)``, which is ``w_k - r q_k``
 
 With ``rho = 1`` this is the classical ALG2.  Over-relaxation (Eckstein
@@ -40,14 +41,15 @@ residual from it passes too, and records that residual, so a solve
 evaluates the gradient once and ``converged`` means what it did when
 every pass evaluated it.
 
-The strain-rate Newton stops only once a log-space step is below
-``newton_reltol = 1e-8``; quadratic convergence then leaves a relative
-error near 1e-16, so the shrink step is exact to rounding and the outer
-residuals can fall to any tolerance the outer loop asks for.  Each
-iteration starts Newton from the previous iteration's magnitudes,
-clamped to the cold single-term start, which is an upper bound on the
-root; near the fixed point that costs no more passes than a loose cold
-solve.
+The strain-rate Newton, which serves every alpha but 2 and 3/2, stops
+only once a log-space step is below ``newton_reltol = 1e-8``; quadratic
+convergence then leaves a relative error near 1e-16, so the shrink step
+is exact to rounding and the outer residuals can fall to any tolerance
+the outer loop asks for.  Each iteration starts Newton from the previous
+iteration's magnitudes, clamped to the cold single-term start, which is
+an upper bound on the root; near the fixed point that costs no more
+passes than a loose cold solve.  The alpha = 3/2 closed form lands
+within a few ulps of the root and needs no warm start.
 
 Each iteration takes three sparse products: ``D q``, ``D^T y`` (shared
 by the gradient step and the stationarity residual) and ``D tau``
@@ -90,12 +92,33 @@ class Alg2Config:
             raise ValueError("max_outer must be at least 1")
 
 
+class ShrinkConvergenceError(RuntimeError):
+    """The strain-rate Newton left an element unconverged after ``_NEWTON_MAX`` sweeps."""
+
+
 def _shrink_field(params: FluidParams, r: float, w_norms: np.ndarray,
                   cfg: Alg2Config, previous: np.ndarray) -> np.ndarray:
     """Per element, the ``m >= 0`` solving ``kappa m^(alpha-1) + r m = (|w| - tau0)_+``,
-    exactly 0 at or below the yield stress; ``previous`` warm-starts
-    Newton and is zero where there is no previous root."""
+    exactly 0 at or below the yield stress.
+
+    Closed forms serve alpha = 2 (``m = rhs / (kappa + r)``) and alpha =
+    3/2, where the equation is the quadratic ``kappa s + r s^2 = rhs`` in
+    ``s = sqrt(m)``.  Its positive root is taken as ``s = 2 u / (c +
+    sqrt(c^2 + 4 r))`` with ``u = sqrt(rhs)`` and ``c = kappa / u``: no
+    cancellation, and no overflow of ``4 r rhs`` as in the textbook ``2 rhs
+    / (kappa + sqrt(kappa^2 + 4 r rhs))``.  Where ``rhs = 0``, ``c`` is
+    infinite and ``s`` exactly 0; where ``c^2`` overflows, the root is
+    below the double range anyway.  Every other alpha runs
+    ``_newton_magnitudes`` on the elements above the yield stress, with
+    ``previous`` as warm start (zero where there is no previous root).
+    """
     rhs = np.maximum(w_norms - params.tau0, 0.0)
+    if params.alpha == 1.5:
+        with np.errstate(divide="ignore", over="ignore"):
+            u = np.sqrt(rhs)
+            c = params.kappa / u
+            s = 2.0 * u / (c + np.sqrt(c * c + 4.0 * r))
+        return s * s
     m = rhs / (params.kappa + r)
     if params.alpha == 2.0:
         return m
@@ -112,7 +135,7 @@ def _shrink_field(params: FluidParams, r: float, w_norms: np.ndarray,
 _LOG_TINY = -700.0
 
 # Newton passes allowed per shrink step; an element still unconverged
-# after them raises RuntimeError naming it.
+# after them raises ShrinkConvergenceError naming it.
 _NEWTON_MAX = 100
 
 
@@ -178,9 +201,9 @@ def _newton_magnitudes(alpha, kappa, r, rhs, w_norms, elements, cfg, previous):
                 break
         else:
             i = np.flatnonzero(~done)[0]
-            raise RuntimeError(
-                f"strain-rate Newton did not converge on element {elements[i]} "
-                f"(|w| = {w_norms[i]!r}, residual {psi[i]!r})"
+            raise ShrinkConvergenceError(
+                f"strain-rate Newton did not converge on element {int(elements[i])} "
+                f"(|w| = {float(w_norms[i])!r}, residual {float(psi[i])!r})"
             )
     return np.where(live, np.exp(t), 0.0)
 

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import export
-from .augmented_lagrangian import Alg2Config, solve_alg2
+from .augmented_lagrangian import Alg2Config, ShrinkConvergenceError, solve_alg2
 from .experiments import reproduce_tables
 from .fem import FactorizationError, assemble
 from .mesh import generate_disk_mesh, generate_square_mesh, load_mesh, save_mesh
@@ -113,6 +113,9 @@ def run(cfg: RunConfig) -> int:
 
         if cfg.solver == "both":
             _print_comparison(results, tri)
+    except ShrinkConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -214,8 +217,12 @@ _OPTIONS = (
     _Option("max_outer", int, "TRS: outer-iteration cap", "trs.max_outer"),
     _Option("r", float, "ALG2: augmentation parameter", "alg2.r"),
     _Option("alg2_max_outer", int, "ALG2: iteration cap", "alg2.max_outer"),
-    _Option("newton_abstol", float, "ALG2: Newton residual tolerance", "alg2.newton_abstol"),
-    _Option("newton_reltol", float, "ALG2: Newton log-step tolerance", "alg2.newton_reltol"),
+    _Option("newton_abstol", float,
+            "ALG2: Newton residual tolerance (used only when alpha is not 2 or 3/2)",
+            "alg2.newton_abstol"),
+    _Option("newton_reltol", float,
+            "ALG2: Newton log-step tolerance (used only when alpha is not 2 or 3/2)",
+            "alg2.newton_reltol"),
 )
 _BY_NAME = {opt.name: opt for opt in _OPTIONS}
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,8 +9,8 @@ from scipy.sparse.linalg import spsolve
 
 from conftest import dense_poisson_velocity
 from ductflow import augmented_lagrangian
-from ductflow.augmented_lagrangian import (_RELAXATION, Alg2Config, _newton_magnitudes,
-                                           _shrink_field, solve_alg2)
+from ductflow.augmented_lagrangian import (_RELAXATION, Alg2Config, ShrinkConvergenceError,
+                                           _newton_magnitudes, _shrink_field, solve_alg2)
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, generate_square_mesh
 from ductflow.objective import FluidParams, gradient, objective
@@ -74,22 +76,23 @@ class TestShrinkMagnitude:
         assert np.abs(newton - closed).max() <= 1e-12
 
     def test_newton_failure_names_element(self, monkeypatch):
-        params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.0)
+        # a cold start at w = 5 needs five passes here
+        params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.0)
         cramped = Alg2Config(newton_abstol=1e-13, newton_reltol=1e-16)
         monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
-        with pytest.raises(RuntimeError, match="element 0"):
+        with pytest.raises(ShrinkConvergenceError, match="element 0"):
             cold_shrink(params, 10.0, 5.0, cramped)
 
     def test_newton_failure_skips_converged_elements(self, monkeypatch):
         # element 0 starts 1e-4 off its root and meets the step test in one
         # pass, still with a residual far above newton_abstol; element 1
         # starts cold and needs three passes
-        params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.0)
+        params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.0)
         (root,) = cold_shrink(params, 10.0, 1.0, TIGHT)
         previous = np.array([root * (1.0 + 1e-4), 0.0])
         cfg = Alg2Config(newton_reltol=1e-3)
         monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 2)
-        with pytest.raises(RuntimeError, match=r"element 1\b"):
+        with pytest.raises(ShrinkConvergenceError, match=r"element 1\b"):
             _shrink_field(params, 10.0, np.array([1.0, 5.0]), cfg, previous)
 
     def test_warm_start_at_root_takes_one_pass(self, monkeypatch):
@@ -141,6 +144,39 @@ def bisect_to_rounding(alpha, kappa, r, rhs):
             hi = mid
         else:
             lo = mid
+
+
+class TestThreeHalvesClosedForm:
+    """At alpha = 3/2 the shrink equation is a quadratic in sqrt(m), solved in closed form."""
+
+    @pytest.mark.parametrize("kappa", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("r", [0.5, 10.0, 50.0])
+    def test_within_eight_eps_of_bisection(self, kappa, r):
+        # rhs 1e-150 ... 1e300 keeps every root a normal double
+        rhs = 10.0 ** np.arange(-150.0, 301.0, 25.0)
+        got = cold_shrink(FluidParams(alpha=1.5, kappa=kappa, tau0=0.0), r, rhs, TIGHT)
+        want = np.array([bisect_to_rounding(1.5, kappa, r, b) for b in rhs])
+        assert np.all(np.abs(got - want) <= 8.0 * np.finfo(float).eps * want)
+
+    def test_finite_where_four_r_rhs_overflows(self):
+        # the textbook 2 rhs / (kappa + sqrt(kappa^2 + 4 r rhs)) is NaN here
+        (m,) = cold_shrink(FluidParams(alpha=1.5, kappa=1.0, tau0=0.0), 10.0, 1e308, TIGHT)
+        want = bisect_to_rounding(1.5, 1.0, 10.0, 1e308)
+        assert np.isfinite(m) and abs(m - want) <= 8.0 * np.finfo(float).eps * want
+
+    def test_smallest_subnormal_rhs_is_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (m,) = cold_shrink(FluidParams(alpha=1.5, kappa=1.0, tau0=0.0), 10.0, 5e-324, TIGHT)
+        assert np.isfinite(m) and m >= 0.0
+
+    def test_matches_newton_branch(self):
+        rng = np.random.default_rng(31)
+        w = 0.2 + 3.0 * rng.random(50)
+        rhs = w - 0.2
+        newton = _newton_magnitudes(1.5, 1.0, 10.0, rhs, w, np.arange(50), TIGHT, np.zeros(50))
+        closed = cold_shrink(FluidParams(alpha=1.5, kappa=1.0, tau0=0.2), 10.0, w, TIGHT)
+        np.testing.assert_allclose(closed, newton, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.75, 1.9])

@@ -182,6 +182,17 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: factorisation of D*D^T") and "Traceback" not in err
 
+    def test_unconverged_shrink_newton_exits_two(self, tmp_path, capsys):
+        # both tolerances are valid, but no Newton step gets below them;
+        # alpha = 1.75 because alpha = 2 and 3/2 shrink in closed form
+        code = main(["solve", "--solver", "alg2", "--mesh", "disk:4", "--alpha", "1.75",
+                     "--newton-abstol", "1e-300", "--newton-reltol", "1e-300",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: strain-rate Newton did not converge on element 0 (|w| = 0.")
+        assert "np.float64" not in err and "Traceback" not in err
+
     def test_mesh_part_without_dirichlet_node_exits_one(self, tmp_path, capsys):
         path = tmp_path / "two_parts.mesh"
         path.write_text(TWO_PART_MESH)
