@@ -217,12 +217,6 @@ _OPTIONS = (
     _Option("max_outer", int, "TRS: outer-iteration cap", "trs.max_outer"),
     _Option("r", float, "ALG2: augmentation parameter", "alg2.r"),
     _Option("alg2_max_outer", int, "ALG2: iteration cap", "alg2.max_outer"),
-    _Option("newton_abstol", float,
-            "ALG2: Newton residual tolerance (used only when alpha is not 2 or 3/2)",
-            "alg2.newton_abstol"),
-    _Option("newton_reltol", float,
-            "ALG2: Newton log-step tolerance (used only when alpha is not 2 or 3/2)",
-            "alg2.newton_reltol"),
 )
 _BY_NAME = {opt.name: opt for opt in _OPTIONS}
 

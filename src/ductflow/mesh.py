@@ -12,6 +12,12 @@ Plain-text file format (whitespace separated, ``#`` starts a comment)::
     triangles <n_T>
     i j k                       # 0-based node indices
 
+``load_mesh`` is one reader: it walks the content lines once, checks
+each header's count against the lines left, and reads each section with
+one ``np.loadtxt`` call.  Only a section that loadtxt cannot read (a bad
+line, a NUL, or a ``_`` digit separator, which ``float`` and ``int``
+accept) is read one row at a time, naming the first bad line.
+
 Triangles stored clockwise in a file are reoriented on load; a triangle
 folded over a neighbour (oriented against it) is rejected as inverted.
 
@@ -312,22 +318,42 @@ _COMMENT = re.compile("#[^\n]*")
 _NODE_ROW = np.dtype([("x", float), ("y", float), ("flag", np.int64)])
 
 
-class _Irregular(ValueError):
-    """The bulk parser met something only the line-by-line parser names."""
-
-
 def load_mesh(path) -> Triangulation:
     """Read a mesh file, validating all Triangulation invariants.
 
-    Each section is converted in bulk.  Only when that fails are the
-    lines walked one at a time, to name the first bad line.
+    Header counts are checked against the content lines left before
+    anything is allocated; each section is then read in bulk, or by row
+    where the bulk read fails (see the module docstring).
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
-    try:
-        nodes, flags, triangles = _parse_bulk(lines)
-    except ValueError:  # MeshError and _Irregular included
-        nodes, flags, triangles = _parse_lines(lines)
+    text = "".join(lines)
+    content = _content_lines(text, len(lines))
+    # str.split keeps a NUL inside its token, and loadtxt need not: read by row
+    bulk = "\0" not in text
+
+    def section(at, keyword, what):
+        """Content-line indices of the rows under the header ``content[at]``."""
+        if at == content.size:
+            raise MeshError(f"line {len(lines) + 1}: unexpected end of file, "
+                            f"expected '{keyword} <count>'")
+        lineno = int(content[at]) + 1
+        count = _count(_fields(lines[content[at]]), lineno, keyword, what)
+        # before allocating: a count beyond the file's own length would
+        # otherwise ask for an array of any size
+        left = content.size - at - 1
+        if count > left:
+            raise MeshError(f"line {lineno}: unexpected end of file, {count} {keyword} "
+                            f"announced but {left} content line(s) follow")
+        return content[at + 1:at + 1 + count]
+
+    node_rows = section(0, "nodes", "node count")
+    nodes, flags = _read_nodes(lines, node_rows, bulk)
+    triangle_rows = section(node_rows.size + 1, "triangles", "triangle count")
+    triangles = _read_triangles(lines, triangle_rows, bulk)
+    end = node_rows.size + triangle_rows.size + 2
+    if end < content.size:
+        raise MeshError(f"line {content[end] + 1}: trailing content after triangle list")
     return Triangulation(nodes, triangles, flags)
 
 
@@ -345,51 +371,6 @@ def _content_lines(text, n_lines):
     return np.flatnonzero(np.logical_or.reduceat(_non_blank(chars), starts))
 
 
-def _parse_bulk(lines):
-    """``(nodes, flags, triangles)`` of a well-formed file.
-
-    Raises ``ValueError`` for anything else, without naming a line.
-    Numbers go through the C parser of ``np.loadtxt``, which splits on
-    the same whitespace as ``str.split`` and reads a token as ``float``
-    and ``int`` do, apart from rejecting ``_`` digit separators.
-    """
-    text = "".join(lines)
-    if not text or "\0" in text:  # loadtxt reads some NULs as line ends
-        raise _Irregular
-    content = _content_lines(text, len(lines))
-
-    def header(at, keyword, what):
-        if at >= content.size:
-            raise _Irregular
-        lineno = int(content[at]) + 1
-        return _count(_fields(lines[content[at]]), lineno, keyword, what)
-
-    def rows(first, count, dtype, shape):
-        if count == 0:
-            return np.zeros(shape, dtype=dtype)
-        if first + count > content.size:
-            raise _Irregular
-        # blank and comment lines between content lines are skipped by loadtxt
-        block = lines[content[first]:content[first + count - 1] + 1]
-        values = np.loadtxt(block, dtype=dtype, ndmin=len(shape))
-        if values.shape != shape:
-            raise _Irregular
-        return values
-
-    n_nodes = header(0, "nodes", "node count")
-    node_rows = rows(1, n_nodes, _NODE_ROW, (n_nodes,))
-    n_triangles = header(n_nodes + 1, "triangles", "triangle count")
-    triangles = rows(n_nodes + 2, n_triangles, np.int64, (n_triangles, 3))
-    if content.size != n_nodes + n_triangles + 2:
-        raise _Irregular
-
-    nodes = np.column_stack([node_rows["x"], node_rows["y"]])
-    flags = node_rows["flag"]
-    if not (np.isfinite(nodes).all() and ((flags == 0) | (flags == 1)).all()):
-        raise _Irregular
-    return nodes, flags == 1, triangles
-
-
 def _fields(raw):
     return raw.split("#", 1)[0].split()
 
@@ -404,42 +385,46 @@ def _count(fields, lineno, keyword, what):
     return count
 
 
-def _parse_lines(lines):
-    """``(nodes, flags, triangles)``, walking the lines one at a time.
+def _loadtxt(lines, rows, dtype, shape):
+    """The lines ``rows`` read by ``np.loadtxt``, or None if it cannot.
 
-    Raises ``MeshError`` naming the first bad line.
+    Its C parser splits on the same whitespace as ``str.split`` and
+    reads a token as ``float`` and ``int`` do, apart from rejecting
+    ``_`` digit separators.  Blank and comment lines between the rows
+    are skipped.
     """
-    tokens = []  # (line_number, [fields])
-    for lineno, raw in enumerate(lines, start=1):
-        fields = _fields(raw)
-        if fields:
-            tokens.append((lineno, fields))
+    if rows.size == 0:
+        return None
+    try:
+        values = np.loadtxt(lines[rows[0]:rows[-1] + 1], dtype=dtype, ndmin=len(shape))
+    except ValueError:
+        return None
+    return values if values.shape == shape else None
 
-    pos = 0
 
-    def take(what):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise MeshError(f"line {len(lines) + 1}: unexpected end of file, expected {what}")
-        item = tokens[pos]
-        pos += 1
-        return item
+def _read_nodes(lines, rows, bulk):
+    """Coordinates and Dirichlet mask of the node lines ``rows``."""
+    values = _loadtxt(lines, rows, _NODE_ROW, rows.shape) if bulk else None
+    if values is not None:
+        nodes = np.column_stack([values["x"], values["y"]])
+        flags = values["flag"]
+        if np.isfinite(nodes).all() and ((flags == 0) | (flags == 1)).all():
+            return nodes, flags == 1
+    return _node_rows(lines, rows)
 
-    def check_count(count, lineno, what):
-        # before allocating: a header count beyond the file's own length
-        # would otherwise ask for an array of any size
-        if count > len(tokens) - pos:
-            raise MeshError(f"line {lineno}: unexpected end of file, {count} {what} "
-                            f"announced but {len(tokens) - pos} content line(s) follow")
 
-    lineno, fields = take("'nodes <count>'")
-    n_nodes = _count(fields, lineno, "nodes", "node count")
-    check_count(n_nodes, lineno, "nodes")
+def _read_triangles(lines, rows, bulk):
+    """Node indices of the triangle lines ``rows``."""
+    values = _loadtxt(lines, rows, np.int64, (rows.size, 3)) if bulk else None
+    return _triangle_rows(lines, rows) if values is None else values
 
-    nodes = np.empty((n_nodes, 2))
-    flags = np.empty(n_nodes, dtype=bool)
-    for i in range(n_nodes):
-        lineno, fields = take("a node line 'x y flag'")
+
+def _node_rows(lines, rows):
+    """``_read_nodes`` one line at a time, naming the first bad line."""
+    nodes = np.empty((rows.size, 2))
+    flags = np.empty(rows.size, dtype=bool)
+    for i, at in enumerate(rows.tolist()):
+        lineno, fields = at + 1, _fields(lines[at])
         if len(fields) != 3:
             raise MeshError(f"line {lineno}: expected 'x y dirichlet_flag'")
         nodes[i, 0] = _parse_float(fields[0], lineno, "x coordinate")
@@ -448,14 +433,14 @@ def _parse_lines(lines):
         if flag not in (0, 1):
             raise MeshError(f"line {lineno}: dirichlet flag must be 0 or 1, got {flag}")
         flags[i] = bool(flag)
+    return nodes, flags
 
-    lineno, fields = take("'triangles <count>'")
-    n_triangles = _count(fields, lineno, "triangles", "triangle count")
-    check_count(n_triangles, lineno, "triangles")
 
-    triangles = np.empty((n_triangles, 3), dtype=np.int64)
-    for i in range(n_triangles):
-        lineno, fields = take("a triangle line 'i j k'")
+def _triangle_rows(lines, rows):
+    """``_read_triangles`` one line at a time, naming the first bad line."""
+    triangles = np.empty((rows.size, 3), dtype=np.int64)
+    for i, at in enumerate(rows.tolist()):
+        lineno, fields = at + 1, _fields(lines[at])
         if len(fields) != 3:
             raise MeshError(f"line {lineno}: expected three node indices")
         for c in range(3):
@@ -463,11 +448,7 @@ def _parse_lines(lines):
                 triangles[i, c] = _parse_int(fields[c], lineno, "node index")
             except OverflowError:  # beyond int64, so beyond any node count
                 raise MeshError(f"line {lineno}: node index {fields[c]!r} out of range") from None
-
-    if pos != len(tokens):
-        lineno = tokens[pos][0]
-        raise MeshError(f"line {lineno}: trailing content after triangle list")
-    return nodes, flags, triangles
+    return triangles
 
 
 def save_mesh(tri: Triangulation, path) -> None:

@@ -97,7 +97,7 @@ def block_norms(tau: np.ndarray) -> np.ndarray:
 
 
 def objective(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> float:
-    excess = np.maximum(block_norms(tau) - params.tau0, 0.0)
+    excess = _norms_and_excess(params, tau)[1]
     coeff = 1.0 / (params.alpha_prime * params.kappa_pow)
     return coeff * float(np.dot(ops.tri.areas, excess ** params.alpha_prime))
 

@@ -7,6 +7,7 @@ surface only when the benchmark itself runs.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -96,6 +97,21 @@ def test_workload_names_resolve():
                 and node.value.id in modules):
             assert hasattr(modules[node.value.id], node.attr), f"{node.value.id}.{node.attr}"
 
+
+
+def test_reference_generator_keywords_are_config_fields():
+    # nothing runs make_square_refs.py, so a config field it sets and the
+    # package drops would break the reference generator silently
+    tree = ast.parse((PERFBENCH / "make_square_refs.py").read_text(encoding="utf-8"))
+    configs = {"Alg2Config": Alg2Config, "TrsConfig": TrsConfig}
+    used = {name: set() for name in configs}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in configs):
+            used[node.func.id].update(kw.arg for kw in node.keywords)
+    for name, keywords in used.items():
+        fields = {field.name for field in dataclasses.fields(configs[name])}
+        assert keywords and keywords <= fields, (name, keywords - fields)
 
 def test_writers_accept_the_benchmark_calls(tmp_path):
     # the call shapes of workloads.Pass.export and Pass.mesh_round_trip

@@ -320,8 +320,8 @@ class TestLoadSave:
 SQUARE = "nodes 3\n0 0 1\n1 0 1\n0 1 1\ntriangles 1\n0 1 2\n"
 NODES_3 = "nodes 3\n0 0 1\n1 0 1\n"
 
-# Malformed files and the exact message the line-by-line parser gives;
-# the bulk parser must leave every one of them unchanged.
+# Malformed files and the exact message the reader gives, whether the
+# bad section is met in bulk or one row at a time.
 MALFORMED = [
     ("bad_float", NODES_3.replace("1 0 1", "1 oops 1") + "0 1 1\n",
      "line 3: invalid y coordinate 'oops'"),
@@ -343,7 +343,7 @@ MALFORMED = [
      "line 6: expected three node indices"),
     ("bad_index", SQUARE.replace("0 1 2\n", "0 1 two\n"), "line 6: invalid node index 'two'"),
     ("float_index", SQUARE.replace("0 1 2\n", "0 1 2.0\n"), "line 6: invalid node index '2.0'"),
-    # beyond int64: the line walk must not let numpy's OverflowError through
+    # beyond int64: reading by row must not let numpy's OverflowError through
     ("huge_index", SQUARE.replace("0 1 2\n", "0 1 99999999999999999999\n"),
      "line 6: node index '99999999999999999999' out of range"),
     ("huge_negative_index", SQUARE.replace("0 1 2\n", "-9223372036854775809 1 2\n"),
@@ -394,8 +394,10 @@ MALFORMED = [
 
 
 def bulk_only():
-    """Make the line-by-line parser fail, so a load must succeed in bulk."""
-    return mock.patch.object(mesh, "_parse_lines", side_effect=AssertionError("walked"))
+    """Make reading rows one at a time fail, so every section must be read in bulk."""
+    walked = AssertionError("walked")
+    return mock.patch.multiple(mesh, _node_rows=mock.Mock(side_effect=walked),
+                               _triangle_rows=mock.Mock(side_effect=walked))
 
 
 class TestBulkParse:
@@ -425,7 +427,7 @@ class TestBulkParse:
             tri = load_mesh(path)
         assert mesh_arrays_equal(tri, load_mesh(plain))
 
-    def test_digit_separators_fall_back_to_the_line_walk(self, tmp_path):
+    def test_digit_separators_fall_back_to_row_reading(self, tmp_path):
         # float() and int() accept "0_1"; loadtxt does not
         path = tmp_path / "underscores.mesh"
         path.write_text(SQUARE.replace("1 0 1", "0_1 0 1").replace("0 1 2", "0 0_1 2"))
@@ -434,6 +436,20 @@ class TestBulkParse:
         with pytest.raises(AssertionError, match="walked"), bulk_only():
             load_mesh(path)
         assert mesh_arrays_equal(load_mesh(path), load_mesh(plain))
+
+    def test_only_the_section_loadtxt_cannot_read_is_read_by_row(self, tmp_path):
+        # the node rows are read in bulk; only the triangle rows, which
+        # hold a digit separator, are read one at a time
+        path = tmp_path / "underscores.mesh"
+        path.write_text(SQUARE.replace("0 1 2", "0 0_1 2"))
+        plain = tmp_path / "plain.mesh"
+        plain.write_text(SQUARE)
+        node_rows = mock.Mock(side_effect=AssertionError("walked"))
+        triangle_rows = mock.Mock(wraps=mesh._triangle_rows)
+        with mock.patch.multiple(mesh, _node_rows=node_rows, _triangle_rows=triangle_rows):
+            tri = load_mesh(path)
+        assert triangle_rows.call_count == 1
+        assert mesh_arrays_equal(tri, load_mesh(plain))
 
     def test_whitespace_mask_matches_str_isspace(self):
         codes = np.arange(128, dtype=np.uint8)
@@ -466,22 +482,28 @@ class TestBulkParse:
     @given(edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 2),
                                     st.sampled_from("0123456789.-+e_n#\n \t\f\x1c\x00xi")),
                           min_size=1, max_size=4))
-    def test_bulk_result_is_the_line_walk_result(self, edits):
-        # whenever the bulk parser accepts a corrupted file, the line
-        # walk accepts it too and reads the same arrays
+    def test_bulk_result_is_the_row_by_row_result(self, edits):
+        # whenever a section of a corrupted file is read in bulk, reading
+        # its rows one at a time accepts them too and gives the same arrays
         text = SQUARE.replace("triangles 1\n0 1 2\n", "0.5 0.5 0\ntriangles 3\n0 1 3\n1 2 3\n"
                               "2 0 3\n").replace("nodes 3", "nodes 4")
         for at, drop, char in edits:
             at = at % (len(text) + 1)
             text = text[:at] + char + text[at + drop:]
         lines = io.StringIO(text).readlines()
-        try:
-            bulk = mesh._parse_bulk(lines)
-        except ValueError:
-            return
-        walk = mesh._parse_lines(lines)
-        for a, b in zip(bulk, walk):
-            assert a.shape == b.shape and np.array_equal(a, b)
+        content = mesh._content_lines(text, len(lines))
+        bulk = "\0" not in text
+        # the rows below each header of the uncorrupted layout
+        for read, by_row, rows in [(mesh._read_nodes, "_node_rows", content[1:5]),
+                                   (mesh._read_triangles, "_triangle_rows", content[6:9])]:
+            with bulk_only():
+                try:
+                    got = read(lines, rows, bulk)
+                except AssertionError:
+                    continue  # not read in bulk
+            expected = getattr(mesh, by_row)(lines, rows)
+            for a, b in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, expected))):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 class TestDirichletMask:
