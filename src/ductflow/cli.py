@@ -7,8 +7,11 @@ Subcommands::
     ductflow mesh gen   --refinement N --out FILE
     ductflow mesh check FILE
 
-Exit codes: 0 success, 1 configuration or argument error, 2 solver
-non-convergence, 3 I/O error.  Every ``solve`` option is both a flag
+Exit codes: 0 success; 1 configuration, argument or mesh error, or a
+failed factorisation; 2 solver non-convergence, including a strain-rate
+Newton failure in ``solve`` or ``reproduce``; 3 I/O error.  Every command
+maps failures the same way: ``main`` alone prints the ``error:`` line
+and picks the code.  Every ``solve`` option is both a flag
 (``--max-outer``) and a key of a ``key = value`` file read with
 ``--config`` (``max_outer``); flags win over the file.
 """
@@ -40,7 +43,7 @@ EXIT_IO = 3
 _FORMATS = ("csv", "vtk", "json")
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -69,57 +72,42 @@ class RunConfig:
 
 def run(cfg: RunConfig) -> int:
     """Execute one solve per requested solver and write all outputs."""
-    try:
-        tri, is_disk = _make_mesh(cfg.mesh)
-        params = FluidParams(alpha=cfg.alpha, kappa=cfg.kappa, tau0=cfg.tau0)
-        ops = assemble(tri, f=cfg.force)
-    except (ConfigError, ValueError, FactorizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    tri, is_disk = _make_mesh(cfg.mesh)
+    params = FluidParams(alpha=cfg.alpha, kappa=cfg.kappa, tau0=cfg.tau0)
+    ops = assemble(tri, f=cfg.force)
 
     sol = None
     if is_disk and cfg.kappa == 1.0 and cfg.force == 1.0:
         sol = PipeSolution(params)
 
-    try:
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-        all_converged = True
-        results = {}
-        for solver in ("trs", "alg2") if cfg.solver == "both" else (cfg.solver,):
-            if solver == "trs":
-                tau, y, rep = solve_trs(params, ops, cfg=cfg.trs)
-            else:
-                y, _, tau, rep = solve_alg2(params, ops, cfg=cfg.alg2)
-            results[solver] = (tau, y, rep)
-            all_converged &= rep.converged
+    all_converged = True
+    results = {}
+    for solver in ("trs", "alg2") if cfg.solver == "both" else (cfg.solver,):
+        if solver == "trs":
+            tau, y, rep = solve_trs(params, ops, cfg=cfg.trs)
+        else:
+            y, _, tau, rep = solve_alg2(params, ops, cfg=cfg.alg2)
+        results[solver] = (tau, y, rep)
+        all_converged &= rep.converged
 
-            error = None
-            if sol is not None and rep.converged:
-                try:
-                    error = relative_error(y, tri, sol)
-                except ValueError:  # the analytic profile is zero at every node
-                    pass
-            _write_solution(out_dir, solver, cfg, tri, tau, y, rep, error)
-            line = (f"[{solver}] status={rep.status} iterations={rep.iterations} "
-                    f"kkt={rep.kkt_history[-1]:.3e}")
-            if error is not None:
-                line += f" error_vs_analytic={error:.3e}"
-            print(line)
+        error = None
+        if sol is not None and rep.converged:
+            try:
+                error = relative_error(y, tri, sol)
+            except ValueError:  # the analytic profile is zero at every node
+                pass
+        _write_solution(out_dir, solver, cfg, tri, tau, y, rep, error)
+        line = (f"[{solver}] status={rep.status} iterations={rep.iterations} "
+                f"kkt={rep.kkt_history[-1]:.3e}")
+        if error is not None:
+            line += f" error_vs_analytic={error:.3e}"
+        print(line)
 
-        if cfg.solver == "both":
-            _print_comparison(results, tri)
-    except ShrinkConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    if cfg.solver == "both":
+        _print_comparison(results, tri)
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 
 
@@ -258,11 +246,8 @@ def _merged(args) -> RunConfig:
         for target in _BY_NAME[name].sets.split():
             section, _, attr = target.partition(".")
             kwargs[section][attr] = value
-    try:
-        return RunConfig(trs=TrsConfig(**kwargs["trs"]), alg2=Alg2Config(**kwargs["alg2"]),
-                         **kwargs["run"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(trs=TrsConfig(**kwargs["trs"]), alg2=Alg2Config(**kwargs["alg2"]),
+                     **kwargs["run"])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,52 +283,46 @@ def _build_parser():
 
 def _cmd_reproduce(args) -> int:
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        table = reproduce_tables(progress=lambda row: print(
-            f"  alpha={row.alpha:g} tau0={row.tau0:g} nodes={row.n_nodes} "
-            f"-> {row.status}", flush=True))
-        (out_dir / "tables.csv").write_text(table.to_csv(), encoding="ascii")
-        text = table.to_text()
-        (out_dir / "tables.txt").write_text(text, encoding="ascii")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out_dir.mkdir(parents=True, exist_ok=True)
+    table = reproduce_tables(progress=lambda row: print(
+        f"  alpha={row.alpha:g} tau0={row.tau0:g} nodes={row.n_nodes} "
+        f"-> {row.status}", flush=True))
+    (out_dir / "tables.csv").write_text(table.to_csv(), encoding="ascii")
+    text = table.to_text()
+    (out_dir / "tables.txt").write_text(text, encoding="ascii")
     print(text)
     return EXIT_OK if table.all_converged else EXIT_NOT_CONVERGED
 
 
 def _cmd_mesh(args) -> int:
-    try:
-        if args.mesh_command == "gen":
-            tri = generate_disk_mesh(args.refinement)
-            save_mesh(tri, args.out)
-            print(f"wrote {args.out}: {tri.n_nodes} nodes, {tri.n_triangles} triangles")
-        else:
-            tri = load_mesh(args.path)
-            print(f"OK: {tri.n_nodes} nodes ({tri.n_free} free), "
-                  f"{tri.n_triangles} triangles, area={tri.areas.sum():.6g}, "
-                  f"h={tri.h_max():.6g}")
-    except ValueError as exc:  # MeshError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if args.mesh_command == "gen":
+        tri = generate_disk_mesh(args.refinement)
+        save_mesh(tri, args.out)
+        print(f"wrote {args.out}: {tri.n_nodes} nodes, {tri.n_triangles} triangles")
+    else:
+        tri = load_mesh(args.path)
+        print(f"OK: {tri.n_nodes} nodes ({tri.n_free} free), "
+              f"{tri.n_triangles} triangles, area={tri.areas.sum():.6g}, "
+              f"h={tri.h_max():.6g}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place a failure becomes an exit code."""
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "solve":
             return run(_merged(args))
-    except ConfigError as exc:
+        if args.command == "reproduce":
+            return _cmd_reproduce(args)
+        return _cmd_mesh(args)
+    # ValueError covers ConfigError, MeshError, the parameter range checks
+    # and a non-ASCII mesh file
+    except (ValueError, FactorizationError, ShrinkConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.command == "reproduce":
-        return _cmd_reproduce(args)
-    return _cmd_mesh(args)
+        if isinstance(exc, ShrinkConvergenceError):
+            return EXIT_NOT_CONVERGED
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ Plain-text file format (whitespace separated, ``#`` starts a comment)::
 ``load_mesh`` is one reader: it walks the content lines once, checks
 each header's count against the lines left, and reads each section with
 one ``np.loadtxt`` call.  Only a section that loadtxt cannot read (a bad
-line, a NUL, or a ``_`` digit separator, which ``float`` and ``int``
-accept) is read one row at a time, naming the first bad line.
+line, or a ``_`` digit separator, which ``float`` and ``int`` accept) is
+read one row at a time, naming the first bad line.
 
 Triangles stored clockwise in a file are reoriented on load; a triangle
 folded over a neighbour (oriented against it) is rejected as inverted.
@@ -329,8 +329,6 @@ def load_mesh(path) -> Triangulation:
         lines = fh.readlines()
     text = "".join(lines)
     content = _content_lines(text, len(lines))
-    # str.split keeps a NUL inside its token, and loadtxt need not: read by row
-    bulk = "\0" not in text
 
     def section(at, keyword, what):
         """Content-line indices of the rows under the header ``content[at]``."""
@@ -348,9 +346,9 @@ def load_mesh(path) -> Triangulation:
         return content[at + 1:at + 1 + count]
 
     node_rows = section(0, "nodes", "node count")
-    nodes, flags = _read_nodes(lines, node_rows, bulk)
+    nodes, flags = _read_nodes(lines, node_rows)
     triangle_rows = section(node_rows.size + 1, "triangles", "triangle count")
-    triangles = _read_triangles(lines, triangle_rows, bulk)
+    triangles = _read_triangles(lines, triangle_rows)
     end = node_rows.size + triangle_rows.size + 2
     if end < content.size:
         raise MeshError(f"line {content[end] + 1}: trailing content after triangle list")
@@ -402,9 +400,9 @@ def _loadtxt(lines, rows, dtype, shape):
     return values if values.shape == shape else None
 
 
-def _read_nodes(lines, rows, bulk):
+def _read_nodes(lines, rows):
     """Coordinates and Dirichlet mask of the node lines ``rows``."""
-    values = _loadtxt(lines, rows, _NODE_ROW, rows.shape) if bulk else None
+    values = _loadtxt(lines, rows, _NODE_ROW, rows.shape)
     if values is not None:
         nodes = np.column_stack([values["x"], values["y"]])
         flags = values["flag"]
@@ -413,9 +411,9 @@ def _read_nodes(lines, rows, bulk):
     return _node_rows(lines, rows)
 
 
-def _read_triangles(lines, rows, bulk):
+def _read_triangles(lines, rows):
     """Node indices of the triangle lines ``rows``."""
-    values = _loadtxt(lines, rows, np.int64, (rows.size, 3)) if bulk else None
+    values = _loadtxt(lines, rows, np.int64, (rows.size, 3))
     return _triangle_rows(lines, rows) if values is None else values
 
 
@@ -460,31 +458,21 @@ def save_mesh(tri: Triangulation, path) -> None:
         fh.write(tri.triangle_text)
 
 
-# Rows per chunk in write_rows: bounds the per-value strings alive at once.
+# Rows per chunk in write_rows: bounds the joined rows, and the strings of
+# a numeric column's values, alive at once.
 _CHUNK_ROWS = 1 << 14
 
 
 def _chunks(column):
-    """Entries of ``column`` as strings, ``_CHUNK_ROWS`` at a time.
-
-    Text is split chunk by chunk, never whole, so no more than a chunk
-    of per-entry strings is alive at once.
-    """
-    if not isinstance(column, str):
-        for start in range(0, len(column), _CHUNK_ROWS):
-            yield map(repr, column[start:start + _CHUNK_ROWS].tolist())
-        return
-    text = column
-    while text:
-        lines = text.split("\n", _CHUNK_ROWS)
-        if len(lines) > _CHUNK_ROWS:
-            text = lines.pop()
-        else:
-            # the last chunk: drop the empty tail after a final newline
-            text = ""
-            if not lines[-1]:
-                lines.pop()
-        yield lines
+    """Entries of ``column`` as strings, ``_CHUNK_ROWS`` at a time."""
+    text = isinstance(column, str)
+    if text:
+        column = column.split("\n")
+        if not column[-1]:  # the empty entry after a final newline
+            column.pop()
+    for start in range(0, len(column), _CHUNK_ROWS):
+        chunk = column[start:start + _CHUNK_ROWS]
+        yield chunk if text else map(repr, chunk.tolist())
 
 
 def write_rows(fh, *columns, sep=" ") -> None:

@@ -210,9 +210,8 @@ def update_radius(delta: float, ared: float, pred: float, step_norm: float):
     return False, factor * step_norm
 
 
-def solve_trs(params: FluidParams, ops: DiscreteOperators,
-              tau_init: np.ndarray | None = None, cfg: TrsConfig | None = None):
-    """Run the outer trust-region loop.
+def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None = None):
+    """Run the outer trust-region loop from the feasible projection of zero.
 
     Returns ``(tau, y, report)`` where ``tau`` is the final feasible
     stress, ``y`` the least-squares velocity recovered from it and
@@ -223,9 +222,7 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators,
     cfg = cfg if cfg is not None else TrsConfig()
     start = time.perf_counter()
 
-    if tau_init is None:
-        tau_init = np.zeros(ops.n_stress)
-    tau = ops.project_feasible(tau_init)
+    tau = ops.project_feasible(np.zeros(ops.n_stress))
     delta = _DELTA0
 
     value = objective(params, ops, tau)

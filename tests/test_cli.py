@@ -370,6 +370,20 @@ class TestReproduceCommand:
         monkeypatch.setattr(cli, "reproduce_tables", lambda progress=None: broken)
         assert main(["reproduce", "--out", str(tmp_path / "t")]) == 2
 
+    def test_unconverged_shrink_newton_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the alpha = 1.75 cells shrink by Newton, and one sweep cannot
+        # converge from the cold start
+        import ductflow.cli as cli
+        from ductflow.experiments import reproduce_tables
+
+        monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
+        monkeypatch.setattr(cli, "reproduce_tables", lambda progress=None: reproduce_tables(
+            refinements=(4,), progress=progress))
+        assert main(["reproduce", "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: strain-rate Newton did not converge")
+        assert "Traceback" not in err
+
 
 class TestMeshCommands:
     def test_gen_and_check_round_trip(self, tmp_path, capsys):

@@ -492,13 +492,12 @@ class TestBulkParse:
             text = text[:at] + char + text[at + drop:]
         lines = io.StringIO(text).readlines()
         content = mesh._content_lines(text, len(lines))
-        bulk = "\0" not in text
         # the rows below each header of the uncorrupted layout
         for read, by_row, rows in [(mesh._read_nodes, "_node_rows", content[1:5]),
                                    (mesh._read_triangles, "_triangle_rows", content[6:9])]:
             with bulk_only():
                 try:
-                    got = read(lines, rows, bulk)
+                    got = read(lines, rows)
                 except AssertionError:
                     continue  # not read in bulk
             expected = getattr(mesh, by_row)(lines, rows)
