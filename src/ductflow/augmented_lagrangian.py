@@ -41,15 +41,16 @@ residual from it passes too, and records that residual, so a solve
 evaluates the gradient once and ``converged`` means what it did when
 every pass evaluated it.
 
-The strain-rate Newton, which serves every alpha but 2 and 3/2, stops
-only once a log-space step is below ``newton_reltol = 1e-8``; quadratic
-convergence then leaves a relative error near 1e-16, so the shrink step
-is exact to rounding and the outer residuals can fall to any tolerance
-the outer loop asks for.  Each iteration starts Newton from the previous
-iteration's magnitudes, clamped to the cold single-term start, which is
-an upper bound on the root; near the fixed point that costs no more
-passes than a loose cold solve.  The alpha = 3/2 closed form lands
-within a few ulps of the root and needs no warm start.
+The strain-rate Newton, which serves every alpha but 2 and 3/2, is one
+Newton over the whole field, and stops only once a log-space step is
+below ``newton_reltol = 1e-8``; quadratic convergence then leaves a
+relative error near 1e-16, so the shrink step is exact to rounding and
+the outer residuals can fall to any tolerance the outer loop asks for.
+Each iteration starts Newton from the previous iteration's magnitudes,
+clamped to the cold single-term start, which is an upper bound on the
+root; near the fixed point that costs no more passes than a loose cold
+solve.  The alpha = 3/2 closed form lands within a few ulps of the root
+and needs no warm start.
 
 Each iteration takes three sparse products: ``D q``, ``D^T y`` (shared
 by the gradient step and the stationarity residual) and ``D tau``
@@ -109,8 +110,8 @@ def _shrink_field(params: FluidParams, r: float, w_norms: np.ndarray,
     / (kappa + sqrt(kappa^2 + 4 r rhs))``.  Where ``rhs = 0``, ``c`` is
     infinite and ``s`` exactly 0; where ``c^2`` overflows, the root is
     below the double range anyway.  Every other alpha runs
-    ``_newton_magnitudes`` on the elements above the yield stress, with
-    ``previous`` as warm start (zero where there is no previous root).
+    ``_newton_magnitudes`` on the whole field, with ``previous`` as warm
+    start (zero where there is no previous root).
     """
     rhs = np.maximum(w_norms - params.tau0, 0.0)
     if params.alpha == 1.5:
@@ -119,15 +120,9 @@ def _shrink_field(params: FluidParams, r: float, w_norms: np.ndarray,
             c = params.kappa / u
             s = 2.0 * u / (c + np.sqrt(c * c + 4.0 * r))
         return s * s
-    m = rhs / (params.kappa + r)
     if params.alpha == 2.0:
-        return m
-    active = np.flatnonzero(rhs > 0.0)
-    if active.size:
-        m[active] = _newton_magnitudes(
-            params.alpha, params.kappa, r, rhs[active], w_norms[active], active, cfg,
-            previous[active])
-    return m
+        return rhs / (params.kappa + r)
+    return _newton_magnitudes(params.alpha, params.kappa, r, rhs, w_norms, cfg, previous)
 
 
 # Roots below exp(_LOG_TINY) are not representable in double precision
@@ -139,7 +134,7 @@ _LOG_TINY = -700.0
 _NEWTON_MAX = 100
 
 
-def _newton_magnitudes(alpha, kappa, r, rhs, w_norms, elements, cfg, previous):
+def _newton_magnitudes(alpha, kappa, r, rhs, w_norms, cfg, previous):
     """Vectorised Newton for the scalar shrink equation, in log space.
 
     For alpha near 1 the root ``m`` of ``kappa m^(alpha-1) + r m = rhs``
@@ -166,6 +161,11 @@ def _newton_magnitudes(alpha, kappa, r, rhs, w_norms, elements, cfg, previous):
     residual of ``newton_abstol rhs`` is then a log error of at most
     ``newton_abstol / (alpha - 1)`` however close ``|w|`` is to the
     yield stress, where an absolute test would stop at once.
+
+    Elements whose root is below ``exp(_LOG_TINY)``, every one at or below
+    the yield stress (``rhs = 0``, ``t_cold = -inf``) among them, are done
+    before the first sweep and get an exact 0, so they need no gather and
+    change no other element's sweeps.
 
     Converged elements are not frozen: a further step on them moves ``t``
     by rounding only, and sweeping every element saves a per-sweep
@@ -202,7 +202,7 @@ def _newton_magnitudes(alpha, kappa, r, rhs, w_norms, elements, cfg, previous):
         else:
             i = np.flatnonzero(~done)[0]
             raise ShrinkConvergenceError(
-                f"strain-rate Newton did not converge on element {int(elements[i])} "
+                f"strain-rate Newton did not converge on element {int(i)} "
                 f"(|w| = {float(w_norms[i])!r}, residual {float(psi[i])!r})"
             )
     return np.where(live, np.exp(t), 0.0)

@@ -43,10 +43,6 @@ EXIT_IO = 3
 _FORMATS = ("csv", "vtk", "json")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass
 class RunConfig:
     solver: str = "trs"
@@ -62,12 +58,12 @@ class RunConfig:
 
     def __post_init__(self):
         if self.solver not in ("trs", "alg2", "both"):
-            raise ConfigError(f"unknown solver {self.solver!r} (use trs, alg2 or both)")
+            raise ValueError(f"unknown solver {self.solver!r} (use trs, alg2 or both)")
         if not self.formats:
-            raise ConfigError("at least one output format is required")
+            raise ValueError("at least one output format is required")
         for fmt in self.formats:
             if fmt not in _FORMATS:
-                raise ConfigError(f"unknown format {fmt!r} (use csv, vtk, json)")
+                raise ValueError(f"unknown format {fmt!r} (use csv, vtk, json)")
 
 
 def run(cfg: RunConfig) -> int:
@@ -156,13 +152,13 @@ def _make_mesh(spec: str):
         try:
             refinement = int(arg)
         except ValueError:
-            raise ConfigError(f"{kind} mesh needs an integer refinement, got {arg!r}") from None
+            raise ValueError(f"{kind} mesh needs an integer refinement, got {arg!r}") from None
         return _GENERATORS[kind](refinement), kind == "disk"
     if kind == "file":
         if not arg:
-            raise ConfigError("file mesh needs a path, e.g. file:duct.mesh")
+            raise ValueError("file mesh needs a path, e.g. file:duct.mesh")
         return load_mesh(arg), False
-    raise ConfigError(f"unknown mesh spec {spec!r} (use disk:N, square:N or file:PATH)")
+    raise ValueError(f"unknown mesh spec {spec!r} (use disk:N, square:N or file:PATH)")
 
 
 # -- argument handling -----------------------------------------------------
@@ -184,7 +180,7 @@ class _Option(NamedTuple):
         try:
             return self.parse(text)
         except ValueError:
-            raise ConfigError(f"{where}: invalid {self.name} value {text!r}") from None
+            raise ValueError(f"{where}: invalid {self.name} value {text!r}") from None
 
 
 def _formats(text):
@@ -216,20 +212,20 @@ def _read_config_file(path):
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: config file must be ASCII, found byte "
-                          f"{exc.object[exc.start]:#04x} at offset {exc.start}") from None
+        raise ValueError(f"{path}: config file must be ASCII, found byte "
+                         f"{exc.object[exc.start]:#04x} at offset {exc.start}") from None
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
         key, sep, value = text.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key = key.strip().replace("-", "_")
         if key not in _BY_NAME:
-            raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
         values[key] = _BY_NAME[key].value(f"{path}:{lineno}", value.strip())
     return values
 
@@ -251,10 +247,10 @@ def _merged(args) -> RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors exit 1 through ``ConfigError``, not argparse's 2."""
+    """Argument errors exit 1 through ``ValueError``, not argparse's 2."""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _build_parser():
@@ -316,8 +312,8 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             return _cmd_reproduce(args)
         return _cmd_mesh(args)
-    # ValueError covers ConfigError, MeshError, the parameter range checks
-    # and a non-ASCII mesh file
+    # ValueError covers option and config-file errors, MeshError, the
+    # parameter range checks and a non-ASCII mesh file
     except (ValueError, FactorizationError, ShrinkConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ShrinkConvergenceError):

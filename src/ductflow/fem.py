@@ -7,12 +7,13 @@ constraint matrix ``D`` has entry ``|T_k| * (grad phi_j)_c`` in row
 discrete momentum balance and ``D @ tau`` evaluates ``(tau, grad phi_j)``
 exactly (the integrands are piecewise constant, no quadrature error).
 
-``A`` is the diagonal of doubled triangle areas; ``D A^-1 D^T`` coincides
-with the standard P1 stiffness matrix on free nodes and ``A^-1 D^T`` is
-the discrete gradient.  Both SPD matrices, ``D D^T`` and ``D A^-1 D^T``,
-are factorised once, by one helper in SuperLU's symmetric mode
-(minimum-degree ordering on ``M + M^T``, diagonal pivots), and reused by
-every solver iteration.  ``D^T`` is likewise built once, as the CSR
+``A`` (``area2``) is the diagonal holding each triangle's area once per
+stress component; ``D A^-1 D^T`` coincides with the standard P1
+stiffness matrix on free nodes and ``A^-1 D^T`` is the discrete
+gradient.  Both SPD matrices, ``D D^T`` and ``D A^-1 D^T``, are
+factorised once, by one helper in SuperLU's symmetric mode
+(minimum-degree ordering on ``M + M^T``, diagonal pivots), and reused
+by every solver iteration.  ``D^T`` is likewise built once, as the CSR
 matrix ``DT``: ``D.T`` of a CSR matrix is a new CSC object on every
 access, and its products equal those of ``DT`` bit for bit.
 

@@ -101,9 +101,12 @@ class TrsConfig:
 def _boundary_intersection(z: np.ndarray, d: np.ndarray, delta: float) -> float:
     """Positive root ``s`` of ``|z + s d| = delta`` for ``|z| < delta``.
 
-    Uses the sign-aware quadratic formula to avoid cancellation.  When
-    ``z`` is already on the boundary to rounding (``|z|^2 >= delta^2``,
-    as once ``delta^2`` underflows) the root is 0.
+    The root of ``a s^2 + b s + c`` is ``-2 c / (b + disc)``: with ``c <
+    0``, ``disc > |b|``, so the denominator is positive for either sign
+    of ``b``, and free of cancellation for ``b = 2 z.d >= 0``, the only
+    sign CG-Steihaug asks for, as its iterates grow in norm (Steihaug
+    1983).  When ``z`` is already on the boundary to rounding (``|z|^2 >=
+    delta^2``, as once ``delta^2`` underflows) the root is 0.
     """
     a = float(d @ d)
     b = 2.0 * float(z @ d)
@@ -111,9 +114,7 @@ def _boundary_intersection(z: np.ndarray, d: np.ndarray, delta: float) -> float:
     if a == 0.0 or c >= 0.0:
         return 0.0
     disc = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
-    if b >= 0.0:
-        return -2.0 * c / (b + disc)
-    return (disc - b) / (2.0 * a)
+    return -2.0 * c / (b + disc)
 
 
 def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,

@@ -70,8 +70,7 @@ class TestShrinkMagnitude:
         rng = np.random.default_rng(30)
         w = 0.2 + 3.0 * rng.random(50)
         rhs = np.maximum(w - 0.2, 0.0)
-        newton = _newton_magnitudes(2.0, 1.0, 10.0, rhs, w, np.arange(50), TIGHT,
-                                    np.zeros(50))
+        newton = _newton_magnitudes(2.0, 1.0, 10.0, rhs, w, TIGHT, np.zeros(50))
         closed = rhs / (1.0 + 10.0)
         assert np.abs(newton - closed).max() <= 1e-12
 
@@ -94,6 +93,14 @@ class TestShrinkMagnitude:
         monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 2)
         with pytest.raises(ShrinkConvergenceError, match=r"element 1\b"):
             _shrink_field(params, 10.0, np.array([1.0, 5.0]), cfg, previous)
+
+    def test_newton_failure_counts_elements_below_yield(self, monkeypatch):
+        # elements 0 and 1 lie below the yield stress; the failing element
+        # is named by its index in the whole field
+        params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.2)
+        monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
+        with pytest.raises(ShrinkConvergenceError, match=r"element 2\b"):
+            cold_shrink(params, 10.0, [0.0, 0.1, 5.0], Alg2Config())
 
     def test_warm_start_at_root_takes_one_pass(self, monkeypatch):
         params = FluidParams(alpha=1.3, kappa=0.7, tau0=0.2)
@@ -131,6 +138,23 @@ def test_warm_start_matches_cold_start_and_bisection(alpha, kappa, r, tau0, exce
     assert np.all(np.abs(got - cold) <= rel_tol * cold)
     oracle = [bisect_magnitude(alpha, kappa, r, tau0, w_k) for w_k in w]
     assert np.abs(got - oracle).max() <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(1.1, 1.95), r=st.floats(0.5, 50.0), tau0=st.floats(0.0, 1.0),
+       excess=st.lists(st.one_of(st.floats(-1.0, 0.0), st.floats(1e-12, 10.0)),
+                       min_size=1, max_size=12),
+       warm=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 10.0)), min_size=12,
+                     max_size=12))
+def test_entries_below_yield_do_not_change_the_rest(alpha, r, tau0, excess, warm):
+    params = FluidParams(alpha=alpha, kappa=1.0, tau0=tau0)
+    w = tau0 + np.array(excess)
+    previous = np.array(warm[:w.size])
+    got = _shrink_field(params, r, w, Alg2Config(), previous)
+    above = w - tau0 > 0.0
+    alone = _shrink_field(params, r, w[above], Alg2Config(), previous[above])
+    np.testing.assert_array_equal(got[above], alone)
+    np.testing.assert_array_equal(got[~above], 0.0)
 
 
 def bisect_to_rounding(alpha, kappa, r, rhs):
@@ -174,7 +198,7 @@ class TestThreeHalvesClosedForm:
         rng = np.random.default_rng(31)
         w = 0.2 + 3.0 * rng.random(50)
         rhs = w - 0.2
-        newton = _newton_magnitudes(1.5, 1.0, 10.0, rhs, w, np.arange(50), TIGHT, np.zeros(50))
+        newton = _newton_magnitudes(1.5, 1.0, 10.0, rhs, w, TIGHT, np.zeros(50))
         closed = cold_shrink(FluidParams(alpha=1.5, kappa=1.0, tau0=0.2), 10.0, w, TIGHT)
         np.testing.assert_allclose(closed, newton, rtol=1e-14, atol=0.0)
 

@@ -246,6 +246,28 @@ class TestSolveCommand:
         assert f"{cfg}:2: unknown option 'tau_0'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--solver", "x", "unknown solver 'x' (use trs, alg2 or both)"),
+        ("--format", "pdf", "unknown format 'pdf' (use csv, vtk, json)"),
+        ("--format", ",", "at least one output format is required"),
+    ])
+    def test_bad_run_setting_exits_one_before_output(self, tmp_path, capsys, flag, value,
+                                                     message):
+        out = tmp_path / "x"
+        code = main(["solve", "--mesh", "disk:2", flag, value, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_unknown_solver_in_config_file_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mesh = disk:2\nsolver = x\n")
+        out = tmp_path / "x"
+        code = main(["solve", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown solver 'x' (use trs, alg2 or both)\n"
+        assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         outs = []
         for name in ("a", "b"):

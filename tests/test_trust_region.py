@@ -148,6 +148,38 @@ class TestCgSteihaug:
         assert np.all(diffs > -1e-14 * max(norms))
         assert np.all(diffs[:-1] > 0.0) and diffs[-1] >= 0.0
 
+    def test_boundary_roots_are_asked_only_outward(self, monkeypatch):
+        # z.d >= 0 at every boundary exit, so _boundary_intersection needs
+        # no root formula for b = 2 z.d < 0
+        signs = []
+
+        def recording(z, d, delta):
+            signs.append(float(z @ d))
+            return _boundary_intersection(z, d, delta)
+
+        monkeypatch.setattr(trust_region, "_boundary_intersection", recording)
+        tri = generate_square_mesh(12)
+        ops = assemble(tri, f=1.0)
+        cfg = TrsConfig(abstol=1e-4 * float(np.mean(tri.areas)), reltol=1e-6)
+        for alpha, tau0 in ((2.0, 0.3), (1.5, 0.1)):
+            solve_trs(FluidParams(alpha=alpha, kappa=1.0, tau0=tau0), ops, cfg=cfg)
+        assert len(signs) >= 5 and min(signs) >= 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(z=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           d=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           scale=st.floats(1.0 + 1e-6, 1e6))
+    def test_boundary_root_lies_on_the_sphere(self, z, d, scale):
+        z, d = np.array(z), np.array(d)
+        # a largest component of 1 keeps d @ d clear of underflow
+        d = d / np.abs(d).max() if d.any() else np.array([1.0, 0.0, 0.0])
+        if z @ d < 0.0:
+            d = -d
+        delta = scale * max(float(np.linalg.norm(z)), 1e-3)
+        s = _boundary_intersection(z, d, delta)
+        assert s > 0.0
+        assert abs(np.linalg.norm(z + s * d) - delta) <= 1e-12 * delta
+
     @settings(max_examples=40, deadline=None)
     @given(alpha=st.sampled_from([2.0, 1.5]), e=st.floats(-8.0, 4.0))
     def test_scaled_gradient_gives_scaled_step(self, alpha, e):
