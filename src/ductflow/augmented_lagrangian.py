@@ -242,7 +242,7 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
     # Arrested flow leaves y and q at rounding-level noise where a purely
     # relative increment test can never pass; increments below the
     # data-scale floor count as converged.
-    floor = 1e-12 * (1.0 + float(np.abs(ops.f_h).max(initial=0.0)))
+    floor = ops.rounding_floor()
 
     magnitudes = np.zeros(ops.tri.n_triangles)  # the Newton warm start
     for k in range(cfg.max_outer):

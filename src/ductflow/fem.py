@@ -71,6 +71,10 @@ class DiscreteOperators:
         self.area2.flags.writeable = False
         self.f_h.flags.writeable = False
 
+    def rounding_floor(self) -> float:
+        """``1e-12 (1 + max |f_h|)``: a velocity or an increment below it is rounding noise."""
+        return 1e-12 * (1.0 + float(np.abs(self.f_h).max(initial=0.0)))
+
     # -- SPD solves ------------------------------------------------------
 
     def solve_ddt(self, rhs: np.ndarray) -> np.ndarray:

@@ -14,16 +14,14 @@ import pytest
 from conftest import (dense_poisson_velocity, dense_projected_newton_step,
                       fd_gradient, fd_hessian, random_stress_blocks)
 from ductflow.augmented_lagrangian import Alg2Config, _shrink_field, solve_alg2
+from ductflow.experiments import (ARRESTED_VELOCITY_BOUND, DEFAULT_ALPHAS,
+                                  DEFAULT_REFINEMENTS, DEFAULT_TAU0S, run_cell)
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh
 from ductflow.objective import FluidParams, block_norms, gradient, hessian
-from ductflow.pipe import PipeSolution, relative_error
 from ductflow.trust_region import cg_steihaug, solve_trs
 
-REFINEMENTS = (12, 19, 26)          # 469 / 1141 / 2107 nodes
 TARGET_NODES = (559, 1129, 2169)
-ALPHAS = (2.0, 1.75, 1.5)
-TAU0S = (0.1, 0.2)
 
 # Reference TRS relative errors of the benchmark tables, one value per
 # refinement level (coarse to fine).
@@ -43,27 +41,14 @@ def check(criterion, ok, detail):
 
 
 @dataclass
-class Cell:
-    alpha: float
-    tau0: float
-    level: int
-    n_nodes: int
-    feasibility_bound: float
-    trs_report: object = None
-    trs_error: float = np.nan
-    alg2_report: object = None
-    alg2_error: float = np.nan
-
-
-@dataclass
 class GridResults:
-    cells: list = field(default_factory=list)
+    cells: list = field(default_factory=list)       # (level, ExperimentRow, bound)
     plug_runs: list = field(default_factory=list)   # (tau0, tau, y, report, bound)
     quad_runs: list = field(default_factory=list)   # (n_free, y, y_dense, trs_rep, y_alg2)
 
     def trs_reports_with_bounds(self):
-        for cell in self.cells:
-            yield cell.trs_report, cell.feasibility_bound
+        for _, row, bound in self.cells:
+            yield row.trs, bound
         for _, _, _, report, bound in self.plug_runs:
             yield report, bound
         for run in self.quad_runs:
@@ -74,26 +59,14 @@ class GridResults:
 def grid():
     results = GridResults()
 
-    for level, refinement in enumerate(REFINEMENTS):
-        tri = generate_disk_mesh(refinement)
-        ops = assemble(tri, f=1.0)
+    for level, refinement in enumerate(DEFAULT_REFINEMENTS):
+        ops = assemble(generate_disk_mesh(refinement), f=1.0)
         bound = 1e-8 * (1.0 + float(np.abs(ops.f_h).max()))
-        for alpha in ALPHAS:
-            for tau0 in TAU0S:
-                params = FluidParams(alpha=alpha, kappa=1.0, tau0=tau0)
-                sol = PipeSolution(params)
-                cell = Cell(alpha, tau0, level, tri.n_nodes, bound)
+        for alpha in DEFAULT_ALPHAS:
+            for tau0 in DEFAULT_TAU0S:
+                results.cells.append((level, run_cell(alpha, tau0, ops), bound))
 
-                _, y_trs, cell.trs_report = solve_trs(params, ops)
-                if cell.trs_report.converged:
-                    cell.trs_error = relative_error(y_trs, tri, sol)
-
-                y_alg2, _, _, cell.alg2_report = solve_alg2(params, ops)
-                if cell.alg2_report.converged:
-                    cell.alg2_error = relative_error(y_alg2, tri, sol)
-                results.cells.append(cell)
-
-    plug_tri = generate_disk_mesh(REFINEMENTS[0])
+    plug_tri = generate_disk_mesh(DEFAULT_REFINEMENTS[0])
     plug_ops = assemble(plug_tri, f=1.0)
     plug_bound = 1e-8 * (1.0 + float(np.abs(plug_ops.f_h).max()))
     for tau0 in (0.5, 0.6):
@@ -115,35 +88,35 @@ def grid():
 
 
 def test_criterion_1_analytic_accuracy(grid):
-    row = [c for c in grid.cells if c.alpha == 2.0 and c.tau0 == 0.1]
-    row.sort(key=lambda c: c.level)
-    errors = [c.trs_error for c in row]
+    # the fixture appends cells coarse to fine
+    rows = [row for _, row, _ in grid.cells if row.alpha == 2.0 and row.tau0 == 0.1]
+    errors = [r.error_trs for r in rows]
+    times = [r.trs.wall_time + r.alg2.wall_time for r in rows]
     ok = (7e-4 <= errors[0] <= 3e-3
           and errors[0] > errors[1] > errors[2]
-          and all(c.trs_report.converged for c in row)
-          and all(c.trs_report.wall_time + c.alg2_report.wall_time <= 10.0
-                  for c in row))
+          and all(r.trs.converged for r in rows)
+          and all(t <= 10.0 for t in times))
     check("criterion 1 (analytic accuracy)", ok,
           f"errors={['%.3e' % e for e in errors]}, band [7e-4, 3e-3], "
-          f"times={['%.2fs' % (c.trs_report.wall_time + c.alg2_report.wall_time) for c in row]}")
+          f"times={['%.2fs' % t for t in times]}")
 
 
 def test_criterion_2_table_grid(grid):
     assert len(grid.cells) == 18
     failures = []
     trs_not_worse = 0
-    for cell in grid.cells:
-        in_band = abs(cell.n_nodes - TARGET_NODES[cell.level]) <= 0.3 * TARGET_NODES[cell.level]
-        converged = (cell.trs_report.converged and cell.alg2_report.converged
-                     and cell.trs_report.kkt_history[-1] <= 1e-4
-                     and cell.alg2_report.kkt_history[-1] <= 1e-4)
-        reference = REFERENCE_TRS_ERRORS[(cell.alpha, cell.tau0)][cell.level]
-        error_ok = (cell.trs_error <= cell.alg2_error
-                    or cell.trs_error <= 2.0 * reference)
-        if cell.trs_report.iterations <= cell.alg2_report.iterations:
+    for level, row, _ in grid.cells:
+        in_band = abs(row.n_nodes - TARGET_NODES[level]) <= 0.3 * TARGET_NODES[level]
+        converged = (row.trs.converged and row.alg2.converged
+                     and row.trs.kkt_history[-1] <= 1e-4
+                     and row.alg2.kkt_history[-1] <= 1e-4)
+        reference = REFERENCE_TRS_ERRORS[(row.alpha, row.tau0)][level]
+        error_ok = (row.error_trs <= row.error_alg2
+                    or row.error_trs <= 2.0 * reference)
+        if row.trs.iterations <= row.alg2.iterations:
             trs_not_worse += 1
         if not (in_band and converged and error_ok):
-            failures.append((cell.alpha, cell.tau0, cell.n_nodes,
+            failures.append((row.alpha, row.tau0, row.n_nodes,
                              in_band, converged, error_ok))
     ok = not failures and trs_not_worse >= 16
     check("criterion 2 (table grid reproduction)", ok,
@@ -171,7 +144,8 @@ def test_criterion_4_flow_stop(grid):
     for tau0, tau, y, report, _ in grid.plug_runs:
         vmax = float(np.abs(y).max()) if y.size else 0.0
         smax = float(block_norms(tau).max())
-        good = report.converged and vmax <= 1e-6 and smax <= tau0 + 1e-6
+        good = (report.converged and vmax <= ARRESTED_VELOCITY_BOUND
+                and smax <= tau0 + 1e-6)
         ok &= good
         details.append(f"tau0={tau0}: max|y|={vmax:.1e} max|tau_k|={smax:.4f}")
     check("criterion 4 (flow-stop plasticity)", ok, "; ".join(details))
@@ -182,7 +156,7 @@ def test_criterion_5_derivative_consistency():
     n_t = ops.tri.n_triangles
     rng = np.random.default_rng(1234)
     worst_grad, worst_hess, worst_eig, blocks_seen = 0.0, 0.0, 0.0, 0
-    for alpha in ALPHAS:
+    for alpha in DEFAULT_ALPHAS:
         params = FluidParams(alpha=alpha, kappa=1.0, tau0=0.3)
         for _ in range(2):   # 108 random blocks per alpha
             tau = random_stress_blocks(rng, n_t, params.tau0)

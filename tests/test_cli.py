@@ -48,6 +48,29 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 3
 
+    def test_file_mesh_without_path_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["solve", "--mesh", "file:", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: file mesh needs a path, "
+                                           "e.g. file:duct.mesh\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])   # "." is a directory
+    def test_unreadable_config_file_exits_three(self, tmp_path, capsys, name):
+        out = tmp_path / "x"
+        code = main(["solve", "--config", str(tmp_path / name), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_arrested_flow_comparison_is_not_a_number(self, tmp_path, capsys):
+        # TRS stops at exactly zero velocity, ALG2 at rounding-level noise
+        code = main(["solve", "--solver", "both", "--mesh", "disk:4", "--alpha", "2",
+                     "--tau0", "0.6", "--format", "json", "--out", str(tmp_path / "x")])
+        assert code == 0
+        assert "relative_difference=n/a (zero flow)" in capsys.readouterr().out
+
     def test_both_solvers_write_comparison(self, tmp_path, capsys):
         out = tmp_path / "both"
         code = main(["solve", "--solver", "both", "--mesh", "disk:3",
@@ -56,7 +79,8 @@ class TestSolveCommand:
         trs = read_json(out / "report_trs.json")
         alg2 = read_json(out / "report_alg2.json")
         assert trs["iterations"] < alg2["iterations"]
-        assert "relative_difference" in capsys.readouterr().out
+        diff = capsys.readouterr().out.split("relative_difference=")[1].split()[0]
+        assert 0.0 < float(diff) < 0.1
 
     def test_nonconvergence_exits_two(self, tmp_path):
         code = main(["solve", "--solver", "alg2", "--mesh", "disk:3",
@@ -410,11 +434,38 @@ class TestReproduceCommand:
 class TestMeshCommands:
     def test_gen_and_check_round_trip(self, tmp_path, capsys):
         path = tmp_path / "disk.mesh"
-        assert main(["mesh", "gen", "--refinement", "3", "--out", str(path)]) == 0
+        assert main(["mesh", "gen", "--mesh", "disk:3", "--out", str(path)]) == 0
         tri = load_mesh(path)
         assert tri.n_nodes == 37
         assert main(["mesh", "check", str(path)]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_gen_writes_square_mesh(self, tmp_path, capsys):
+        path = tmp_path / "square.mesh"
+        assert main(["mesh", "gen", "--mesh", "square:4", "--out", str(path)]) == 0
+        tri = load_mesh(path)
+        assert (tri.n_nodes, tri.n_triangles, tri.n_free) == (25, 32, 9)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("wedge:3", "unknown mesh spec 'wedge:3' (use disk:N, square:N or file:PATH)"),
+        ("disk:x", "disk mesh needs an integer refinement, got 'x'"),
+    ])
+    def test_gen_takes_the_solve_mesh_grammar(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "bad.mesh"
+        assert main(["mesh", "gen", "--mesh", spec, "--out", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("body", ["nodes 0\ntriangles 0\n",
+                                      "nodes 3\n0 0 1\n1 0 1\n0 1 1\ntriangles 0\n"],
+                             ids=["empty", "no-triangles"])
+    def test_check_mesh_without_triangles_exits_one(self, tmp_path, capsys, body):
+        path = tmp_path / "empty.mesh"
+        path.write_text(body)
+        with pytest.raises(ValueError, match="mesh has no triangles"):
+            load_mesh(path)
+        assert main(["mesh", "check", str(path)]) == 1
+        assert capsys.readouterr().err == "error: mesh has no triangles\n"
 
     def test_check_invalid_mesh_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.mesh"
@@ -449,7 +500,7 @@ class TestMeshCommands:
 
     def test_gen_zero_refinement_exits_one(self, tmp_path, capsys):
         path = tmp_path / "zero.mesh"
-        assert main(["mesh", "gen", "--refinement", "0", "--out", str(path)]) == 1
+        assert main(["mesh", "gen", "--mesh", "disk:0", "--out", str(path)]) == 1
         assert "refinement must be >= 1" in capsys.readouterr().err
         assert not path.exists()
 
@@ -458,7 +509,7 @@ class TestMeshCommands:
 
     def test_solve_accepts_generated_mesh_file(self, tmp_path):
         path = tmp_path / "disk.mesh"
-        assert main(["mesh", "gen", "--refinement", "3", "--out", str(path)]) == 0
+        assert main(["mesh", "gen", "--mesh", "disk:3", "--out", str(path)]) == 0
         out = tmp_path / "filerun"
         code = main(["solve", "--mesh", f"file:{path}", "--alpha", "2",
                      "--tau0", "0.1", "--out", str(out)])
