@@ -70,7 +70,7 @@ import numpy as np
 
 from .fem import DiscreteOperators
 from .objective import FluidParams, block_norms, gradient, objective
-from .report import SolveReport
+from .report import SolveReport, check_max_outer
 
 
 @dataclass
@@ -89,8 +89,7 @@ class Alg2Config:
         if not all(0.0 < tol < math.inf for tol in (self.abstol, self.reltol,
                                                      self.newton_abstol, self.newton_reltol)):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+        check_max_outer(self.max_outer)
 
 
 class ShrinkConvergenceError(RuntimeError):

@@ -41,6 +41,11 @@ class PipeSolution:
         object.__setattr__(self, "beta", 1.0 / (self.params.alpha - 1.0))
         object.__setattr__(self, "plug_radius", 2.0 * self.params.tau0)
 
+    @property
+    def arrested(self) -> bool:
+        """The plug fills the pipe (``2 tau0 >= 1``), so the velocity is zero."""
+        return self.plug_radius >= 1.0
+
 
 def exact_velocity(sol: PipeSolution, radius):
     """Velocity at radius (scalar or array) in [0, 1]."""
@@ -51,7 +56,7 @@ def exact_velocity(sol: PipeSolution, radius):
 
     beta = sol.beta
     r0 = sol.plug_radius
-    if r0 >= 1.0:
+    if sol.arrested:
         return np.zeros_like(r) if r.ndim else 0.0
 
     try:
@@ -66,12 +71,7 @@ def exact_velocity(sol: PipeSolution, radius):
 def relative_error(y_num: np.ndarray, tri: Triangulation, sol: PipeSolution) -> float:
     """Euclidean relative error of free-node velocities against the profile."""
     coords = tri.nodes[tri.free_nodes]
-    radii = np.hypot(coords[:, 0], coords[:, 1])
-    exact = exact_velocity(sol, radii)
-    norm_exact = float(np.linalg.norm(exact))
-    if norm_exact == 0.0:
-        raise ValueError("analytic velocity vanishes; relative error undefined")
-    return float(np.linalg.norm(np.asarray(y_num, dtype=float) - exact)) / norm_exact
+    return relative_difference(y_num, exact_velocity(sol, np.hypot(coords[:, 0], coords[:, 1])))
 
 
 def relative_difference(y_a: np.ndarray, y_b: np.ndarray) -> float:

@@ -1,12 +1,19 @@
-"""Per-solve iteration record shared by both solvers."""
+"""Per-solve iteration record and iteration-cap check shared by both solvers."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 
 # version of the layout of ``SolveReport.to_dict()``, raised when a field
 # is renamed, removed or changes meaning
 SCHEMA_VERSION = 1
+
+
+def check_max_outer(max_outer) -> None:
+    """Reject an outer-iteration cap that is not an integer of at least 1."""
+    if not (isinstance(max_outer, numbers.Integral) and max_outer >= 1):
+        raise ValueError(f"max_outer must be at least 1 and an integer, got {max_outer!r}")
 
 
 @dataclass

@@ -43,7 +43,7 @@ import numpy as np
 
 from .fem import DiscreteOperators
 from .objective import FluidParams, gradient, hessian, hessian_apply, objective
-from .report import SolveReport
+from .report import SolveReport, check_max_outer
 
 # Projected CG iterates drift out of null(D) through the residual
 # recurrence; re-project the accumulated step this often.
@@ -94,8 +94,7 @@ class TrsConfig:
     def __post_init__(self):
         if not all(0.0 < tol < math.inf for tol in (self.abstol, self.reltol)):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+        check_max_outer(self.max_outer)
 
 
 def _boundary_intersection(z: np.ndarray, d: np.ndarray, delta: float) -> float:

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from conftest import (dense_poisson_velocity, dense_projected_newton_step,
-                      fd_gradient, fd_hessian, random_stress_blocks)
 from ductflow.augmented_lagrangian import Alg2Config, _shrink_field, solve_alg2
 from ductflow.experiments import (ARRESTED_VELOCITY_BOUND, DEFAULT_ALPHAS,
                                   DEFAULT_REFINEMENTS, DEFAULT_TAU0S, run_cell)
@@ -20,6 +18,8 @@ from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh
 from ductflow.objective import FluidParams, block_norms, gradient, hessian
 from ductflow.trust_region import cg_steihaug, solve_trs
+from oracles import (dense_poisson_velocity, dense_projected_newton_step,
+                     fd_gradient, fd_hessian, random_stress_blocks)
 
 TARGET_NODES = (559, 1129, 2169)
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from conftest import dense_poisson_velocity
 from ductflow import augmented_lagrangian
 from ductflow.augmented_lagrangian import (_RELAXATION, Alg2Config, ShrinkConvergenceError,
                                            _newton_magnitudes, _shrink_field, solve_alg2)
@@ -16,6 +15,7 @@ from ductflow.mesh import generate_disk_mesh, generate_square_mesh
 from ductflow.objective import FluidParams, gradient, objective
 from ductflow.pipe import relative_difference
 from ductflow.trust_region import TrsConfig, solve_trs
+from oracles import dense_poisson_velocity
 
 
 def bisect_magnitude(alpha, kappa, r, tau0, w_norm, tol=1e-13):
@@ -221,10 +221,14 @@ class TestConfig:
         dict(r=0.0), dict(r=-1.0), dict(abstol=0.0), dict(newton_abstol=0.0),
         dict(max_outer=0), dict(r=float("inf")), dict(r=float("nan")),
         dict(abstol=float("nan")), dict(reltol=float("inf")), dict(newton_reltol=float("nan")),
+        dict(max_outer=2.5), dict(max_outer=float("inf")), dict(max_outer="10"),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
             Alg2Config(**bad)
+
+    def test_numpy_integer_max_outer_accepted(self):
+        assert Alg2Config(max_outer=np.int64(3)).max_outer == 3
 
 
 class TestSolveAlg2:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import independent_stiffness
 from ductflow.augmented_lagrangian import solve_alg2
 from ductflow.fem import FactorizationError, assemble
 from ductflow.mesh import Triangulation, generate_disk_mesh
 from ductflow.objective import FluidParams
 from ductflow.trust_region import solve_trs
+from oracles import independent_stiffness
 
 
 def stiffness_inverse(ops):

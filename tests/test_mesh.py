@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import jiggled_disk_nodes, perturbed_disk
 from ductflow import mesh
 from ductflow.fem import assemble
 from ductflow.mesh import (MeshError, Triangulation, generate_disk_mesh, generate_square_mesh,
                            load_mesh, save_mesh)
+from oracles import jiggled_disk_nodes, perturbed_disk
 
 SQUARE_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "square_refs.json"
 

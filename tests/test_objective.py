@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradient, fd_hessian, random_stress_blocks
 from ductflow.fem import assemble
 from ductflow.mesh import Triangulation
 from ductflow.objective import (FluidParams, block_norms, gradient, hessian,
                                 hessian_apply, objective)
+from oracles import fd_gradient, fd_hessian, random_stress_blocks
 
 
 def unit_right_triangle_ops():

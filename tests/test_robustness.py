@@ -5,7 +5,6 @@ much harder than the symmetric ring meshes."""
 
 import numpy as np
 import pytest
-from conftest import perturbed_disk
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -15,6 +14,7 @@ from ductflow.mesh import MeshError, Triangulation, generate_disk_mesh
 from ductflow.objective import FluidParams
 from ductflow.pipe import PipeSolution, exact_velocity, relative_difference, relative_error
 from ductflow.trust_region import TrsConfig, solve_trs
+from oracles import perturbed_disk
 
 
 def half_disk(refinement):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_poisson_velocity, dense_projected_newton_step
 from ductflow import trust_region
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, generate_square_mesh
 from ductflow.objective import FluidParams, block_norms, gradient, hessian, hessian_apply
 from ductflow.trust_region import (TrsConfig, _boundary_intersection, cg_steihaug, solve_trs,
                                    update_radius)
+from oracles import dense_poisson_velocity, dense_projected_newton_step
 
 
 def run_cg(ops, grad, hess, delta, forcing=0.5, callback=None):
@@ -31,7 +31,8 @@ class TestConfig:
         dict(abstol=0.0), dict(abstol=-1.0), dict(reltol=0.0), dict(reltol=-1e-4),
         dict(abstol=float("inf")), dict(reltol=float("nan")), dict(max_outer=0),
         dict(abstol=float("nan")), dict(reltol=float("inf")), dict(max_outer=-1),
-        dict(abstol=-float("inf")),
+        dict(abstol=-float("inf")), dict(max_outer=2.5), dict(max_outer=float("inf")),
+        dict(max_outer="10"),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
