@@ -70,7 +70,7 @@ import numpy as np
 
 from .fem import DiscreteOperators
 from .objective import FluidParams, block_norms, gradient, objective
-from .report import SolveReport, check_max_outer
+from .report import SolveReport, check_count, check_positive
 
 
 @dataclass
@@ -83,13 +83,9 @@ class Alg2Config:
     max_outer: int = 5000
 
     def __post_init__(self):
-        if not 0.0 < self.r < math.inf:
-            raise ValueError("augmentation parameter r must be positive and finite, "
-                             f"got {self.r}")
-        if not all(0.0 < tol < math.inf for tol in (self.abstol, self.reltol,
-                                                     self.newton_abstol, self.newton_reltol)):
-            raise ValueError("tolerances must be positive and finite")
-        check_max_outer(self.max_outer)
+        check_positive(r=self.r, abstol=self.abstol, reltol=self.reltol,
+                       newton_abstol=self.newton_abstol, newton_reltol=self.newton_reltol)
+        check_count(max_outer=self.max_outer)
 
 
 class ShrinkConvergenceError(RuntimeError):
@@ -280,9 +276,8 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
         if stop:
             kkt = float(np.abs(gradient(params, ops, tau) - dt_y).max(initial=0.0))
             stop = max(kkt, momentum) <= cfg.abstol
-        residual = max(kkt, momentum)
 
-        report.kkt_history.append(residual)
+        report.kkt_history.append(max(kkt, momentum))
         report.feasibility_history.append(momentum)
 
         if not (math.isfinite(kkt) and math.isfinite(momentum)):

@@ -72,9 +72,7 @@ def run(cfg: RunConfig) -> int:
     params = FluidParams(alpha=cfg.alpha, kappa=cfg.kappa, tau0=cfg.tau0)
     ops = assemble(tri, f=cfg.force)
 
-    sol = None
-    if is_disk and cfg.kappa == 1.0 and cfg.force == 1.0:
-        sol = PipeSolution(params)
+    sol = PipeSolution(params) if is_disk and cfg.kappa == 1.0 and cfg.force == 1.0 else None
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)

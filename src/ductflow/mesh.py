@@ -35,6 +35,8 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
+from .report import check_count
+
 # Triangles thinner than this fraction of the bounding-box area are
 # rejected as degenerate.
 DEGENERATE_REL_AREA = 1e-14
@@ -237,18 +239,16 @@ def generate_disk_mesh(refinement: int) -> Triangulation:
     Nodes are placed on concentric rings at radii i/refinement, ring i
     carrying 6*i equally spaced nodes plus one centre node.  All nodes on
     the unit circle are marked Dirichlet.  Node and triangle counts are
-    1 + 3n(n+1) and 6n**2 for ``refinement = n``.
+    1 + 3n(n+1) and 6n**2 for ``refinement = n``, an integer of at least 1.
     """
-    if refinement < 1:
-        raise ValueError("refinement must be >= 1")
-    n = int(refinement)
-    rings = np.arange(1, n + 1)
+    check_count(refinement=refinement)
+    rings = np.arange(1, refinement + 1)
     ring_start = 1 + 3 * rings * (rings - 1)  # first node of ring i is ring_start[i - 1]
 
     ring = np.repeat(rings, 6 * rings)  # ring of each node but the centre
     within = np.arange(1, ring.size + 1) - ring_start[ring - 1]
     angles = 2.0 * np.pi * within / (6 * ring)
-    radius = ring / n
+    radius = ring / refinement
     nodes = np.zeros((ring.size + 1, 2))
     nodes[1:, 0] = radius * np.cos(angles)
     nodes[1:, 1] = radius * np.sin(angles)
@@ -256,7 +256,7 @@ def generate_disk_mesh(refinement: int) -> Triangulation:
     # innermost fan around the centre node
     j = np.arange(6)
     fan = np.column_stack([np.zeros(6, dtype=np.int64), 1 + j, 1 + (j + 1) % 6])
-    triangles = np.concatenate([fan, _ring_bands(ring_start, n)])
+    triangles = np.concatenate([fan, _ring_bands(ring_start, refinement)])
 
     dirichlet = np.zeros(nodes.shape[0], dtype=bool)
     dirichlet[ring_start[-1]:] = True
@@ -298,11 +298,9 @@ def generate_square_mesh(n: int) -> Triangulation:
     """Uniform ``n x n`` triangulation of [-1, 1]^2 with a no-slip rim.
 
     Each grid square is cut along the same diagonal, giving ``(n + 1)^2``
-    nodes and ``2 n^2`` triangles.
+    nodes and ``2 n^2`` triangles for an integer ``n >= 1``.
     """
-    if n < 1:
-        raise ValueError("refinement must be >= 1")
-    n = int(n)
+    check_count(refinement=n)
     x = np.linspace(-1.0, 1.0, n + 1)
     gx, gy = np.meshgrid(x, x)
     nodes = np.column_stack([gx.ravel(), gy.ravel()])

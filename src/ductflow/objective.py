@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import DiscreteOperators
+from .report import check_positive
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,7 @@ class FluidParams:
                 f"alpha must lie in (1, 2], got {self.alpha}; "
                 "shear-thickening exponents alpha > 2 are not supported"
             )
-        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
-            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
+        check_positive(kappa=self.kappa)
         if not (math.isfinite(self.tau0) and self.tau0 >= 0.0):
             raise ValueError(f"tau0 must be finite and non-negative, got {self.tau0}")
         try:

@@ -1,4 +1,4 @@
-"""Per-solve iteration record and iteration-cap check shared by both solvers."""
+"""Per-solve iteration record, and the two rules every setting is checked by."""
 
 from __future__ import annotations
 
@@ -10,10 +10,18 @@ from dataclasses import asdict, dataclass, field
 SCHEMA_VERSION = 1
 
 
-def check_max_outer(max_outer) -> None:
-    """Reject an outer-iteration cap that is not an integer of at least 1."""
-    if not (isinstance(max_outer, numbers.Integral) and max_outer >= 1):
-        raise ValueError(f"max_outer must be at least 1 and an integer, got {max_outer!r}")
+def check_count(**settings) -> None:
+    """Reject a count setting (iteration cap, mesh refinement) that is not an integer >= 1."""
+    for name, value in settings.items():
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
+
+
+def check_positive(**settings) -> None:
+    """Reject a real setting (tolerance, parameter) that is not positive and finite."""
+    for name, value in settings.items():
+        if not (isinstance(value, numbers.Real) and 0.0 < value < float("inf")):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass

@@ -43,7 +43,7 @@ import numpy as np
 
 from .fem import DiscreteOperators
 from .objective import FluidParams, gradient, hessian, hessian_apply, objective
-from .report import SolveReport, check_max_outer
+from .report import SolveReport, check_count, check_positive
 
 # Projected CG iterates drift out of null(D) through the residual
 # recurrence; re-project the accumulated step this often.
@@ -92,9 +92,8 @@ class TrsConfig:
     max_outer: int = 500
 
     def __post_init__(self):
-        if not all(0.0 < tol < math.inf for tol in (self.abstol, self.reltol)):
-            raise ValueError("tolerances must be positive and finite")
-        check_max_outer(self.max_outer)
+        check_positive(abstol=self.abstol, reltol=self.reltol)
+        check_count(max_outer=self.max_outer)
 
 
 def _boundary_intersection(z: np.ndarray, d: np.ndarray, delta: float) -> float:
@@ -256,6 +255,8 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None
                 or (kkt <= cfg.abstol and stable)):
             report.status = "converged"
             break
+        if k + 1 == cfg.max_outer:
+            break  # a step taken now would be returned without its velocity
         y_prev = y
 
         if hess is None:

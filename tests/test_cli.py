@@ -97,7 +97,7 @@ class TestSolveCommand:
         assert read_json(tmp_path / "x" / "report_trs.json")["status"] == "stalled"
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--abstol", "nan", "tolerances must be positive and finite"),
+        ("--abstol", "nan", "abstol must be positive and finite, got nan"),
         ("--r", "inf", "r must be positive and finite"),
         ("--max-outer", "0", "max_outer must be at least 1"),
     ])
@@ -188,7 +188,7 @@ class TestSolveCommand:
     def test_zero_disk_refinement_exits_one(self, tmp_path, capsys):
         code = main(["solve", "--mesh", "disk:0", "--out", str(tmp_path / "x")])
         assert code == 1
-        assert "refinement must be >= 1" in capsys.readouterr().err
+        assert "refinement must be at least 1 and an integer, got 0" in capsys.readouterr().err
 
     def test_non_finite_force_exits_one(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -243,7 +243,8 @@ class TestSolveCommand:
         code = main(["solve", "--mesh", spec, "--out", str(tmp_path / "x")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "refinement must be >= 1" in err or "square mesh needs an integer" in err
+        assert ("refinement must be at least 1 and an integer, got 0" in err
+                or "square mesh needs an integer" in err)
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -501,7 +502,7 @@ class TestMeshCommands:
     def test_gen_zero_refinement_exits_one(self, tmp_path, capsys):
         path = tmp_path / "zero.mesh"
         assert main(["mesh", "gen", "--mesh", "disk:0", "--out", str(path)]) == 1
-        assert "refinement must be >= 1" in capsys.readouterr().err
+        assert "refinement must be at least 1 and an integer, got 0" in capsys.readouterr().err
         assert not path.exists()
 
     def test_check_missing_file_exits_three(self, tmp_path):

@@ -2,16 +2,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ductflow import trust_region
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, generate_square_mesh
-from ductflow.objective import FluidParams, block_norms, gradient, hessian, hessian_apply
+from ductflow.objective import (FluidParams, block_norms, gradient, hessian, hessian_apply,
+                                objective)
 from ductflow.trust_region import (TrsConfig, _boundary_intersection, cg_steihaug, solve_trs,
                                    update_radius)
-from oracles import dense_poisson_velocity, dense_projected_newton_step
+from oracles import dense_poisson_velocity, dense_projected_newton_step, perturbed_disk
 
 
 def run_cg(ops, grad, hess, delta, forcing=0.5, callback=None):
@@ -374,6 +375,30 @@ class TestSolveTrs:
         assert report.status == "non_finite"
         assert report.iterations <= 2
         assert np.all(np.isfinite(tau))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(tri=st.one_of(st.builds(generate_square_mesh, st.integers(4, 8)),
+                         st.builds(perturbed_disk, st.integers(2, 4), seed=st.integers(0, 99))),
+           alpha=st.floats(1.0, 2.0, exclude_min=True), tau0=st.floats(0.0, 0.6),
+           max_outer=st.sampled_from([1, 2, 3, 200]))
+    # a step on the last allowed pass would be accepted here; the result
+    # must not pair that stress with the previous iterate's velocity
+    @example(tri=generate_square_mesh(8), alpha=2.0, tau0=0.1, max_outer=1)
+    @example(tri=generate_square_mesh(4), alpha=2.0, tau0=0.1, max_outer=200)  # stalls
+    def test_result_describes_one_iterate(self, tri, alpha, tau0, max_outer):
+        # abstol 1e-12 lets every cap bite; max_outer = 200 ends converged
+        # or stalled
+        ops = assemble(tri, f=1.0)
+        params = FluidParams(alpha=alpha, kappa=1.0, tau0=tau0)
+        tau, y, report = solve_trs(params, ops, cfg=TrsConfig(abstol=1e-12, max_outer=max_outer))
+        grad = gradient(params, ops, tau)
+        assert y.tobytes() == ops.recover_velocity(grad).tobytes()
+        assert report.kkt_history[-1] == float(np.abs(grad - ops.DT @ y).max(initial=0.0))
+        assert report.objective_history[-1] == objective(params, ops, tau)
+        assert report.feasibility_history[-1] == ops.momentum_residual(tau)
+        assert ops.momentum_residual(tau) <= 1e-8 * (1.0 + np.abs(ops.f_h).max())
+        start = ops.project_feasible(np.zeros(ops.n_stress))
+        assert report.objective_history[0] == objective(params, ops, start)
 
 
 def rejecting_square_cell():
