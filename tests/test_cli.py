@@ -97,7 +97,8 @@ class TestSolveCommand:
         assert read_json(tmp_path / "x" / "report_trs.json")["status"] == "stalled"
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--abstol", "nan", "abstol must be positive and finite, got nan"),
+        pytest.param("--abstol", "nan", "abstol must be positive and finite, got nan",
+                     id="--abstol-nan-tolerances must be positive and finite"),
         ("--r", "inf", "r must be positive and finite"),
         ("--max-outer", "0", "max_outer must be at least 1"),
     ])
