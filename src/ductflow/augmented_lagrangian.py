@@ -75,6 +75,15 @@ from .report import SolveReport, check_count, check_positive
 
 @dataclass
 class Alg2Config:
+    """Augmentation parameter, stopping tolerances, Newton tolerances and cap.
+
+    ``abstol`` bounds the area-weighted stationarity residual ``max |grad
+    J - D^T y|`` and the momentum defect ``max |D tau - f_h|``; its unit
+    carries a triangle area, so ``experiments.abstol_for`` gives the
+    value for a tolerance in strain-rate units.  ``reltol`` bounds the
+    relative velocity and strain-rate increments between passes.
+    """
+
     r: float = 10.0
     abstol: float = 1e-4
     reltol: float = 1e-4
@@ -277,7 +286,7 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
             kkt = float(np.abs(gradient(params, ops, tau) - dt_y).max(initial=0.0))
             stop = max(kkt, momentum) <= cfg.abstol
 
-        report.kkt_history.append(max(kkt, momentum))
+        report.kkt_history.append(kkt)
         report.feasibility_history.append(momentum)
 
         if not (math.isfinite(kkt) and math.isfinite(momentum)):

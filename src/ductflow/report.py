@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 
 # version of the layout of ``SolveReport.to_dict()``, raised when a field
 # is renamed, removed or changes meaning
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def check_count(**settings) -> None:
@@ -29,7 +29,10 @@ class SolveReport:
     """Histories and counters of one solver run.
 
     ``iterations`` counts outer-loop passes, including the pass that
-    triggers the stopping test.  ``cg_iterations`` holds one
+    triggers the stopping test.  ``kkt_history`` holds the stationarity
+    residual ``max |grad J - D^T y|`` of each pass and
+    ``feasibility_history`` its momentum defect ``max |D tau - f_h|``, for
+    both solvers.  ``cg_iterations`` holds one
     ``(count, exit_reason)`` pair per pass that invoked the inner CG
     solver; the augmented-Lagrangian solver leaves it empty.
     ``objective_history`` holds one value per pass for the trust-region

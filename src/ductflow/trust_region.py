@@ -82,9 +82,12 @@ _CG_PER_TRIANGLE = 10
 class TrsConfig:
     """Stopping tolerances and the outer-iteration cap.
 
-    ``abstol`` bounds the stationarity residual; a projected gradient
-    whose Euclidean norm is below it stops the loop at once.  ``reltol``
-    bounds the relative velocity increment between outer iterations.
+    ``abstol`` bounds the area-weighted stationarity residual ``max |grad
+    J - D^T y|``; a projected gradient whose Euclidean norm is below it
+    stops the loop at once.  Its unit carries a triangle area, so
+    ``experiments.abstol_for`` gives the value for a tolerance in
+    strain-rate units.  ``reltol`` bounds the relative velocity increment
+    between outer iterations.
     """
 
     abstol: float = 1e-4

@@ -3,7 +3,10 @@
 ``perfbench/tracing.py`` replaces module attributes of the solvers and
 shadows methods of ``DiscreteOperators``; ``perfbench/workloads.py``
 calls the writers and mesh I/O.  A rename in the package would otherwise
-surface only when the benchmark itself runs.
+surface only when the benchmark itself runs.  ``workloads.py`` also keeps
+its own copies of the grid, the arrested-flow bound, the reference error
+table, the square mesher and the stopping tolerance; a change to the
+package's values that did not reach the benchmark would fail here.
 """
 
 import ast
@@ -11,38 +14,52 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from ductflow import export
+from ductflow import experiments, export
 from ductflow.augmented_lagrangian import Alg2Config, solve_alg2
+from ductflow.experiments import abstol_for
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, generate_square_mesh, load_mesh, save_mesh
 from ductflow.objective import FluidParams
+from ductflow.report import SolveReport
 from ductflow.trust_region import TrsConfig, solve_trs
+from test_acceptance import REFERENCE_TRS_ERRORS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TRACING = PERFBENCH / "tracing.py"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    # workloads.py imports its sibling modules by their bare names, and
+    # its dataclasses look their module up in sys.modules
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        patch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
     return module
 
 
+@pytest.fixture(scope="module")
+def workloads():
+    return load_perfbench("workloads")
+
+
 def test_module_patches_resolve():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     for module, attrs in tracing.MODULE_PATCHES.items():
         for name in attrs:
             assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 
 
 def test_ops_methods_are_operator_methods():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     ops = assemble(generate_disk_mesh(2), f=1.0)
     for name in tracing.OPS_METHODS:
         assert inspect.ismethod(getattr(ops, name, None)), name
@@ -51,7 +68,7 @@ def test_ops_methods_are_operator_methods():
 def test_module_patches_are_called(monkeypatch):
     # a patched name the solvers no longer call would read 0 in its
     # per-layer metric without any error
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     calls = Counter()
 
     def counted(key, fn):
@@ -68,7 +85,7 @@ def test_module_patches_are_called(monkeypatch):
     tri = generate_square_mesh(8)
     ops = assemble(tri, f=1.0)
     params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
-    abstol = 1e-4 * float(np.mean(tri.areas))
+    abstol = abstol_for(tri)
     solve_trs(params, ops, cfg=TrsConfig(abstol=abstol, reltol=1e-6))
     solve_alg2(params, ops, Alg2Config(abstol=abstol, reltol=1e-6))
     for module, attrs in tracing.MODULE_PATCHES.items():
@@ -135,3 +152,41 @@ def test_writers_accept_the_benchmark_calls(tmp_path):
     for a, b in ((loaded.nodes, tri.nodes), (loaded.triangles, tri.triangles),
                  (loaded.is_dirichlet, tri.is_dirichlet)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mesh", ["disk:12", "disk:19", "disk:26", "disk:120", "square:32"])
+def test_benchmark_tolerance_is_the_library_rule(workloads, mesh):
+    kind, n = mesh.split(":")
+    make = generate_disk_mesh if kind == "disk" else generate_square_mesh
+    tri = make(int(n))
+    assert workloads.abstol_for(tri).hex() == experiments.abstol_for(tri).hex()
+
+
+def test_benchmark_configs_are_run_cell_defaults(workloads, monkeypatch):
+    # run_cell without configs must solve as pipe_grid does with them
+    seen = {}
+
+    def fake_trs(params, ops, cfg=None):
+        seen["trs"] = cfg
+        return np.zeros(ops.n_stress), np.zeros(ops.n_free), SolveReport(status="converged")
+
+    def fake_alg2(params, ops, cfg=None):
+        seen["alg2"] = cfg
+        return (np.zeros(ops.n_free), np.zeros(ops.n_stress), np.zeros(ops.n_stress),
+                SolveReport(status="converged"))
+
+    monkeypatch.setattr(experiments, "solve_trs", fake_trs)
+    monkeypatch.setattr(experiments, "solve_alg2", fake_alg2)
+    ops = assemble(generate_disk_mesh(12), f=1.0)
+    experiments.run_cell(2.0, 0.1, ops)
+    assert (seen["trs"], seen["alg2"]) == workloads.solver_configs(ops.tri)
+
+
+def test_benchmark_copies_match_the_package(workloads):
+    assert workloads.PIPE_REFINEMENTS == experiments.DEFAULT_REFINEMENTS
+    assert workloads.PIPE_ALPHAS == experiments.DEFAULT_ALPHAS
+    assert workloads.PIPE_TAU0S == experiments.DEFAULT_TAU0S
+    assert workloads.ARRESTED_VELOCITY_GATE == experiments.ARRESTED_VELOCITY_BOUND
+    assert workloads.TABLE_TRS_ERRORS == REFERENCE_TRS_ERRORS
+    assert (workloads.mesh_fingerprint(workloads.square_duct_mesh())
+            == workloads.mesh_fingerprint(generate_square_mesh(32)))

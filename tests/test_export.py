@@ -255,7 +255,7 @@ def test_report_json_is_standard_json(tmp_path):
     write_report_json(tmp_path / "report.json", report,
                       {"error_vs_analytic": float("nan"), "alpha": 2.0})
     data = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject_constant)
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert data["kkt_history"] == [1.0, None, None, None]
     assert data["error_vs_analytic"] is None
     assert data["alpha"] == 2.0

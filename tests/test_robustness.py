@@ -9,6 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ductflow.augmented_lagrangian import Alg2Config, solve_alg2
+from ductflow.experiments import abstol_for
 from ductflow.fem import assemble
 from ductflow.mesh import MeshError, Triangulation, generate_disk_mesh
 from ductflow.objective import FluidParams
@@ -97,7 +98,7 @@ class TestPerturbedDisk:
             reject()  # about 1 in 30 jiggles at amplitude 0.3 folds a triangle over
         ops = assemble(tri, f=1.0)
         params = FluidParams(alpha=alpha, kappa=1.0, tau0=tau0)
-        abstol = 1e-4 * tri.areas.mean()
+        abstol = abstol_for(tri)
         _, y_trs, rep_trs = solve_trs(params, ops, cfg=TrsConfig(abstol=abstol, reltol=1e-6))
         y_alg2, _, _, rep_alg2 = solve_alg2(params, ops,
                                             cfg=Alg2Config(abstol=abstol, reltol=1e-6))

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ductflow import trust_region
+from ductflow.experiments import abstol_for
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, generate_square_mesh
 from ductflow.objective import (FluidParams, block_norms, gradient, hessian, hessian_apply,
@@ -162,7 +163,7 @@ class TestCgSteihaug:
         monkeypatch.setattr(trust_region, "_boundary_intersection", recording)
         tri = generate_square_mesh(12)
         ops = assemble(tri, f=1.0)
-        cfg = TrsConfig(abstol=1e-4 * float(np.mean(tri.areas)), reltol=1e-6)
+        cfg = TrsConfig(abstol=abstol_for(tri), reltol=1e-6)
         for alpha, tau0 in ((2.0, 0.3), (1.5, 0.1)):
             solve_trs(FluidParams(alpha=alpha, kappa=1.0, tau0=tau0), ops, cfg=cfg)
         assert len(signs) >= 5 and min(signs) >= 0.0
@@ -238,7 +239,7 @@ class TestSolveTrs:
         tri = generate_disk_mesh(12)
         ops = assemble(tri, f=1.0)
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
-        cfg = TrsConfig(abstol=1e-4 * float(np.mean(tri.areas)), reltol=1e-6)
+        cfg = TrsConfig(abstol=abstol_for(tri), reltol=1e-6)
         _, _, report = solve_trs(params, ops, cfg=cfg)
         assert report.converged
         assert all(inner > 0 for inner, _ in report.cg_iterations)
@@ -280,7 +281,7 @@ class TestSolveTrs:
         tri = generate_square_mesh(12)
         ops = assemble(tri, f=1.0)
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.3)
-        cfg = TrsConfig(abstol=1e-4 * float(np.mean(tri.areas)), reltol=1e-6)
+        cfg = TrsConfig(abstol=abstol_for(tri), reltol=1e-6)
         _, _, report = solve_trs(params, ops, cfg=cfg)
         assert report.converged
         assert report.iterations <= 100
@@ -292,7 +293,7 @@ class TestSolveTrs:
         # solve and the iterates do not change
         tri = generate_square_mesh(8)
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.3)
-        cfg = TrsConfig(abstol=1e-4 * float(np.mean(tri.areas)), reltol=1e-6)
+        cfg = TrsConfig(abstol=abstol_for(tri), reltol=1e-6)
 
         def counted_run(cg):
             ops = assemble(tri, f=1.0)
@@ -405,7 +406,7 @@ def rejecting_square_cell():
     """8^2 plug cell at the benchmark tolerance: some of its steps are rejected."""
     tri = generate_square_mesh(8)
     params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.3)
-    cfg = TrsConfig(abstol=1e-4 * float(np.mean(tri.areas)), reltol=1e-6)
+    cfg = TrsConfig(abstol=abstol_for(tri), reltol=1e-6)
     return params, assemble(tri, f=1.0), cfg
 
 
@@ -479,7 +480,7 @@ class TestStall:
         tri = generate_square_mesh(12)
         ops = assemble(tri, f=1.0)
         params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.3)
-        cfg = TrsConfig(abstol=1e-10 * float(np.mean(tri.areas)), reltol=1e-6, max_outer=5000)
+        cfg = TrsConfig(abstol=abstol_for(tri, 1e-10), reltol=1e-6, max_outer=5000)
         tau, y, report = solve_trs(params, ops, cfg=cfg)
         assert report.status == "stalled"
         assert not report.converged
