@@ -13,14 +13,18 @@ Newton failure in ``solve`` or ``reproduce``; 3 I/O error.  Every command
 maps failures the same way: ``main`` alone prints the ``error:`` line
 and picks the code.  Every ``solve`` option is both a flag
 (``--max-outer``) and a key of a ``key = value`` file read with
-``--config`` (``max_outer``); flags win over the file.
+``--config`` (``max_outer``), and is the ``RunConfig`` field of that
+name; flags win over the file.  ``solve`` stops both solvers at
+``experiments.solver_configs``: ``--abstol`` is a stationarity residual
+in strain-rate units, scaled by the mesh's mean triangle area, and
+``reltol`` is fixed at 1e-6.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -28,11 +32,12 @@ import numpy as np
 
 from . import export
 from .augmented_lagrangian import Alg2Config, ShrinkConvergenceError, solve_alg2
-from .experiments import reproduce_tables, speedup_of
+from .experiments import STRAIN_RATE_TOL, reproduce_tables, solver_configs, speedup_of
 from .fem import FactorizationError, assemble
 from .mesh import generate_disk_mesh, generate_square_mesh, load_mesh, save_mesh
 from .objective import FluidParams
 from .pipe import PipeSolution, relative_difference, relative_error
+from .report import check_count, check_positive
 from .trust_region import TrsConfig, solve_trs
 
 EXIT_OK = 0
@@ -52,23 +57,30 @@ class RunConfig:
     kappa: float = 1.0
     force: float = 1.0
     out: str = "out"
-    formats: tuple[str, ...] = ("csv",)
-    trs: TrsConfig = field(default_factory=TrsConfig)
-    alg2: Alg2Config = field(default_factory=Alg2Config)
+    format: tuple[str, ...] = ("csv",)
+    abstol: float = STRAIN_RATE_TOL
+    max_outer: int = TrsConfig.max_outer
+    r: float = Alg2Config.r
+    alg2_max_outer: int = Alg2Config.max_outer
 
     def __post_init__(self):
         if self.solver not in ("trs", "alg2", "both"):
             raise ValueError(f"unknown solver {self.solver!r} (use trs, alg2 or both)")
-        if not self.formats:
+        if not self.format:
             raise ValueError("at least one output format is required")
-        for fmt in self.formats:
+        for fmt in self.format:
             if fmt not in _FORMATS:
                 raise ValueError(f"unknown format {fmt!r} (use csv, vtk, json)")
+        check_positive(abstol=self.abstol, r=self.r)
+        check_count(max_outer=self.max_outer, alg2_max_outer=self.alg2_max_outer)
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one solve per requested solver and write all outputs."""
     tri, is_disk = _make_mesh(cfg.mesh)
+    trs_cfg, alg2_cfg = solver_configs(tri, cfg.abstol)
+    trs_cfg = replace(trs_cfg, max_outer=cfg.max_outer)
+    alg2_cfg = replace(alg2_cfg, r=cfg.r, max_outer=cfg.alg2_max_outer)
     params = FluidParams(alpha=cfg.alpha, kappa=cfg.kappa, tau0=cfg.tau0)
     ops = assemble(tri, f=cfg.force)
 
@@ -81,9 +93,9 @@ def run(cfg: RunConfig) -> int:
     results = {}
     for solver in ("trs", "alg2") if cfg.solver == "both" else (cfg.solver,):
         if solver == "trs":
-            tau, y, rep = solve_trs(params, ops, cfg=cfg.trs)
+            tau, y, rep = solve_trs(params, ops, cfg=trs_cfg)
         else:
-            y, _, tau, rep = solve_alg2(params, ops, cfg=cfg.alg2)
+            y, _, tau, rep = solve_alg2(params, ops, cfg=alg2_cfg)
         results[solver] = (tau, y, rep)
         all_converged &= rep.converged
 
@@ -106,10 +118,10 @@ def run(cfg: RunConfig) -> int:
 
 
 def _write_solution(out_dir, solver, cfg, tri, tau, y, rep, error):
-    if "csv" in cfg.formats:
+    if "csv" in cfg.format:
         export.write_velocity_csv(out_dir / f"velocity_{solver}.csv", tri, y)
         export.write_stress_csv(out_dir / f"stress_{solver}.csv", tau, cfg.tau0)
-    if "vtk" in cfg.formats:
+    if "vtk" in cfg.format:
         export.write_vtk(out_dir / f"solution_{solver}.vtk", tri, y, tau, cfg.tau0)
     extra = {
         "solver": solver,
@@ -162,13 +174,12 @@ def _make_mesh(spec: str):
 # -- argument handling -----------------------------------------------------
 
 class _Option(NamedTuple):
-    """A ``solve`` option: flag ``--name`` (``-`` for ``_``) and file key
-    ``name``; its value goes to each ``section.field`` in ``sets``."""
+    """A ``solve`` option: flag ``--name`` (``-`` for ``_``), file key
+    ``name`` and ``RunConfig`` field ``name``."""
 
     name: str
     parse: Callable[[str], object]
     help: str
-    sets: str
 
     @property
     def flag(self):
@@ -186,19 +197,18 @@ def _formats(text):
 
 
 _OPTIONS = (
-    _Option("solver", str, "trs, alg2 or both", "run.solver"),
-    _Option("mesh", str, "disk:N, square:N or file:PATH", "run.mesh"),
-    _Option("alpha", float, "power-law exponent in (1, 2]", "run.alpha"),
-    _Option("tau0", float, "yield stress", "run.tau0"),
-    _Option("kappa", float, "consistency", "run.kappa"),
-    _Option("force", float, "constant force density", "run.force"),
-    _Option("out", str, "output directory", "run.out"),
-    _Option("format", _formats, "comma-separated subset of csv,vtk,json", "run.formats"),
-    _Option("abstol", float, "stationarity tolerance, both solvers", "trs.abstol alg2.abstol"),
-    _Option("reltol", float, "relative step tolerance, both solvers", "trs.reltol alg2.reltol"),
-    _Option("max_outer", int, "TRS: outer-iteration cap", "trs.max_outer"),
-    _Option("r", float, "ALG2: augmentation parameter", "alg2.r"),
-    _Option("alg2_max_outer", int, "ALG2: iteration cap", "alg2.max_outer"),
+    _Option("solver", str, "trs, alg2 or both"),
+    _Option("mesh", str, "disk:N, square:N or file:PATH"),
+    _Option("alpha", float, "power-law exponent in (1, 2]"),
+    _Option("tau0", float, "yield stress"),
+    _Option("kappa", float, "consistency"),
+    _Option("force", float, "constant force density"),
+    _Option("out", str, "output directory"),
+    _Option("format", _formats, "comma-separated subset of csv,vtk,json"),
+    _Option("abstol", float, "stationarity tolerance in strain-rate units, both solvers"),
+    _Option("max_outer", int, "TRS: outer-iteration cap"),
+    _Option("r", float, "ALG2: augmentation parameter"),
+    _Option("alg2_max_outer", int, "ALG2: iteration cap"),
 )
 _BY_NAME = {opt.name: opt for opt in _OPTIONS}
 
@@ -233,13 +243,7 @@ def _merged(args) -> RunConfig:
         text = getattr(args, opt.name)
         if text is not None:
             values[opt.name] = opt.value(opt.flag, text)
-    kwargs = {"run": {}, "trs": {}, "alg2": {}}
-    for name, value in values.items():
-        for target in _BY_NAME[name].sets.split():
-            section, _, attr = target.partition(".")
-            kwargs[section][attr] = value
-    return RunConfig(trs=TrsConfig(**kwargs["trs"]), alg2=Alg2Config(**kwargs["alg2"]),
-                     **kwargs["run"])
+    return RunConfig(**values)
 
 
 class _Parser(argparse.ArgumentParser):

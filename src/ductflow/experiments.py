@@ -12,11 +12,11 @@ times are reported for orientation only; they depend on the host and
 are never part of pass/fail decisions.
 
 Both solvers stop at one tolerance stated in strain-rate units,
-``abstol_for(tri)`` with ``reltol = 1e-6``, the stop the benchmark
-solves with.  The solvers' stationarity residual carries a factor
-``|T_k|``, so a fixed ``abstol`` loosens as the mesh is refined; scaled
-by the mean triangle area it states one strain-rate accuracy on every
-mesh.
+``solver_configs(tri)``: ``abstol_for(tri)`` with ``reltol = 1e-6``, the
+stop the benchmark solves with and ``ductflow solve`` builds its configs
+from.  The solvers' stationarity residual carries a factor ``|T_k|``, so
+a fixed ``abstol`` loosens as the mesh is refined; scaled by the mean
+triangle area it states one strain-rate accuracy on every mesh.
 """
 
 from __future__ import annotations
@@ -44,14 +44,24 @@ PLUG_STOP_TAU0 = 0.6
 # Largest max |y| an arrested flow may keep.
 ARRESTED_VELOCITY_BOUND = 1e-6
 
+# Stationarity residual, in strain-rate units, at which a run stops by default.
+STRAIN_RATE_TOL = 1e-4
 
-def abstol_for(tri: Triangulation, strain_rate_tol: float = 1e-4) -> float:
+
+def abstol_for(tri: Triangulation, strain_rate_tol: float = STRAIN_RATE_TOL) -> float:
     """Solver ``abstol`` on ``tri`` for a residual of ``strain_rate_tol`` in strain-rate units.
 
     ``TrsConfig.abstol`` and ``Alg2Config.abstol`` bound an area-weighted
     residual; the mean triangle area converts between the two.
     """
     return strain_rate_tol * float(np.mean(tri.areas))
+
+
+def solver_configs(tri: Triangulation,
+                   strain_rate_tol: float = STRAIN_RATE_TOL) -> tuple[TrsConfig, Alg2Config]:
+    """TRS and ALG2 configs stopping at ``abstol_for(tri, strain_rate_tol)`` with ``reltol = 1e-6``."""
+    stop = dict(abstol=abstol_for(tri, strain_rate_tol), reltol=1e-6)
+    return TrsConfig(**stop), Alg2Config(**stop)
 
 
 def speedup_of(trs: SolveReport, alg2: SolveReport) -> float:
@@ -125,12 +135,11 @@ def _error(y, tri, sol: PipeSolution) -> float:
 def run_cell(alpha, tau0, ops, trs_cfg=None, alg2_cfg=None) -> ExperimentRow:
     """Run both solvers on one parameter combination.
 
-    A solver without a config stops at ``abstol_for(ops.tri)`` with
-    ``reltol = 1e-6``.
+    A solver without a config stops at ``solver_configs(ops.tri)``.
     """
-    abstol = abstol_for(ops.tri)
-    trs_cfg = trs_cfg if trs_cfg is not None else TrsConfig(abstol=abstol, reltol=1e-6)
-    alg2_cfg = alg2_cfg if alg2_cfg is not None else Alg2Config(abstol=abstol, reltol=1e-6)
+    rule_trs, rule_alg2 = solver_configs(ops.tri)
+    trs_cfg = trs_cfg if trs_cfg is not None else rule_trs
+    alg2_cfg = alg2_cfg if alg2_cfg is not None else rule_alg2
     params = FluidParams(alpha=alpha, kappa=1.0, tau0=tau0)
     sol = PipeSolution(params)
     _, y_trs, rep_trs = solve_trs(params, ops, cfg=trs_cfg)

@@ -160,6 +160,7 @@ def test_benchmark_tolerance_is_the_library_rule(workloads, mesh):
     make = generate_disk_mesh if kind == "disk" else generate_square_mesh
     tri = make(int(n))
     assert workloads.abstol_for(tri).hex() == experiments.abstol_for(tri).hex()
+    assert workloads.solver_configs(tri) == experiments.solver_configs(tri)
 
 
 def test_benchmark_configs_are_run_cell_defaults(workloads, monkeypatch):

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ductflow import augmented_lagrangian
+from ductflow import augmented_lagrangian, cli
 from ductflow.augmented_lagrangian import Alg2Config
 from ductflow.cli import RunConfig, _build_parser, _merged, _read_config_file, main
+from ductflow.experiments import solver_configs
 from ductflow.export import write_vtk
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, load_mesh
@@ -82,6 +84,17 @@ class TestSolveCommand:
         diff = capsys.readouterr().out.split("relative_difference=")[1].split()[0]
         assert 0.0 < float(diff) < 0.1
 
+    def test_both_solvers_stop_at_the_strain_rate_rule(self, tmp_path, capsys):
+        # an area-weighted abstol of 1e-4 loosens with the mesh and stops
+        # TRS at its starting projection here, 5.3e-4 away from ALG2
+        out = tmp_path / "both"
+        code = main(["solve", "--solver", "both", "--mesh", "disk:26", "--alpha", "2",
+                     "--tau0", "0.1", "--format", "json", "--out", str(out)])
+        assert code == 0
+        assert read_json(out / "report_trs.json")["iterations"] >= 2
+        diff = capsys.readouterr().out.split("relative_difference=")[1].split()[0]
+        assert float(diff) <= 1e-4
+
     def test_nonconvergence_exits_two(self, tmp_path):
         code = main(["solve", "--solver", "alg2", "--mesh", "disk:3",
                      "--alpha", "2", "--tau0", "0.1", "--alg2-max-outer", "2",
@@ -90,7 +103,7 @@ class TestSolveCommand:
 
     def test_stalled_run_exits_two(self, tmp_path, capsys):
         code = main(["solve", "--solver", "trs", "--mesh", "square:12", "--alpha", "1.5",
-                     "--tau0", "0.3", "--abstol", "1e-12", "--reltol", "1e-6",
+                     "--tau0", "0.3", "--abstol", "1e-12",
                      "--max-outer", "5000", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "[trs] status=stalled" in capsys.readouterr().out
@@ -101,6 +114,7 @@ class TestSolveCommand:
                      id="--abstol-nan-tolerances must be positive and finite"),
         ("--r", "inf", "r must be positive and finite"),
         ("--max-outer", "0", "max_outer must be at least 1"),
+        ("--alg2-max-outer", "0", "alg2_max_outer must be at least 1 and an integer, got 0"),
     ])
     def test_out_of_range_setting_exits_one(self, tmp_path, capsys, flag, value, message):
         code = main(["solve", "--solver", "both", "--mesh", "disk:3", flag, value,
@@ -129,7 +143,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("flag", ["--divtol", "--delta0", "--delta-max", "--eta",
                                       "--gamma", "--max-cg", "--newton-max",
-                                      "--newton-abstol", "--newton-reltol"])
+                                      "--newton-abstol", "--newton-reltol", "--reltol"])
     def test_solver_constants_are_not_options(self, tmp_path, capsys, flag):
         code = main(["solve", "--mesh", "disk:2", flag, "0.2", "--out", str(tmp_path / "x")])
         assert code == 1
@@ -317,28 +331,53 @@ class TestSolveCommand:
 class TestMergedOptions:
     def test_unset_options_take_dataclass_defaults(self):
         cfg = _merged(_build_parser().parse_args(["solve"]))
-        assert cfg.trs == TrsConfig()
-        assert cfg.alg2 == Alg2Config()
         assert cfg == RunConfig()
+        assert (cfg.abstol, cfg.max_outer, cfg.r, cfg.alg2_max_outer) == (
+            1e-4, TrsConfig().max_outer, Alg2Config().r, Alg2Config().max_outer)
 
-    def test_max_outer_caps_trs_only(self):
-        cfg = _merged(_build_parser().parse_args(
-            ["solve", "--solver", "both", "--max-outer", "7"]))
-        assert (cfg.trs.max_outer, cfg.alg2.max_outer) == (7, Alg2Config().max_outer)
+    @staticmethod
+    def solved_configs(monkeypatch, tmp_path, *argv):
+        """The configs ``solve --solver both --mesh disk:2 *argv`` passes to each solver."""
+        seen = {}
+
+        def spy(name, solve):
+            def wrapper(params, ops, cfg):
+                seen[name] = cfg
+                return solve(params, ops, cfg=cfg)
+            return wrapper
+
+        monkeypatch.setattr(cli, "solve_trs", spy("trs", cli.solve_trs))
+        monkeypatch.setattr(cli, "solve_alg2", spy("alg2", cli.solve_alg2))
+        main(["solve", "--solver", "both", "--mesh", "disk:2", "--format", "json",
+              "--out", str(tmp_path / "x"), *argv])
+        return seen["trs"], seen["alg2"]
+
+    def test_max_outer_caps_trs_only(self, monkeypatch, tmp_path):
+        trs, alg2 = self.solved_configs(monkeypatch, tmp_path, "--max-outer", "7")
+        rule_trs, rule_alg2 = solver_configs(generate_disk_mesh(2))
+        assert trs == dataclasses.replace(rule_trs, max_outer=7)
+        assert alg2 == rule_alg2
+
+    def test_abstol_and_r_reach_the_rule_configs(self, monkeypatch, tmp_path):
+        trs, alg2 = self.solved_configs(monkeypatch, tmp_path, "--abstol", "1e-3", "--r", "5")
+        rule_trs, rule_alg2 = solver_configs(generate_disk_mesh(2), 1e-3)
+        assert trs == rule_trs
+        assert alg2 == dataclasses.replace(rule_alg2, r=5.0)
 
     def test_alg2_max_outer_caps_alg2_from_flag_or_file(self, tmp_path):
         path = tmp_path / "caps.cfg"
         path.write_text("alg2_max_outer = 70\n")
         for argv in (["--config", str(path)], ["--alg2-max-outer", "70"]):
             cfg = _merged(_build_parser().parse_args(["solve", *argv]))
-            assert (cfg.trs.max_outer, cfg.alg2.max_outer) == (TrsConfig().max_outer, 70)
+            assert (cfg.max_outer, cfg.alg2_max_outer) == (TrsConfig().max_outer, 70)
 
     def test_flags_and_file_keys_are_one_set(self, tmp_path):
         flags = set(vars(_build_parser().parse_args(["solve"]))) - {"command", "config"}
         path = tmp_path / "all.cfg"
         path.write_text("".join(f"{name} = 1\n" for name in sorted(flags)))
         assert set(_read_config_file(path)) == flags
-        assert len(flags) == 13
+        assert flags == {field.name for field in dataclasses.fields(RunConfig)}
+        assert len(flags) == 12
 
 
 class TestExports:
