@@ -13,14 +13,14 @@ from .mesh import (MeshError, Triangulation, generate_disk_mesh, generate_square
                    save_mesh)
 from .objective import FluidParams, block_norms, gradient, hessian, hessian_apply, objective
 from .pipe import PipeSolution, exact_velocity, relative_difference, relative_error
-from .report import SolveReport
+from .report import SolveReport, abstol_for
 from .trust_region import TrsConfig, cg_steihaug, solve_trs, update_radius
 
 __all__ = [
     "Alg2Config", "DiscreteOperators", "FactorizationError", "FluidParams",
     "MeshError", "PipeSolution", "ShrinkConvergenceError", "SolveReport", "Triangulation",
     "TrsConfig",
-    "assemble", "block_norms", "cg_steihaug",
+    "abstol_for", "assemble", "block_norms", "cg_steihaug",
     "exact_velocity", "generate_disk_mesh", "generate_square_mesh", "gradient", "hessian",
     "hessian_apply", "load_mesh", "objective",
     "relative_difference", "relative_error", "save_mesh",

@@ -70,29 +70,29 @@ import numpy as np
 
 from .fem import DiscreteOperators
 from .objective import FluidParams, block_norms, gradient, objective
-from .report import SolveReport, check_count, check_positive
+from .report import RELTOL, SolveReport, abstol_for, check_count, check_positive
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Alg2Config:
-    """Augmentation parameter, stopping tolerances, Newton tolerances and cap.
+    """Stopping tolerances, augmentation parameter, Newton tolerances and cap.
 
-    ``abstol`` bounds the area-weighted stationarity residual ``max |grad
-    J - D^T y|`` and the momentum defect ``max |D tau - f_h|``; its unit
-    carries a triangle area, so ``experiments.abstol_for`` gives the
-    value for a tolerance in strain-rate units.  ``reltol`` bounds the
-    relative velocity and strain-rate increments between passes.
+    ``abstol`` (required) bounds the area-weighted stationarity residual
+    ``max |grad J - D^T y|`` and the momentum defect ``max |D tau -
+    f_h|``; its unit carries a triangle area, so ``report.abstol_for``
+    gives the value for a tolerance in strain-rate units.  ``reltol``
+    bounds the relative velocity and strain-rate increments between passes.
     """
 
+    abstol: float
     r: float = 10.0
-    abstol: float = 1e-4
-    reltol: float = 1e-4
+    reltol: float = RELTOL
     newton_abstol: float = 1e-13
     newton_reltol: float = 1e-8
     max_outer: int = 5000
 
     def __post_init__(self):
-        check_positive(r=self.r, abstol=self.abstol, reltol=self.reltol,
+        check_positive(abstol=self.abstol, r=self.r, reltol=self.reltol,
                        newton_abstol=self.newton_abstol, newton_reltol=self.newton_reltol)
         check_count(max_outer=self.max_outer)
 
@@ -227,9 +227,10 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
     """Run ALG2 from the zero state.
 
     Returns ``(y, q, tau, report)``: velocity, per-triangle strain rate,
-    stress multiplier and the iteration record.
+    stress multiplier and the iteration record.  Without ``cfg`` the loop
+    stops at ``abstol_for(ops.tri)``.
     """
-    cfg = cfg if cfg is not None else Alg2Config()
+    cfg = cfg if cfg is not None else Alg2Config(abstol=abstol_for(ops.tri))
     start = time.perf_counter()
     r = cfg.r
 

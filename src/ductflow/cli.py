@@ -14,17 +14,16 @@ maps failures the same way: ``main`` alone prints the ``error:`` line
 and picks the code.  Every ``solve`` option is both a flag
 (``--max-outer``) and a key of a ``key = value`` file read with
 ``--config`` (``max_outer``), and is the ``RunConfig`` field of that
-name; flags win over the file.  ``solve`` stops both solvers at
-``experiments.solver_configs``: ``--abstol`` is a stationarity residual
-in strain-rate units, scaled by the mesh's mean triangle area, and
-``reltol`` is fixed at 1e-6.
+name; flags win over the file.  ``--abstol`` is the stationarity
+residual of both solvers in strain-rate units (``report.abstol_for``);
+at its default ``solve`` stops where a solver given no config stops.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -32,12 +31,12 @@ import numpy as np
 
 from . import export
 from .augmented_lagrangian import Alg2Config, ShrinkConvergenceError, solve_alg2
-from .experiments import STRAIN_RATE_TOL, reproduce_tables, solver_configs, speedup_of
+from .experiments import reproduce_tables, speedup_of
 from .fem import FactorizationError, assemble
 from .mesh import generate_disk_mesh, generate_square_mesh, load_mesh, save_mesh
 from .objective import FluidParams
 from .pipe import PipeSolution, relative_difference, relative_error
-from .report import check_count, check_positive
+from .report import STRAIN_RATE_TOL, abstol_for, check_count, check_positive
 from .trust_region import TrsConfig, solve_trs
 
 EXIT_OK = 0
@@ -77,11 +76,11 @@ class RunConfig:
 
 def run(cfg: RunConfig) -> int:
     """Execute one solve per requested solver and write all outputs."""
-    tri, is_disk = _make_mesh(cfg.mesh)
-    trs_cfg, alg2_cfg = solver_configs(tri, cfg.abstol)
-    trs_cfg = replace(trs_cfg, max_outer=cfg.max_outer)
-    alg2_cfg = replace(alg2_cfg, r=cfg.r, max_outer=cfg.alg2_max_outer)
     params = FluidParams(alpha=cfg.alpha, kappa=cfg.kappa, tau0=cfg.tau0)
+    tri, is_disk = _make_mesh(cfg.mesh)
+    abstol = abstol_for(tri, cfg.abstol)
+    trs_cfg = TrsConfig(abstol=abstol, max_outer=cfg.max_outer)
+    alg2_cfg = Alg2Config(abstol=abstol, r=cfg.r, max_outer=cfg.alg2_max_outer)
     ops = assemble(tri, f=cfg.force)
 
     sol = PipeSolution(params) if is_disk and cfg.kappa == 1.0 and cfg.force == 1.0 else None

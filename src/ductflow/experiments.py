@@ -2,21 +2,15 @@
 
 Runs the 18-cell grid {alpha in 2, 1.75, 1.5} x {tau0 in 0.1, 0.2} x three
 disk refinements, then one arrested-flow cell at tau0 = 0.6 on the
-coarsest mesh, every cell through ``run_cell``.  Each row holds both
-solvers' ``SolveReport``s and their errors against the closed-form
-profile; the ALG2/TRS speedup is computed from the reports.  Where that
-profile is zero (arrested flow) the error columns hold max |y|, and the
-row fails unless both solvers keep it at most ``ARRESTED_VELOCITY_BOUND``.
-Every run has the unit constant force density the profile assumes.  Wall
-times are reported for orientation only; they depend on the host and
-are never part of pass/fail decisions.
-
-Both solvers stop at one tolerance stated in strain-rate units,
-``solver_configs(tri)``: ``abstol_for(tri)`` with ``reltol = 1e-6``, the
-stop the benchmark solves with and ``ductflow solve`` builds its configs
-from.  The solvers' stationarity residual carries a factor ``|T_k|``, so
-a fixed ``abstol`` loosens as the mesh is refined; scaled by the mean
-triangle area it states one strain-rate accuracy on every mesh.
+coarsest mesh, every cell through ``run_cell`` at the solvers' default
+stop, ``report.abstol_for(tri)``, where the benchmark stops too.  Each
+row holds both solvers' ``SolveReport``s and their errors against the
+closed-form profile; the ALG2/TRS speedup is computed from the reports.
+Where that profile is zero (arrested flow) the error columns hold max
+|y|, and the row fails unless both solvers keep it at most
+``ARRESTED_VELOCITY_BOUND``.  Every run has the unit constant force
+density the profile assumes.  Wall times are reported for orientation
+only; they depend on the host and are never part of pass/fail decisions.
 """
 
 from __future__ import annotations
@@ -26,13 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augmented_lagrangian import Alg2Config, solve_alg2
+from .augmented_lagrangian import solve_alg2
 from .fem import assemble
-from .mesh import Triangulation, generate_disk_mesh
+from .mesh import generate_disk_mesh
 from .objective import FluidParams
 from .pipe import PipeSolution, relative_error
 from .report import SolveReport
-from .trust_region import TrsConfig, solve_trs
+from .trust_region import solve_trs
 
 # Ring counts giving 469 / 1141 / 2107 nodes, comparable to the
 # 559 / 1129 / 2169-node meshes the benchmark grid targets.
@@ -43,25 +37,6 @@ DEFAULT_TAU0S = (0.1, 0.2)
 PLUG_STOP_TAU0 = 0.6
 # Largest max |y| an arrested flow may keep.
 ARRESTED_VELOCITY_BOUND = 1e-6
-
-# Stationarity residual, in strain-rate units, at which a run stops by default.
-STRAIN_RATE_TOL = 1e-4
-
-
-def abstol_for(tri: Triangulation, strain_rate_tol: float = STRAIN_RATE_TOL) -> float:
-    """Solver ``abstol`` on ``tri`` for a residual of ``strain_rate_tol`` in strain-rate units.
-
-    ``TrsConfig.abstol`` and ``Alg2Config.abstol`` bound an area-weighted
-    residual; the mean triangle area converts between the two.
-    """
-    return strain_rate_tol * float(np.mean(tri.areas))
-
-
-def solver_configs(tri: Triangulation,
-                   strain_rate_tol: float = STRAIN_RATE_TOL) -> tuple[TrsConfig, Alg2Config]:
-    """TRS and ALG2 configs stopping at ``abstol_for(tri, strain_rate_tol)`` with ``reltol = 1e-6``."""
-    stop = dict(abstol=abstol_for(tri, strain_rate_tol), reltol=1e-6)
-    return TrsConfig(**stop), Alg2Config(**stop)
 
 
 def speedup_of(trs: SolveReport, alg2: SolveReport) -> float:
@@ -133,13 +108,7 @@ def _error(y, tri, sol: PipeSolution) -> float:
 
 
 def run_cell(alpha, tau0, ops, trs_cfg=None, alg2_cfg=None) -> ExperimentRow:
-    """Run both solvers on one parameter combination.
-
-    A solver without a config stops at ``solver_configs(ops.tri)``.
-    """
-    rule_trs, rule_alg2 = solver_configs(ops.tri)
-    trs_cfg = trs_cfg if trs_cfg is not None else rule_trs
-    alg2_cfg = alg2_cfg if alg2_cfg is not None else rule_alg2
+    """Run both solvers on one parameter combination; a ``None`` config is the solver's default."""
     params = FluidParams(alpha=alpha, kappa=1.0, tau0=tau0)
     sol = PipeSolution(params)
     _, y_trs, rep_trs = solve_trs(params, ops, cfg=trs_cfg)

@@ -1,13 +1,21 @@
-"""Per-solve iteration record, and the two rules every setting is checked by."""
+"""Per-solve iteration record, the two rules every setting is checked by,
+and the stopping tolerance both solvers default to."""
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 # version of the layout of ``SolveReport.to_dict()``, raised when a field
 # is renamed, removed or changes meaning
 SCHEMA_VERSION = 2
+
+# The stop of a solver given no config: a stationarity residual of
+# STRAIN_RATE_TOL in strain-rate units (see abstol_for), increments of RELTOL.
+STRAIN_RATE_TOL = 1e-4
+RELTOL = 1e-6
 
 
 def check_count(**settings) -> None:
@@ -22,6 +30,21 @@ def check_positive(**settings) -> None:
     for name, value in settings.items():
         if not (isinstance(value, numbers.Real) and 0.0 < value < float("inf")):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def abstol_for(tri, strain_rate_tol: float = STRAIN_RATE_TOL) -> float:
+    """Solver ``abstol`` on mesh ``tri`` for a residual of ``strain_rate_tol`` in strain-rate units.
+
+    The solvers' residual is area-weighted, so a fixed ``abstol`` loosens as
+    the mesh is refined; scaled by the mean triangle area, one tolerance is
+    one accuracy on every mesh.  A product that under- or overflows is rejected.
+    """
+    area = float(np.mean(tri.areas))
+    abstol = strain_rate_tol * area
+    if not 0.0 < abstol < float("inf"):
+        raise ValueError(f"strain-rate tolerance {strain_rate_tol!r} times the mean triangle "
+                         f"area {area!r} is {abstol!r}, not a positive finite abstol")
+    return abstol
 
 
 @dataclass

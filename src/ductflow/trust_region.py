@@ -43,7 +43,7 @@ import numpy as np
 
 from .fem import DiscreteOperators
 from .objective import FluidParams, gradient, hessian, hessian_apply, objective
-from .report import SolveReport, check_count, check_positive
+from .report import RELTOL, SolveReport, abstol_for, check_count, check_positive
 
 # Projected CG iterates drift out of null(D) through the residual
 # recurrence; re-project the accumulated step this often.
@@ -78,20 +78,20 @@ _STALL_PRED = 8.0 * np.finfo(float).eps
 _CG_PER_TRIANGLE = 10
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrsConfig:
     """Stopping tolerances and the outer-iteration cap.
 
-    ``abstol`` bounds the area-weighted stationarity residual ``max |grad
-    J - D^T y|``; a projected gradient whose Euclidean norm is below it
-    stops the loop at once.  Its unit carries a triangle area, so
-    ``experiments.abstol_for`` gives the value for a tolerance in
-    strain-rate units.  ``reltol`` bounds the relative velocity increment
-    between outer iterations.
+    ``abstol`` (required) bounds the area-weighted stationarity residual
+    ``max |grad J - D^T y|``; a projected gradient whose Euclidean norm is
+    below it stops the loop at once.  Its unit carries a triangle area, so
+    ``report.abstol_for`` gives the value for a tolerance in strain-rate
+    units.  ``reltol`` bounds the relative velocity increment between
+    outer iterations.
     """
 
-    abstol: float = 1e-4
-    reltol: float = 1e-4
+    abstol: float
+    reltol: float = RELTOL
     max_outer: int = 500
 
     def __post_init__(self):
@@ -219,9 +219,10 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None
     stress, ``y`` the least-squares velocity recovered from it and
     ``report`` the full iteration record.  Non-convergence within
     ``max_outer`` passes, a non-finite residual or model, or a stall at
-    the rounding of ``J`` is reported, not raised.
+    the rounding of ``J`` is reported, not raised.  Without ``cfg`` the
+    loop stops at ``abstol_for(ops.tri)``.
     """
-    cfg = cfg if cfg is not None else TrsConfig()
+    cfg = cfg if cfg is not None else TrsConfig(abstol=abstol_for(ops.tri))
     start = time.perf_counter()
 
     tau = ops.project_feasible(np.zeros(ops.n_stress))

@@ -13,11 +13,11 @@ import pytest
 
 from ductflow.augmented_lagrangian import Alg2Config, _shrink_field, solve_alg2
 from ductflow.experiments import (ARRESTED_VELOCITY_BOUND, DEFAULT_ALPHAS,
-                                  DEFAULT_REFINEMENTS, DEFAULT_TAU0S, abstol_for, run_cell,
-                                  solver_configs)
+                                  DEFAULT_REFINEMENTS, DEFAULT_TAU0S, run_cell)
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh
 from ductflow.objective import FluidParams, block_norms, gradient, hessian
+from ductflow.report import abstol_for
 from ductflow.trust_region import cg_steihaug, solve_trs
 from oracles import (dense_poisson_velocity, dense_projected_newton_step,
                      fd_gradient, fd_hessian, random_stress_blocks)
@@ -72,10 +72,9 @@ def grid():
     plug_tri = generate_disk_mesh(DEFAULT_REFINEMENTS[0])
     plug_ops = assemble(plug_tri, f=1.0)
     plug_bound = 1e-8 * (1.0 + float(np.abs(plug_ops.f_h).max()))
-    plug_cfg, _ = solver_configs(plug_tri)
     for tau0 in (0.5, 0.6):
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=tau0)
-        tau, y, report = solve_trs(params, plug_ops, cfg=plug_cfg)
+        tau, y, report = solve_trs(params, plug_ops)
         results.plug_runs.append((tau0, tau, y, report, plug_bound))
 
     alg2_tight = Alg2Config(abstol=1e-9, reltol=1e-9, max_outer=50000)
@@ -84,7 +83,7 @@ def grid():
         ops = assemble(tri, f=1.0)
         bound = 1e-8 * (1.0 + float(np.abs(ops.f_h).max()))
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.0)
-        _, y, report = solve_trs(params, ops, cfg=solver_configs(tri)[0])
+        _, y, report = solve_trs(params, ops)
         y_alg2, _, _, alg2_report = solve_alg2(params, ops, alg2_tight)
         results.quad_runs.append((tri.n_free, y, dense_poisson_velocity(ops),
                                   report, y_alg2, bound, alg2_report))
@@ -262,7 +261,7 @@ def test_criterion_7_cgs_structure():
 def test_criterion_8_shrink_oracle():
     from test_augmented_lagrangian import bisect_magnitude
 
-    tight = Alg2Config(newton_abstol=1e-13, newton_reltol=1e-14)
+    tight = Alg2Config(abstol=1e-4, newton_abstol=1e-13, newton_reltol=1e-14)
     rng = np.random.default_rng(4321)
     worst = 0.0
     zero_rule = True

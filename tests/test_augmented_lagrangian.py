@@ -10,11 +10,11 @@ from scipy.sparse.linalg import spsolve
 from ductflow import augmented_lagrangian
 from ductflow.augmented_lagrangian import (_RELAXATION, Alg2Config, ShrinkConvergenceError,
                                            _newton_magnitudes, _shrink_field, solve_alg2)
-from ductflow.experiments import abstol_for
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, generate_square_mesh
 from ductflow.objective import FluidParams, gradient, objective
 from ductflow.pipe import relative_difference
+from ductflow.report import abstol_for
 from ductflow.trust_region import TrsConfig, solve_trs
 from oracles import dense_poisson_velocity
 
@@ -34,7 +34,9 @@ def bisect_magnitude(alpha, kappa, r, tau0, w_norm, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
-TIGHT = Alg2Config(newton_abstol=1e-13, newton_reltol=1e-14)
+# the shrink step reads only the Newton tolerances; abstol is required
+SHRINK = Alg2Config(abstol=1e-4)
+TIGHT = Alg2Config(abstol=1e-4, newton_abstol=1e-13, newton_reltol=1e-14)
 
 
 def cold_shrink(params, r, w_norms, cfg):
@@ -54,7 +56,7 @@ class TestShrinkMagnitude:
         (m,) = cold_shrink(params, 10.0, 1.2, TIGHT)
         assert m == pytest.approx(1.0 / 11.0, rel=1e-15)
 
-    @pytest.mark.parametrize("cfg", [TIGHT, Alg2Config()], ids=["tight", "default"])
+    @pytest.mark.parametrize("cfg", [TIGHT, SHRINK], ids=["tight", "default"])
     def test_power_law_against_bisection(self, cfg):
         # m solves sqrt(m) + 10 m = 1
         params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.0)
@@ -78,7 +80,7 @@ class TestShrinkMagnitude:
     def test_newton_failure_names_element(self, monkeypatch):
         # a cold start at w = 5 needs five passes here
         params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.0)
-        cramped = Alg2Config(newton_abstol=1e-13, newton_reltol=1e-16)
+        cramped = Alg2Config(abstol=1e-4, newton_abstol=1e-13, newton_reltol=1e-16)
         monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
         with pytest.raises(ShrinkConvergenceError, match="element 0"):
             cold_shrink(params, 10.0, 5.0, cramped)
@@ -90,7 +92,7 @@ class TestShrinkMagnitude:
         params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.0)
         (root,) = cold_shrink(params, 10.0, 1.0, TIGHT)
         previous = np.array([root * (1.0 + 1e-4), 0.0])
-        cfg = Alg2Config(newton_reltol=1e-3)
+        cfg = Alg2Config(abstol=1e-4, newton_reltol=1e-3)
         monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 2)
         with pytest.raises(ShrinkConvergenceError, match=r"element 1\b"):
             _shrink_field(params, 10.0, np.array([1.0, 5.0]), cfg, previous)
@@ -101,14 +103,14 @@ class TestShrinkMagnitude:
         params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.2)
         monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
         with pytest.raises(ShrinkConvergenceError, match=r"element 2\b"):
-            cold_shrink(params, 10.0, [0.0, 0.1, 5.0], Alg2Config())
+            cold_shrink(params, 10.0, [0.0, 0.1, 5.0], SHRINK)
 
     def test_warm_start_at_root_takes_one_pass(self, monkeypatch):
         params = FluidParams(alpha=1.3, kappa=0.7, tau0=0.2)
         w = np.linspace(0.0, 4.0, 41)
-        roots = _shrink_field(params, 10.0, w, Alg2Config(), np.zeros(w.size))
+        roots = _shrink_field(params, 10.0, w, SHRINK, np.zeros(w.size))
         monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
-        again = _shrink_field(params, 10.0, w, Alg2Config(), roots)
+        again = _shrink_field(params, 10.0, w, SHRINK, roots)
         np.testing.assert_allclose(again, roots, rtol=1e-15, atol=0.0)
 
 
@@ -127,7 +129,7 @@ _WARM = st.one_of(st.just(("zero", 0)), st.just(("root", 0)),
 def test_warm_start_matches_cold_start_and_bisection(alpha, kappa, r, tau0, excess, warm):
     params = FluidParams(alpha=alpha, kappa=kappa, tau0=tau0)
     w = tau0 + np.array(excess)
-    cfg = Alg2Config()
+    cfg = SHRINK
     cold = _shrink_field(params, r, w, cfg, np.zeros(w.size))
     previous = np.array([0.0 if kind == "zero" else m * 10.0 ** e
                          for m, (kind, e) in zip(cold, warm)])
@@ -151,9 +153,9 @@ def test_entries_below_yield_do_not_change_the_rest(alpha, r, tau0, excess, warm
     params = FluidParams(alpha=alpha, kappa=1.0, tau0=tau0)
     w = tau0 + np.array(excess)
     previous = np.array(warm[:w.size])
-    got = _shrink_field(params, r, w, Alg2Config(), previous)
+    got = _shrink_field(params, r, w, SHRINK, previous)
     above = w - tau0 > 0.0
-    alone = _shrink_field(params, r, w[above], Alg2Config(), previous[above])
+    alone = _shrink_field(params, r, w[above], SHRINK, previous[above])
     np.testing.assert_array_equal(got[above], alone)
     np.testing.assert_array_equal(got[~above], 0.0)
 
@@ -211,7 +213,7 @@ def test_cold_start_near_yield_surface_is_relatively_exact(alpha, excess):
     # with rhs stops Newton while it is still far off
     params = FluidParams(alpha=alpha, kappa=1.0, tau0=0.3)
     w = np.array([0.3 + excess])
-    got = _shrink_field(params, 1.0, w, Alg2Config(), np.zeros(1))[0]
+    got = _shrink_field(params, 1.0, w, SHRINK, np.zeros(1))[0]
     want = bisect_to_rounding(alpha, 1.0, 1.0, float(w[0]) - 0.3)
     # m = e^t carries the rounding of t = ln m, a relative |t| eps
     assert abs(got - want) <= max(1e-13, 4.0 * np.finfo(float).eps * abs(np.log(want))) * want
@@ -226,10 +228,16 @@ class TestConfig:
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
-            Alg2Config(**bad)
+            Alg2Config(**{"abstol": 1e-4, **bad})
+
+    def test_abstol_has_no_default(self):
+        with pytest.raises(TypeError):
+            Alg2Config()
+        cfg = Alg2Config(abstol=1e-4)
+        assert (cfg.r, cfg.reltol, cfg.max_outer) == (10.0, 1e-6, 5000)
 
     def test_numpy_integer_max_outer_accepted(self):
-        assert Alg2Config(max_outer=np.int64(3)).max_outer == 3
+        assert Alg2Config(abstol=1e-4, max_outer=np.int64(3)).max_outer == 3
 
 
 class TestSolveAlg2:
@@ -245,11 +253,11 @@ class TestSolveAlg2:
 
     def test_bingham_pipe_iteration_count(self):
         # with r = 10 and the over-relaxed steps this configuration takes
-        # 45 passes (73 without relaxation)
+        # 45 passes (73 without relaxation) at the plain area-weighted stop
         tri = generate_disk_mesh(12)
         ops = assemble(tri, f=1.0)
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
-        y, q, tau, report = solve_alg2(params, ops)
+        y, q, tau, report = solve_alg2(params, ops, Alg2Config(abstol=1e-4, reltol=1e-4))
         assert report.converged
         assert 40 <= report.iterations <= 55
         assert report.kkt_history[-1] <= 1e-4
@@ -301,7 +309,7 @@ class TestSolveAlg2:
         tri = generate_disk_mesh(6)
         ops = assemble(tri, f=1.0)
         params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.2)
-        cfg = Alg2Config()
+        cfg = Alg2Config(abstol=abstol_for(tri))
         y, q, tau, report = solve_alg2(params, ops, cfg)
         assert report.converged
         grad_y = ops.velocity_gradient(y)
@@ -315,7 +323,7 @@ class TestSolveAlg2:
         tri = generate_disk_mesh(5)
         ops = assemble(tri, f=1.0)
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
-        cfg = Alg2Config()
+        cfg = Alg2Config(abstol=abstol_for(tri))
         _, _, tau, report = solve_alg2(params, ops, cfg)
         assert report.converged
         assert ops.momentum_residual(tau) <= cfg.abstol
@@ -325,7 +333,7 @@ class TestSolveAlg2:
         tri = generate_disk_mesh(4)
         ops = assemble(tri, f=1.0)
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
-        _, _, _, report = solve_alg2(params, ops, Alg2Config(max_outer=3))
+        _, _, _, report = solve_alg2(params, ops, Alg2Config(abstol=abstol_for(tri), max_outer=3))
         assert report.status == "max_iterations"
         assert report.iterations == 3
 

@@ -23,11 +23,10 @@ import pytest
 
 from ductflow import experiments, export
 from ductflow.augmented_lagrangian import Alg2Config, solve_alg2
-from ductflow.experiments import abstol_for
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, generate_square_mesh, load_mesh, save_mesh
 from ductflow.objective import FluidParams
-from ductflow.report import SolveReport
+from ductflow.report import abstol_for
 from ductflow.trust_region import TrsConfig, solve_trs
 from test_acceptance import REFERENCE_TRS_ERRORS
 
@@ -159,28 +158,33 @@ def test_benchmark_tolerance_is_the_library_rule(workloads, mesh):
     kind, n = mesh.split(":")
     make = generate_disk_mesh if kind == "disk" else generate_square_mesh
     tri = make(int(n))
-    assert workloads.abstol_for(tri).hex() == experiments.abstol_for(tri).hex()
-    assert workloads.solver_configs(tri) == experiments.solver_configs(tri)
+    assert workloads.abstol_for(tri).hex() == abstol_for(tri).hex()
+    assert workloads.solver_configs(tri) == (TrsConfig(abstol=abstol_for(tri)),
+                                             Alg2Config(abstol=abstol_for(tri)))
 
 
-def test_benchmark_configs_are_run_cell_defaults(workloads, monkeypatch):
-    # run_cell without configs must solve as pipe_grid does with them
-    seen = {}
+def without_wall_time(report):
+    data = report.to_dict()
+    del data["wall_time"]
+    return data
 
-    def fake_trs(params, ops, cfg=None):
-        seen["trs"] = cfg
-        return np.zeros(ops.n_stress), np.zeros(ops.n_free), SolveReport(status="converged")
 
-    def fake_alg2(params, ops, cfg=None):
-        seen["alg2"] = cfg
-        return (np.zeros(ops.n_free), np.zeros(ops.n_stress), np.zeros(ops.n_stress),
-                SolveReport(status="converged"))
-
-    monkeypatch.setattr(experiments, "solve_trs", fake_trs)
-    monkeypatch.setattr(experiments, "solve_alg2", fake_alg2)
-    ops = assemble(generate_disk_mesh(12), f=1.0)
-    experiments.run_cell(2.0, 0.1, ops)
-    assert (seen["trs"], seen["alg2"]) == workloads.solver_configs(ops.tri)
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+@pytest.mark.parametrize("mesh", [generate_disk_mesh(4), generate_square_mesh(8)],
+                         ids=["disk:4", "square:8"])
+def test_solvers_given_no_config_solve_as_the_benchmark_does(workloads, mesh, alpha):
+    # run_cell, solve and the README pass no config; pipe_grid passes its own
+    ops = assemble(mesh, f=1.0)
+    params = FluidParams(alpha=alpha, kappa=1.0, tau0=0.1)
+    trs_cfg, alg2_cfg = workloads.solver_configs(mesh)
+    tau, y, report = solve_trs(params, ops)
+    tau_b, y_b, report_b = solve_trs(params, ops, trs_cfg)
+    assert tau.tobytes() == tau_b.tobytes() and y.tobytes() == y_b.tobytes()
+    assert without_wall_time(report) == without_wall_time(report_b)
+    y, _, tau, report = solve_alg2(params, ops)
+    y_b, _, tau_b, report_b = solve_alg2(params, ops, alg2_cfg)
+    assert tau.tobytes() == tau_b.tobytes() and y.tobytes() == y_b.tobytes()
+    assert without_wall_time(report) == without_wall_time(report_b)
 
 
 def test_benchmark_copies_match_the_package(workloads):

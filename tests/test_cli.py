@@ -7,11 +7,11 @@ import pytest
 from ductflow import augmented_lagrangian, cli
 from ductflow.augmented_lagrangian import Alg2Config
 from ductflow.cli import RunConfig, _build_parser, _merged, _read_config_file, main
-from ductflow.experiments import solver_configs
 from ductflow.export import write_vtk
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, load_mesh
 from ductflow.objective import FluidParams
+from ductflow.report import abstol_for
 from ductflow.trust_region import TrsConfig, solve_trs
 from test_mesh import TWO_PART_MESH
 
@@ -122,6 +122,28 @@ class TestSolveCommand:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_underflowing_abstol_is_named_as_given(self, tmp_path, capsys):
+        # 5e-324 passes the positive-finite check, but scaled by the mean
+        # triangle area it underflows to 0
+        area = float(np.mean(generate_disk_mesh(8).areas))
+        code = main(["solve", "--mesh", "disk:8", "--abstol", "5e-324",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: strain-rate tolerance 5e-324 times the mean triangle area {area!r} "
+            "is 0.0, not a positive finite abstol\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_fluid_parameters_are_checked_before_the_mesh_is_built(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "_make_mesh", lambda spec: built.append(spec))
+        code = main(["solve", "--alpha", "3", "--mesh", "disk:300",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "alpha" in capsys.readouterr().err
+        assert built == []
 
     def test_bad_flag_value_exits_one_naming_the_flag(self, tmp_path, capsys):
         code = main(["solve", "--alpha", "abc", "--out", str(tmp_path / "x")])
@@ -332,8 +354,9 @@ class TestMergedOptions:
     def test_unset_options_take_dataclass_defaults(self):
         cfg = _merged(_build_parser().parse_args(["solve"]))
         assert cfg == RunConfig()
+        trs, alg2 = TrsConfig(abstol=1e-4), Alg2Config(abstol=1e-4)
         assert (cfg.abstol, cfg.max_outer, cfg.r, cfg.alg2_max_outer) == (
-            1e-4, TrsConfig().max_outer, Alg2Config().r, Alg2Config().max_outer)
+            1e-4, trs.max_outer, alg2.r, alg2.max_outer)
 
     @staticmethod
     def solved_configs(monkeypatch, tmp_path, *argv):
@@ -354,22 +377,22 @@ class TestMergedOptions:
 
     def test_max_outer_caps_trs_only(self, monkeypatch, tmp_path):
         trs, alg2 = self.solved_configs(monkeypatch, tmp_path, "--max-outer", "7")
-        rule_trs, rule_alg2 = solver_configs(generate_disk_mesh(2))
-        assert trs == dataclasses.replace(rule_trs, max_outer=7)
-        assert alg2 == rule_alg2
+        abstol = abstol_for(generate_disk_mesh(2))
+        assert trs == TrsConfig(abstol=abstol, max_outer=7)
+        assert alg2 == Alg2Config(abstol=abstol)
 
     def test_abstol_and_r_reach_the_rule_configs(self, monkeypatch, tmp_path):
         trs, alg2 = self.solved_configs(monkeypatch, tmp_path, "--abstol", "1e-3", "--r", "5")
-        rule_trs, rule_alg2 = solver_configs(generate_disk_mesh(2), 1e-3)
-        assert trs == rule_trs
-        assert alg2 == dataclasses.replace(rule_alg2, r=5.0)
+        abstol = abstol_for(generate_disk_mesh(2), 1e-3)
+        assert trs == TrsConfig(abstol=abstol)
+        assert alg2 == Alg2Config(abstol=abstol, r=5.0)
 
     def test_alg2_max_outer_caps_alg2_from_flag_or_file(self, tmp_path):
         path = tmp_path / "caps.cfg"
         path.write_text("alg2_max_outer = 70\n")
         for argv in (["--config", str(path)], ["--alg2-max-outer", "70"]):
             cfg = _merged(_build_parser().parse_args(["solve", *argv]))
-            assert (cfg.max_outer, cfg.alg2_max_outer) == (TrsConfig().max_outer, 70)
+            assert (cfg.max_outer, cfg.alg2_max_outer) == (TrsConfig(abstol=1e-4).max_outer, 70)
 
     def test_flags_and_file_keys_are_one_set(self, tmp_path):
         flags = set(vars(_build_parser().parse_args(["solve"]))) - {"command", "config"}

@@ -8,7 +8,7 @@ from ductflow.experiments import (ARRESTED_VELOCITY_BOUND, DEFAULT_REFINEMENTS, 
                                   ExperimentTable, reproduce_tables, run_cell)
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh
-from ductflow.report import SolveReport
+from ductflow.report import SolveReport, abstol_for
 from ductflow.trust_region import TrsConfig
 
 
@@ -75,7 +75,7 @@ def test_failed_cells_are_marked_not_raised():
 
 def test_unconverged_trs_fails_the_row_and_keeps_its_report():
     ops = assemble(generate_disk_mesh(6), f=1.0)
-    row = run_cell(2.0, 0.1, ops, trs_cfg=TrsConfig(max_outer=1))
+    row = run_cell(2.0, 0.1, ops, trs_cfg=TrsConfig(abstol=abstol_for(ops.tri), max_outer=1))
     assert row.status == "FAILED"
     assert row.trs.iterations == 1 and not row.trs.converged
     assert math.isnan(row.error_trs) and math.isnan(row.speedup)

@@ -30,7 +30,7 @@ def build(owner, name, value):
         return FluidParams(alpha=2.0, kappa=value)
     if name == "refinement":
         return owner(value)
-    return owner(**{name: value})
+    return owner(**{"abstol": 1e-4, name: value})
 
 
 @pytest.mark.parametrize("owner, name, value", BAD_SETTINGS,
@@ -45,7 +45,7 @@ def test_out_of_range_setting_is_rejected_by_name(owner, name, value):
 
 
 def test_numpy_integer_counts_accepted():
-    assert TrsConfig(max_outer=np.int64(3)).max_outer == 3
+    assert TrsConfig(abstol=1e-4, max_outer=np.int64(3)).max_outer == 3
     for generate, n in ((generate_disk_mesh, 3), (generate_square_mesh, 4)):
         expected, tri = generate(n), generate(np.int64(n))
         assert np.array_equal(tri.nodes, expected.nodes)

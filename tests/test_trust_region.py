@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ductflow import trust_region
-from ductflow.experiments import abstol_for
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, generate_square_mesh
 from ductflow.objective import (FluidParams, block_norms, gradient, hessian, hessian_apply,
                                 objective)
+from ductflow.report import abstol_for
 from ductflow.trust_region import (TrsConfig, _boundary_intersection, cg_steihaug, solve_trs,
                                    update_radius)
 from oracles import dense_poisson_velocity, dense_projected_newton_step, perturbed_disk
@@ -23,8 +23,10 @@ def run_cg(ops, grad, hess, delta, forcing=0.5, callback=None):
 
 class TestConfig:
     def test_defaults_match_documented_values(self):
-        cfg = TrsConfig()
-        assert (cfg.abstol, cfg.reltol, cfg.max_outer) == (1e-4, 1e-4, 500)
+        with pytest.raises(TypeError):
+            TrsConfig()
+        cfg = TrsConfig(abstol=1e-4)
+        assert (cfg.abstol, cfg.reltol, cfg.max_outer) == (1e-4, 1e-6, 500)
         assert (trust_region._DIVTOL, trust_region._ETA) == (1e-10, 0.1)
         assert (trust_region._DELTA0, trust_region._DELTA_MAX) == (10.0, 1e5)
         assert trust_region._CG_PER_TRIANGLE == 10
@@ -38,7 +40,7 @@ class TestConfig:
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
-            TrsConfig(**bad)
+            TrsConfig(**{"abstol": 1e-4, **bad})
 
 
 class TestUpdateRadius:
@@ -354,7 +356,7 @@ class TestSolveTrs:
         params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.2)
         _, _, full = solve_trs(params, ops)
         assert full.converged and full.iterations > 1
-        _, _, capped = solve_trs(params, ops, cfg=TrsConfig(max_outer=1))
+        _, _, capped = solve_trs(params, ops, cfg=TrsConfig(abstol=abstol_for(tri), max_outer=1))
         assert capped.status == "max_iterations"
         assert capped.iterations == 1
 
