@@ -11,21 +11,19 @@ Exit codes: 0 success; 1 configuration, argument or mesh error, or a
 failed factorisation; 2 solver non-convergence, including a strain-rate
 Newton failure in ``solve`` or ``reproduce``; 3 I/O error.  Every command
 maps failures the same way: ``main`` alone prints the ``error:`` line
-and picks the code.  Every ``solve`` option is both a flag
-(``--max-outer``) and a key of a ``key = value`` file read with
-``--config`` (``max_outer``), and is the ``RunConfig`` field of that
-name; flags win over the file.  ``--abstol`` is the stationarity
+and picks the code.  Every ``solve`` option is declared once, as a
+``RunConfig`` field: the field ``max_outer`` is the flag ``--max-outer``
+and the key ``max_outer`` of a ``key = value`` file read with
+``--config``, its annotation picks the parser and its metadata holds the
+help text; flags win over the file.  ``--abstol`` is the stationarity
 residual of both solvers in strain-rate units (``report.abstol_for``);
 at its default ``solve`` stops where a solver given no config stops.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,20 +45,27 @@ EXIT_IO = 3
 _FORMATS = ("csv", "vtk", "json")
 
 
+def _option(default, help):
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass
 class RunConfig:
-    solver: str = "trs"
-    mesh: str = "disk:8"
-    alpha: float = 2.0
-    tau0: float = 0.1
-    kappa: float = 1.0
-    force: float = 1.0
-    out: str = "out"
-    format: tuple[str, ...] = ("csv",)
-    abstol: float = STRAIN_RATE_TOL
-    max_outer: int = TrsConfig.max_outer
-    r: float = Alg2Config.r
-    alg2_max_outer: int = Alg2Config.max_outer
+    """The ``solve`` options, one field each."""
+
+    solver: str = _option("trs", "trs, alg2 or both")
+    mesh: str = _option("disk:8", "disk:N, square:N or file:PATH")
+    alpha: float = _option(2.0, "power-law exponent in (1, 2]")
+    tau0: float = _option(0.1, "yield stress")
+    kappa: float = _option(1.0, "consistency")
+    force: float = _option(1.0, "constant force density")
+    out: str = _option("out", "output directory")
+    format: tuple[str, ...] = _option(("csv",), "comma-separated subset of csv,vtk,json")
+    abstol: float = _option(STRAIN_RATE_TOL,
+                            "stationarity tolerance in strain-rate units, both solvers")
+    max_outer: int = _option(TrsConfig.max_outer, "TRS: outer-iteration cap")
+    r: float = _option(Alg2Config.r, "ALG2: augmentation parameter")
+    alg2_max_outer: int = _option(Alg2Config.max_outer, "ALG2: iteration cap")
 
     def __post_init__(self):
         if self.solver not in ("trs", "alg2", "both"):
@@ -172,44 +177,25 @@ def _make_mesh(spec: str):
 
 # -- argument handling -----------------------------------------------------
 
-class _Option(NamedTuple):
-    """A ``solve`` option: flag ``--name`` (``-`` for ``_``), file key
-    ``name`` and ``RunConfig`` field ``name``."""
-
-    name: str
-    parse: Callable[[str], object]
-    help: str
-
-    @property
-    def flag(self):
-        return "--" + self.name.replace("_", "-")
-
-    def value(self, where, text):
-        try:
-            return self.parse(text)
-        except ValueError:
-            raise ValueError(f"{where}: invalid {self.name} value {text!r}") from None
+# by annotation, not type(default): bool("False") is True; an int default rejects "1.5"
+_PARSERS = {
+    str: str,
+    float: float,
+    int: int,
+    tuple[str, ...]: lambda text: tuple(part.strip() for part in text.split(",") if part.strip()),
+}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
-def _formats(text):
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
-_OPTIONS = (
-    _Option("solver", str, "trs, alg2 or both"),
-    _Option("mesh", str, "disk:N, square:N or file:PATH"),
-    _Option("alpha", float, "power-law exponent in (1, 2]"),
-    _Option("tau0", float, "yield stress"),
-    _Option("kappa", float, "consistency"),
-    _Option("force", float, "constant force density"),
-    _Option("out", str, "output directory"),
-    _Option("format", _formats, "comma-separated subset of csv,vtk,json"),
-    _Option("abstol", float, "stationarity tolerance in strain-rate units, both solvers"),
-    _Option("max_outer", int, "TRS: outer-iteration cap"),
-    _Option("r", float, "ALG2: augmentation parameter"),
-    _Option("alg2_max_outer", int, "ALG2: iteration cap"),
-)
-_BY_NAME = {opt.name: opt for opt in _OPTIONS}
+def _parsed(name, where, text):
+    try:
+        return _PARSERS[_FIELDS[name].type](text)
+    except ValueError:
+        raise ValueError(f"{where}: invalid {name} value {text!r}") from None
 
 
 def _read_config_file(path):
@@ -229,19 +215,19 @@ def _read_config_file(path):
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key = key.strip().replace("-", "_")
-        if key not in _BY_NAME:
+        if key not in _FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-        values[key] = _BY_NAME[key].value(f"{path}:{lineno}", value.strip())
+        values[key] = _parsed(key, f"{path}:{lineno}", value.strip())
     return values
 
 
 def _merged(args) -> RunConfig:
     """Flags win over the config file, which wins over the dataclass defaults."""
     values = _read_config_file(args.config) if args.config else {}
-    for opt in _OPTIONS:
-        text = getattr(args, opt.name)
+    for name in _FIELDS:
+        text = getattr(args, name)
         if text is not None:
-            values[opt.name] = opt.value(opt.flag, text)
+            values[name] = _parsed(name, _flag(name), text)
     return RunConfig(**values)
 
 
@@ -258,8 +244,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run a solver on one configuration")
-    for opt in _OPTIONS:
-        solve.add_argument(opt.flag, dest=opt.name, help=opt.help)
+    for name, f in _FIELDS.items():
+        solve.add_argument(_flag(name), dest=name, help=f.metadata["help"])
     solve.add_argument("--config", help="key = value configuration file")
 
     reproduce = sub.add_parser("reproduce", help="run the full benchmark grid")
@@ -268,7 +254,7 @@ def _build_parser():
     mesh = sub.add_parser("mesh", help="mesh utilities")
     mesh_sub = mesh.add_subparsers(dest="mesh_command", required=True)
     gen = mesh_sub.add_parser("gen", help="write a built-in mesh to a file")
-    gen.add_argument("--mesh", required=True, help=_BY_NAME["mesh"].help)
+    gen.add_argument("--mesh", required=True, help=_FIELDS["mesh"].metadata["help"])
     gen.add_argument("--out", required=True)
     check = mesh_sub.add_parser("check", help="validate a mesh file")
     check.add_argument("path")

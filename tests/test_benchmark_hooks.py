@@ -129,6 +129,20 @@ def test_reference_generator_keywords_are_config_fields():
         fields = {field.name for field in dataclasses.fields(configs[name])}
         assert keywords and keywords <= fields, (name, keywords - fields)
 
+
+def test_reference_generator_names_resolve():
+    # nothing runs make_square_refs.py, so a name it imports from ductflow
+    # and the package drops would break the reference generator silently
+    tree = ast.parse((PERFBENCH / "make_square_refs.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module.startswith("ductflow")]
+    assert imports
+    for node in imports:
+        source = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(source, alias.name), f"{node.module}.{alias.name}"
+
+
 def test_writers_accept_the_benchmark_calls(tmp_path):
     # the call shapes of workloads.Pass.export and Pass.mesh_round_trip
     tri = generate_disk_mesh(2)

@@ -402,6 +402,20 @@ class TestMergedOptions:
         assert flags == {field.name for field in dataclasses.fields(RunConfig)}
         assert len(flags) == 12
 
+    def test_every_option_is_a_typed_documented_field(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for field in dataclasses.fields(RunConfig):
+            assert field.type in cli._PARSERS, field.name
+            help_line = " ".join(field.metadata.get("help", "").split())
+            assert help_line and help_line in help_text, field.name
+            flag = "--" + field.name.replace("_", "-")
+            text = (",".join(field.default) if isinstance(field.default, tuple)
+                    else str(field.default))
+            cfg = _merged(_build_parser().parse_args(["solve", flag, text]))
+            assert getattr(cfg, field.name) == field.default, field.name
+
 
 class TestExports:
     def test_vtk_structure(self, tmp_path):
