@@ -9,9 +9,10 @@ parameter ``r`` and over-relaxation factor ``rho = _RELAXATION``:
                 ``w_k = tau_k + r g_k``, the relaxed gradient
                 ``g = rho grad y + (1 - rho) q_prev`` and magnitude ``m``
                 solving ``kappa m^(alpha-1) + r m = (|w_k| - tau0)_+``
-                (closed form for alpha = 2 and alpha = 3/2, a quadratic
-                in ``sqrt(m)``; scalar Newton in log space otherwise,
-                solved to rounding)
+                (closed form for the paper's exponents: alpha = 2,
+                alpha = 7/4, a quartic in ``m^(1/4)``, and alpha = 3/2,
+                a quadratic in ``sqrt(m)``; scalar Newton in log space
+                for any other alpha, solved to rounding)
 3. multiplier:  ``tau_k += r (g_k - q_k)``, which is ``w_k - r q_k``
 
 With ``rho = 1`` this is the classical ALG2.  Over-relaxation (Eckstein
@@ -41,16 +42,16 @@ residual from it passes too, and records that residual, so a solve
 evaluates the gradient once and ``converged`` means what it did when
 every pass evaluated it.
 
-The strain-rate Newton, which serves every alpha but 2 and 3/2, is one
-Newton over the whole field, and stops only once a log-space step is
+The strain-rate Newton, which serves every alpha but 2, 7/4 and 3/2, is
+one Newton over the whole field, and stops only once a log-space step is
 below ``newton_reltol = 1e-8``; quadratic convergence then leaves a
 relative error near 1e-16, so the shrink step is exact to rounding and
 the outer residuals can fall to any tolerance the outer loop asks for.
 Each iteration starts Newton from the previous iteration's magnitudes,
 clamped to the cold single-term start, which is an upper bound on the
 root; near the fixed point that costs no more passes than a loose cold
-solve.  The alpha = 3/2 closed form lands within a few ulps of the root
-and needs no warm start.
+solve.  The alpha = 7/4 and alpha = 3/2 closed forms land within a few
+ulps of the root and need no warm start.
 
 Each iteration takes three sparse products: ``D q``, ``D^T y`` (shared
 by the gradient step and the stationarity residual) and ``D tau``
@@ -106,16 +107,17 @@ def _shrink_field(params: FluidParams, r: float, w_norms: np.ndarray,
     """Per element, the ``m >= 0`` solving ``kappa m^(alpha-1) + r m = (|w| - tau0)_+``,
     exactly 0 at or below the yield stress.
 
-    Closed forms serve alpha = 2 (``m = rhs / (kappa + r)``) and alpha =
-    3/2, where the equation is the quadratic ``kappa s + r s^2 = rhs`` in
-    ``s = sqrt(m)``.  Its positive root is taken as ``s = 2 u / (c +
-    sqrt(c^2 + 4 r))`` with ``u = sqrt(rhs)`` and ``c = kappa / u``: no
-    cancellation, and no overflow of ``4 r rhs`` as in the textbook ``2 rhs
-    / (kappa + sqrt(kappa^2 + 4 r rhs))``.  Where ``rhs = 0``, ``c`` is
-    infinite and ``s`` exactly 0; where ``c^2`` overflows, the root is
-    below the double range anyway.  Every other alpha runs
-    ``_newton_magnitudes`` on the whole field, with ``previous`` as warm
-    start (zero where there is no previous root).
+    Closed forms serve alpha = 2 (``m = rhs / (kappa + r)``), alpha = 7/4
+    (``_seven_quarters_magnitudes``) and alpha = 3/2, where the equation is
+    the quadratic ``kappa s + r s^2 = rhs`` in ``s = sqrt(m)``.  Its
+    positive root is taken as ``s = 2 u / (c + sqrt(c^2 + 4 r))`` with ``u
+    = sqrt(rhs)`` and ``c = kappa / u``: no cancellation, and no overflow
+    of ``4 r rhs`` as in the textbook ``2 rhs / (kappa + sqrt(kappa^2 + 4 r
+    rhs))``.  Where ``rhs = 0``, ``c`` is infinite and ``s`` exactly 0;
+    where ``c^2`` overflows, the root is below the double range anyway.
+    Only an alpha outside the paper's grid runs ``_newton_magnitudes`` on
+    the whole field, with ``previous`` as warm start (zero where there is
+    no previous root).
     """
     rhs = np.maximum(w_norms - params.tau0, 0.0)
     if params.alpha == 1.5:
@@ -126,7 +128,79 @@ def _shrink_field(params: FluidParams, r: float, w_norms: np.ndarray,
         return s * s
     if params.alpha == 2.0:
         return rhs / (params.kappa + r)
+    if params.alpha == 1.75:
+        return _seven_quarters_magnitudes(params.kappa, r, rhs)
     return _newton_magnitudes(params.alpha, params.kappa, r, rhs, w_norms, cfg, previous)
+
+
+# The alpha = 7/4 closed form runs for beta in [_BETA_MIN, _BETA_MAX].
+# Outside it the root differs from the dominant single-term root by a
+# relative beta^(1/3) or beta^(-1/4), at most 1e-20, below rounding.
+_BETA_MIN = 1e-60
+_BETA_MAX = 1e80
+
+
+def _seven_quarters_magnitudes(kappa, r, rhs):
+    """The root of ``kappa m^(3/4) + r m = rhs`` in closed form, per element.
+
+    With ``s = m^(1/4) = (kappa / r) x`` the equation is the quartic ``x^4
+    + x^3 = beta``, ``beta = rhs r^3 / kappa^4``.  Ferrari's method writes
+    it as ``(x^2 + x/2 + u)^2 = (e x + f)^2`` with ``e^2 = 1/4 + 2 u``, ``f
+    = -sqrt(u^2 + beta)``, ``2 e f = u`` and ``u`` the real root of the
+    resolvent cubic ``u^3 + beta u + beta/8 = 0``, which lies in ``(-1/8,
+    0)``.  Cardano's root of the cubic is ``u = -(3/8) z / (1 + z + z^2)``
+    with ``z^3 = 1 + (27/8) (S + 1/16) / beta`` and ``S = sqrt(1/256 +
+    beta/27)``.  The positive root is the one of ``x^2 + c x + u + f``
+    with ``c = 1/2 + e = 1/2 + u / (2 f)``; with ``v = -(u + f)`` and ``h
+    = c/2`` it is ``x = v / (h + sqrt(h^2 + v))``, and ``m = rhs / (r (1 +
+    1/x))``.  Every sum above adds terms of one sign, so ``m`` lands within
+    a few ulps of the root.
+
+    ``beta`` is scaled by a power of two so that it overflows only where
+    it is beyond ``_BETA_MAX`` anyway.  Elements whose ``beta`` is outside
+    ``[_BETA_MIN, _BETA_MAX]`` get the dominant single-term root, ``min(rhs
+    / r, (rhs / kappa)^(4/3))``; at ``rhs = 0`` the closed form gives an
+    exact 0.  The work runs in place in three arrays allocated per call.
+    """
+    (mr, er), (mk, ek) = math.frexp(r), math.frexp(kappa)
+    with np.errstate(over="ignore"):
+        beta = np.ldexp(rhs, 3 * er - 4 * ek)
+        beta *= (mr / mk) ** 3 / mk
+        far = (beta > _BETA_MAX) | ((beta < _BETA_MIN) & (rhs > 0.0))
+        np.clip(beta, _BETA_MIN, _BETA_MAX, out=beta)
+
+        # z = cbrt(1 + (27/8) (S + 1/16) / beta), S = sqrt(1/256 + beta/27)
+        z = np.add(beta, 27.0 / 256.0)
+        np.sqrt(z, out=z)
+        z += math.sqrt(27.0) / 16.0
+        z /= beta
+        z *= 3.375 / math.sqrt(27.0)
+        z += 1.0
+        np.cbrt(z, out=z)
+        p = np.add(z, 1.0)  # 1 + z + z^2
+        p *= z
+        p += 1.0
+        z /= p  # z becomes a = -u
+        z *= 0.375
+        np.square(z, out=p)  # p becomes w = -f = sqrt(u^2 + beta)
+        p += beta
+        np.sqrt(p, out=p)
+        np.divide(z, p, out=beta)  # beta becomes h = c/2 = 1/4 + e/2, e = a / (2 w)
+        beta *= 0.25
+        beta += 0.25
+        p += z  # p becomes v = w + a
+        np.square(beta, out=z)  # z becomes r (v + h + sqrt(h^2 + v)) / v = r (1 + 1/x)
+        z += p
+        np.sqrt(z, out=z)
+        z += beta
+        z += p
+        z /= p
+        z *= r
+        np.divide(rhs, z, out=z)
+        if far.any():
+            b = rhs[far]
+            z[far] = np.minimum(b / r, b / kappa * np.cbrt(b / kappa))
+    return z
 
 
 # Roots below exp(_LOG_TINY) are not representable in double precision

@@ -462,15 +462,23 @@ _CHUNK_ROWS = 1 << 14
 
 
 def _chunks(column):
-    """Entries of ``column`` as strings, ``_CHUNK_ROWS`` at a time."""
-    text = isinstance(column, str)
-    if text:
-        column = column.split("\n")
-        if not column[-1]:  # the empty entry after a final newline
-            column.pop()
-    for start in range(0, len(column), _CHUNK_ROWS):
-        chunk = column[start:start + _CHUNK_ROWS]
-        yield chunk if text else map(repr, chunk.tolist())
+    """Entries of ``column`` as strings, ``_CHUNK_ROWS`` at a time.
+
+    Text is split one chunk at a time, so no more than a chunk of
+    per-line strings is alive at once.
+    """
+    while len(column):
+        if isinstance(column, str):
+            chunk = column.split("\n", _CHUNK_ROWS)
+            column = chunk.pop()  # the unsplit rest, or all after the last newline
+            if len(chunk) < _CHUNK_ROWS:
+                if column:  # a last line without a final newline
+                    chunk.append(column)
+                column = ""
+        else:
+            chunk = map(repr, column[:_CHUNK_ROWS].tolist())
+            column = column[_CHUNK_ROWS:]
+        yield chunk
 
 
 def write_rows(fh, *columns, sep=" ") -> None:

@@ -78,8 +78,9 @@ class TestShrinkMagnitude:
         assert np.abs(newton - closed).max() <= 1e-12
 
     def test_newton_failure_names_element(self, monkeypatch):
-        # a cold start at w = 5 needs five passes here
-        params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.0)
+        # a cold start at w = 5 needs five passes here; alpha = 1.6 because
+        # alpha = 2, 7/4 and 3/2 shrink in closed form
+        params = FluidParams(alpha=1.6, kappa=1.0, tau0=0.0)
         cramped = Alg2Config(abstol=1e-4, newton_abstol=1e-13, newton_reltol=1e-16)
         monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
         with pytest.raises(ShrinkConvergenceError, match="element 0"):
@@ -89,7 +90,7 @@ class TestShrinkMagnitude:
         # element 0 starts 1e-4 off its root and meets the step test in one
         # pass, still with a residual far above newton_abstol; element 1
         # starts cold and needs three passes
-        params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.0)
+        params = FluidParams(alpha=1.6, kappa=1.0, tau0=0.0)
         (root,) = cold_shrink(params, 10.0, 1.0, TIGHT)
         previous = np.array([root * (1.0 + 1e-4), 0.0])
         cfg = Alg2Config(abstol=1e-4, newton_reltol=1e-3)
@@ -99,8 +100,8 @@ class TestShrinkMagnitude:
 
     def test_newton_failure_counts_elements_below_yield(self, monkeypatch):
         # elements 0 and 1 lie below the yield stress; the failing element
-        # is named by its index in the whole field
-        params = FluidParams(alpha=1.75, kappa=1.0, tau0=0.2)
+        # is named by its index in the whole field; it needs four passes
+        params = FluidParams(alpha=1.6, kappa=1.0, tau0=0.2)
         monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
         with pytest.raises(ShrinkConvergenceError, match=r"element 2\b"):
             cold_shrink(params, 10.0, [0.0, 0.1, 5.0], SHRINK)
@@ -204,6 +205,65 @@ class TestThreeHalvesClosedForm:
         newton = _newton_magnitudes(1.5, 1.0, 10.0, rhs, w, TIGHT, np.zeros(50))
         closed = cold_shrink(FluidParams(alpha=1.5, kappa=1.0, tau0=0.2), 10.0, w, TIGHT)
         np.testing.assert_allclose(closed, newton, rtol=1e-14, atol=0.0)
+
+
+class TestSevenQuartersClosedForm:
+    """At alpha = 7/4 the shrink equation is a quartic in m^(1/4), solved in closed form."""
+
+    KAPPAS = [1e-200, 1e-3, 1.0, 1e3, 1e200]
+    RS = [1e-3, 10.0, 1e6]
+    # from the smallest subnormal up: roots from exact 0 to beyond 1e300
+    RHS = np.concatenate(([5e-324], 10.0 ** np.arange(-300.0, 301.0, 25.0)))
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("r", RS)
+    def test_within_sixteen_eps_of_bisection(self, kappa, r):
+        got = cold_shrink(FluidParams(alpha=1.75, kappa=kappa, tau0=0.0), r, self.RHS, TIGHT)
+        want = np.array([bisect_to_rounding(1.75, kappa, r, b) for b in self.RHS.tolist()])
+        assert np.all(np.abs(got - want) <= 16.0 * np.finfo(float).eps * want)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("r", RS)
+    def test_exactly_zero_at_or_below_yield(self, kappa, r):
+        params = FluidParams(alpha=1.75, kappa=kappa, tau0=0.3)
+        np.testing.assert_array_equal(cold_shrink(params, r, [0.0, 0.3, 0.2999], TIGHT), 0.0)
+
+    def test_quiet_and_finite_over_the_whole_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for kappa in self.KAPPAS:
+                for r in self.RS:
+                    params = FluidParams(alpha=1.75, kappa=kappa, tau0=0.0)
+                    m = cold_shrink(params, r, np.append(self.RHS, 0.0), TIGHT)
+                    assert np.all(np.isfinite(m)) and np.all(m >= 0.0)
+
+    def test_matches_newton_branch(self):
+        rng = np.random.default_rng(32)
+        w = 0.2 + 3.0 * rng.random(50)
+        rhs = w - 0.2
+        newton = _newton_magnitudes(1.75, 1.0, 10.0, rhs, w, TIGHT, np.zeros(50))
+        closed = cold_shrink(FluidParams(alpha=1.75, kappa=1.0, tau0=0.2), 10.0, w, TIGHT)
+        np.testing.assert_allclose(closed, newton, rtol=1e-14, atol=0.0)
+
+
+class NewtonCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("alpha, newton", [(2.0, False), (1.75, False), (1.5, False),
+                                           (1.6, True)])
+def test_only_exponents_without_a_closed_form_run_newton(monkeypatch, alpha, newton):
+    def refuse(*args):
+        raise NewtonCalled
+
+    monkeypatch.setattr(augmented_lagrangian, "_newton_magnitudes", refuse)
+    params = FluidParams(alpha=alpha, kappa=1.0, tau0=0.2)
+    w = np.linspace(0.0, 3.0, 31)
+    if newton:
+        with pytest.raises(NewtonCalled):
+            cold_shrink(params, 10.0, w, SHRINK)
+    else:
+        assert np.all(np.isfinite(cold_shrink(params, 10.0, w, SHRINK)))
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.75, 1.9])
@@ -337,7 +397,7 @@ class TestSolveAlg2:
         assert report.status == "max_iterations"
         assert report.iterations == 3
 
-    @pytest.mark.parametrize("alpha", [2.0, 1.5])
+    @pytest.mark.parametrize("alpha", [2.0, 1.75, 1.5])
     def test_non_finite_load_stops(self, alpha):
         ops = assemble(generate_disk_mesh(4), f=1.0)
         ops.f_h = np.full(ops.n_free, np.nan)

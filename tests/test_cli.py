@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ductflow import augmented_lagrangian, cli
+from ductflow import augmented_lagrangian, cli, experiments
 from ductflow.augmented_lagrangian import Alg2Config
 from ductflow.cli import RunConfig, _build_parser, _merged, _read_config_file, main
 from ductflow.export import write_vtk
@@ -247,10 +247,10 @@ class TestSolveCommand:
 
     def test_unconverged_shrink_newton_exits_two(self, tmp_path, capsys, monkeypatch):
         # one Newton sweep cannot reach the default tolerances from the
-        # cold start; alpha = 1.75 because alpha = 2 and 3/2 shrink in
+        # cold start; alpha = 1.6 because alpha = 2, 7/4 and 3/2 shrink in
         # closed form
         monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
-        code = main(["solve", "--solver", "alg2", "--mesh", "disk:4", "--alpha", "1.75",
+        code = main(["solve", "--solver", "alg2", "--mesh", "disk:4", "--alpha", "1.6",
                      "--out", str(tmp_path / "x")])
         assert code == 2
         err = capsys.readouterr().err
@@ -495,14 +495,13 @@ class TestReproduceCommand:
         assert main(["reproduce", "--out", str(tmp_path / "t")]) == 2
 
     def test_unconverged_shrink_newton_exits_two(self, tmp_path, capsys, monkeypatch):
-        # the alpha = 1.75 cells shrink by Newton, and one sweep cannot
-        # converge from the cold start
-        import ductflow.cli as cli
-        from ductflow.experiments import reproduce_tables
-
+        # every exponent of the paper's grid shrinks in closed form, so
+        # alpha = 1.6 stands in for 1.75; its cells shrink by Newton, and
+        # one sweep cannot converge from the cold start
+        monkeypatch.setattr(experiments, "DEFAULT_ALPHAS", (2.0, 1.6, 1.5))
         monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
-        monkeypatch.setattr(cli, "reproduce_tables", lambda progress=None: reproduce_tables(
-            refinements=(4,), progress=progress))
+        monkeypatch.setattr(cli, "reproduce_tables", lambda progress=None: (
+            experiments.reproduce_tables(refinements=(4,), progress=progress)))
         assert main(["reproduce", "--out", str(tmp_path / "t")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: strain-rate Newton did not converge")
