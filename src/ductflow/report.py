@@ -56,8 +56,10 @@ class SolveReport:
     residual ``max |grad J - D^T y|`` of each pass and
     ``feasibility_history`` its momentum defect ``max |D tau - f_h|``, for
     both solvers.  ``cg_iterations`` holds one
-    ``(count, exit_reason)`` pair per pass that invoked the inner CG
-    solver; the augmented-Lagrangian solver leaves it empty.
+    ``(count, exit_reason)`` pair per pass that solved a trust-region
+    subproblem: the CG iterations run on that pass, 0 when the pass
+    replayed the last CG path; the augmented-Lagrangian solver leaves it
+    empty.
     ``objective_history`` holds one value per pass for the trust-region
     solver; the augmented-Lagrangian solver records only the value at the
     returned iterate.  ``status`` is ``converged``, ``max_iterations``,

@@ -20,8 +20,11 @@ its gradient, recovered velocity, stationarity vector and momentum
 residual, and builds its Hessian before running CG; its objective value
 is the trial value that accepted it (only the start point gets an
 ``objective`` call of its own).  A rejected step changes only the radius,
-so the pass after it reuses all of these and re-runs only CG and the
-trial objective (Nocedal & Wright, Alg. 4.1).
+so the pass after it reuses all of these (Nocedal & Wright, Alg. 4.1).
+It does not run CG again either: CG-Steihaug's iterates do not depend on
+the radius until they leave the ball, and the radius only shrinks, so
+the pass replays the stored path of the last CG run up to the new
+boundary and evaluates only the trial objective.
 
 Convergence is declared when the projected gradient
 ``grad J - D^T y`` has Euclidean norm below ``abstol``, or when the
@@ -46,7 +49,9 @@ from .objective import FluidParams, gradient, hessian, hessian_apply, objective
 from .report import RELTOL, SolveReport, abstol_for, check_count, check_positive
 
 # Projected CG iterates drift out of null(D) through the residual
-# recurrence; re-project the accumulated step this often.
+# recurrence; re-project the accumulated step this often.  A CG path keeps
+# at most this many steps for replay, so its size does not grow with the
+# CG cap and no replayed step starts from a re-projected iterate.
 _REPROJECT_EVERY = 50
 
 # Inexact-Newton forcing term of the outer loop: CG stops once the
@@ -118,8 +123,35 @@ def _boundary_intersection(z: np.ndarray, d: np.ndarray, delta: float) -> float:
     return -2.0 * c / (b + disc)
 
 
+def _exit_step(z: np.ndarray, d: np.ndarray, delta: float, s_max: float = math.inf):
+    """``z + s d`` at the boundary root ``s`` of radius ``delta``, or at ``s_max`` if nearer."""
+    return z + min(_boundary_intersection(z, d, delta), s_max) * d
+
+
+def _replay(path: list, delta: float):
+    """Step and exit reason of a fresh ``cg_steihaug`` run at radius ``delta``.
+
+    ``path`` is the ``path`` list of an earlier run on the same subproblem.
+    A run at ``delta`` walks its steps until the first whose trial norm
+    reaches ``delta``, and leaves there by the same formula.  The start
+    points are summed again as CG summed them, so the result is
+    bit-identical to a fresh run's.  Returns ``None`` when no kept step
+    reaches ``delta``: the run then ends at an exit or a crossing that
+    was not kept, and CG must run.
+    """
+    if not path:
+        return None
+    z = np.zeros(path[0][0].shape[0])
+    for d, alpha, reach, s_max, reason in path:
+        if reach >= delta:
+            return _exit_step(z, d, delta, s_max), reason
+        z = z + alpha * d
+    return None
+
+
 def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
-                hess: np.ndarray, delta: float, forcing: float, callback=None):
+                hess: np.ndarray, delta: float, forcing: float, callback=None,
+                path: list | None = None):
     """Approximately solve the tangential trust-region subproblem.
 
     ``projected`` is the projected gradient ``P grad`` onto null(D).
@@ -134,7 +166,16 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
     gradient gives the same exit and count and the same step, scaled.
 
     ``callback``, if given, receives every new accumulated step,
-    including the returned one.
+    including the returned one.  ``path``, if given, receives one
+    ``(d_j, alpha_j, reach, s_max, reason)`` entry for each of the first
+    ``_REPROJECT_EVERY`` steps, for ``_replay``: the direction (a
+    reference, not a copy) and CG step length (``nan`` at a curvature
+    exit, which takes no CG step); the trial norm ``|z_j + alpha_j
+    d_j|``, or ``inf`` for a curvature exit, which stops at any radius;
+    the longest step along ``d_j`` (the model minimiser of a curvature
+    exit, else ``inf``); and the exit reason of a run that stops there.
+    The start points ``z_j`` are not kept: holding them as well slows
+    runs that are never replayed.
     """
     z = np.zeros(grad.shape[0])
     r = np.array(grad, dtype=float)
@@ -157,19 +198,21 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
             # the model falls along d at slope -gr; stop at its minimiser
             # gr / curvature or at the boundary, whichever is nearer, for
             # a decrease of at least s gr / 2
-            s = _boundary_intersection(z, d, delta)
-            if curvature > 0.0:
-                s = min(s, gr / curvature)
-            step = z + s * d
+            s_max = gr / curvature if curvature > 0.0 else math.inf
+            if path is not None and j < _REPROJECT_EVERY:
+                path.append((d, math.nan, math.inf, s_max, "curvature"))
+            step = _exit_step(z, d, delta, s_max)
             if callback is not None:
                 callback(step)
             return step, "curvature", j + 1
 
         alpha = gr / curvature
         z_trial = z + alpha * d
-        if math.sqrt(float(z_trial @ z_trial)) >= delta:
-            s = _boundary_intersection(z, d, delta)
-            step = z + s * d
+        reach = math.sqrt(float(z_trial @ z_trial))
+        if path is not None and j < _REPROJECT_EVERY:
+            path.append((d, alpha, reach, math.inf, "boundary"))
+        if reach >= delta:
+            step = _exit_step(z, d, delta)
             if callback is not None:
                 callback(step)
             return step, "boundary", j + 1
@@ -244,6 +287,7 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None
             stationarity = grad - ops.DT @ y
             kkt = float(np.abs(stationarity).max(initial=0.0))
             residual = ops.momentum_residual(tau)
+            path = []  # CG's path at this iterate, replayed after a rejection
 
         report.kkt_history.append(kkt)
         report.objective_history.append(value)
@@ -253,10 +297,10 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None
         if not math.isfinite(kkt):
             report.status = "non_finite"
             break
-        stable = (y_prev is not None and float(np.linalg.norm(y - y_prev))
-                  <= cfg.reltol * float(np.linalg.norm(y)))
+        # the velocity increment is taken only once the max-residual test passes
         if (math.sqrt(float(stationarity @ stationarity)) < cfg.abstol
-                or (kkt <= cfg.abstol and stable)):
+                or (kkt <= cfg.abstol and y_prev is not None
+                    and np.linalg.norm(y - y_prev) <= cfg.reltol * np.linalg.norm(y))):
             report.status = "converged"
             break
         if k + 1 == cfg.max_outer:
@@ -265,7 +309,13 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None
 
         if hess is None:
             hess = hessian(params, ops, tau)
-        step, reason, inner = cg_steihaug(ops, grad, stationarity, hess, delta, _CG_FORCING)
+        replayed = _replay(path, delta)
+        if replayed is None:
+            path = []
+            step, reason, inner = cg_steihaug(ops, grad, stationarity, hess, delta,
+                                              _CG_FORCING, path=path)
+        else:
+            (step, reason), inner = replayed, 0
         report.cg_iterations.append((inner, reason))
 
         step_norm = math.sqrt(float(step @ step))

@@ -266,6 +266,22 @@ def test_only_exponents_without_a_closed_form_run_newton(monkeypatch, alpha, new
         assert np.all(np.isfinite(cold_shrink(params, 10.0, w, SHRINK)))
 
 
+@pytest.mark.parametrize("alpha, sweeps", [(1.6, 5), (1.3, 6)])
+def test_a_solve_needs_few_newton_sweeps_per_shrink_step(monkeypatch, alpha, sweeps):
+    # no benchmark cell runs the strain-rate Newton, so this guards its
+    # cost: warm-started, each shrink step of these solves converges in
+    # at most `sweeps` sweeps (the fewest that do), and capped there the
+    # solve takes the same passes to the same velocity
+    ops = assemble(generate_disk_mesh(12), f=1.0)
+    params = FluidParams(alpha=alpha, kappa=1.0, tau0=0.1)
+    y, _, _, report = solve_alg2(params, ops)
+    monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", sweeps)
+    y_capped, _, _, capped = solve_alg2(params, ops)
+    assert report.converged and capped.converged
+    assert capped.iterations == report.iterations
+    assert y_capped.tobytes() == y.tobytes()
+
+
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.75, 1.9])
 @pytest.mark.parametrize("excess", [1e-12, 1e-10, 1e-8])
 def test_cold_start_near_yield_surface_is_relatively_exact(alpha, excess):

@@ -291,28 +291,32 @@ class TestSolveTrs:
 
     def test_cg_reuses_the_stationarity_projection(self, monkeypatch):
         # grad - D^T y from the velocity recovery is CG's first projected
-        # gradient, so each outer iteration that runs CG saves one D D^T
-        # solve and the iterates do not change
+        # gradient, so each outer iteration that runs CG afresh saves one
+        # D D^T solve and the iterates do not change; a pass that replays
+        # the last CG path runs no CG at all
         tri = generate_square_mesh(8)
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.3)
         cfg = TrsConfig(abstol=abstol_for(tri), reltol=1e-6)
 
         def counted_run(cg):
             ops = assemble(tri, f=1.0)
-            solve, calls = ops.solve_ddt, []
+            solve, calls, runs = ops.solve_ddt, [], []
             ops.solve_ddt = lambda rhs: calls.append(rhs) or solve(rhs)
-            monkeypatch.setattr(trust_region, "cg_steihaug", cg)
-            return (*solve_trs(params, ops, cfg=cfg), len(calls))
+            monkeypatch.setattr(trust_region, "cg_steihaug",
+                                lambda *args, **kwargs: runs.append(1) or cg(*args, **kwargs))
+            return (*solve_trs(params, ops, cfg=cfg), len(calls), len(runs))
 
-        def projecting_again(ops, grad, projected, *args):
-            return cg_steihaug(ops, grad, ops.project_nullspace(grad), *args)
+        def projecting_again(ops, grad, projected, *args, **kwargs):
+            return cg_steihaug(ops, grad, ops.project_nullspace(grad), *args, **kwargs)
 
-        tau, y, report, saved = counted_run(cg_steihaug)
-        tau_old, y_old, report_old, solves = counted_run(projecting_again)
+        tau, y, report, saved, runs = counted_run(cg_steihaug)
+        tau_old, y_old, report_old, solves, runs_old = counted_run(projecting_again)
         assert report.converged and report.iterations > 10
         assert np.array_equal(tau, tau_old) and np.array_equal(y, y_old)
         assert report.kkt_history == report_old.kkt_history
-        assert solves - saved == len(report.cg_iterations) == report.iterations - 1
+        fresh = sum(inner > 0 for inner, _ in report.cg_iterations)
+        assert solves - saved == runs == runs_old == fresh
+        assert fresh < len(report.cg_iterations) == report.iterations - 1
 
     def test_iterates_stay_feasible(self):
         tri = generate_disk_mesh(6)
@@ -415,7 +419,7 @@ def rejecting_square_cell():
 class TestEvaluationReuse:
     def test_each_iterate_is_evaluated_once(self, monkeypatch):
         # a rejected step changes only the radius, so the pass after it
-        # reruns CG and the trial objective and nothing else
+        # replays CG's path and evaluates the trial objective, nothing else
         params, ops, cfg = rejecting_square_cell()
         calls = Counter()
 
@@ -454,8 +458,8 @@ class TestEvaluationReuse:
         tau, y, report = solve_trs(params, ops, cfg=cfg)
         assert report.rejected_steps > 0
 
-        def on_copies(ops, grad, projected, *args):
-            return cg_steihaug(ops, grad.copy(), projected.copy(), *args)
+        def on_copies(ops, grad, projected, *args, **kwargs):
+            return cg_steihaug(ops, grad.copy(), projected.copy(), *args, **kwargs)
 
         monkeypatch.setattr(trust_region, "cg_steihaug", on_copies)
         tau_copy, y_copy, report_copy = solve_trs(params, ops, cfg=cfg)
@@ -463,6 +467,103 @@ class TestEvaluationReuse:
         for history in ("kkt_history", "objective_history", "radius_history",
                         "feasibility_history", "cg_iterations"):
             assert getattr(report, history) == getattr(report_copy, history)
+
+
+def replay_subproblem(ops, case):
+    """Gradient, Hessian blocks, radius and forcing of a CG path ending ``case``."""
+    params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.2)
+    tau = ops.project_feasible(np.zeros(ops.n_stress))
+    grad = gradient(params, ops, tau)
+    hess = hessian(params, ops, tau)
+    if case == "boundary":
+        # the iterate norms are 0.24, 0.34, 0.37, 0.39, 0.41, ...
+        return grad, hess, 0.4, 1e-6
+    if case == "converged":
+        return grad, hess, 1e6, 1e-6
+    if case == "curvature":
+        # three triangles with eigenvalues +-trace: two CG steps, then a
+        # direction of negative curvature
+        rng = np.random.default_rng(19)
+        blocks = hess.copy()
+        bent = rng.choice(ops.tri.n_triangles, 3, replace=False)
+        blocks[bent] = np.diag([1.0, -1.0]) * np.trace(hess[bent], axis1=1, axis2=2)[:, None, None]
+        return grad, blocks, 1e6, 1e-6
+    # flat: Rayleigh quotient 1e-12, so the curvature exit stops at the
+    # model minimiser unless the boundary is nearer
+    blocks = np.broadcast_to(1e-12 * np.eye(2), (ops.tri.n_triangles, 2, 2))
+    return grad, blocks, 1e15 * float(np.linalg.norm(ops.project_nullspace(grad))), 0.5
+
+
+class TestReplay:
+    @pytest.mark.parametrize("case", ["boundary", "converged", "curvature", "flat"])
+    def test_replay_matches_a_fresh_run(self, disk3_ops, case):
+        grad, hess, delta, forcing = replay_subproblem(disk3_ops, case)
+        path = []
+        step, reason, count = cg_steihaug(disk3_ops, grad, disk3_ops.project_nullspace(grad),
+                                          hess, delta, forcing, path=path)
+        assert reason == ("curvature" if case == "flat" else case)
+        assert len(path) == count >= (1 if case == "flat" else 3)
+        reaches = [reach for _, _, reach, _, _ in path if np.isfinite(reach)]
+        if reaches:
+            # every kept crossing, exactly at its trial norm and between two
+            radii = [reaches[0] / 2, *reaches, *((a + b) / 2 for a, b in zip(reaches, reaches[1:]))]
+        else:
+            # the flat exit, nearer the boundary and nearer the minimiser
+            radii = [0.5 * float(np.linalg.norm(step)), 2.0 * float(np.linalg.norm(step))]
+        for radius in radii:
+            replayed = trust_region._replay(path, radius)
+            fresh, fresh_reason, _ = run_cg(disk3_ops, grad, hess, radius, forcing)
+            assert replayed is not None
+            assert replayed[1] == fresh_reason
+            assert replayed[0].tobytes() == fresh.tobytes()
+        if case == "converged":
+            # past the last trial norm the run ends at its converged step,
+            # which is not kept
+            assert trust_region._replay(path, 2.0 * reaches[-1]) is None
+
+    def test_path_is_bounded_and_an_exit_past_it_runs_cg(self, disk3_ops):
+        # from this start CG takes 68 iterations to reach forcing 1e-14
+        params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.2)
+        rng = np.random.default_rng(25)
+        tau = disk3_ops.project_feasible(rng.standard_normal(disk3_ops.n_stress))
+        grad = gradient(params, disk3_ops, tau)
+        hess = hessian(params, disk3_ops, tau)
+        path = []
+        step, _, count = cg_steihaug(disk3_ops, grad, disk3_ops.project_nullspace(grad), hess,
+                                     1e6, 1e-14, path=path)
+        assert count > len(path) == trust_region._REPROJECT_EVERY
+        # just past every kept trial norm the run ends beyond the kept steps
+        radius = np.nextafter(max(reach for _, _, reach, _, _ in path), np.inf)
+        assert trust_region._replay(path, radius) is None
+        fresh, reason, fresh_count = run_cg(disk3_ops, grad, hess, radius, 1e-14)
+        assert (reason, fresh_count) == ("converged", count)
+        assert fresh.tobytes() == step.tobytes()
+
+    def test_solve_is_unchanged_when_every_replay_declines(self, monkeypatch):
+        # 12^2 plug cell at the benchmark tolerance: 16 rejected steps
+        tri = generate_square_mesh(12)
+        ops = assemble(tri, f=1.0)
+        params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.3)
+        tau, y, report = solve_trs(params, ops)
+        monkeypatch.setattr(trust_region, "_replay", lambda path, delta: None)
+        tau_cg, y_cg, report_cg = solve_trs(params, ops)
+        assert report.converged and report.rejected_steps == 16
+        assert tau.tobytes() == tau_cg.tobytes() and y.tobytes() == y_cg.tobytes()
+        for name in ("kkt_history", "objective_history", "radius_history",
+                     "feasibility_history", "iterations", "accepted_steps",
+                     "rejected_steps", "status"):
+            assert getattr(report, name) == getattr(report_cg, name)
+        # a replayed pass runs no CG and exits as the fresh run did; only
+        # a rejection shrinks the radius, and every pass after one replays
+        pairs = list(zip(report.cg_iterations, report_cg.cg_iterations))
+        assert len(pairs) == len(report_cg.cg_iterations) == report.iterations - 1
+        assert all(reason == fresh_reason and inner in (0, fresh)
+                   for (inner, reason), (fresh, fresh_reason) in pairs)
+        radius = report.radius_history
+        replayed = {k for k, (inner, _) in enumerate(report.cg_iterations) if inner == 0}
+        after_rejection = {k for k in range(1, len(pairs)) if radius[k] < radius[k - 1]}
+        assert replayed == after_rejection
+        assert all(fresh > 0 for fresh, _ in report_cg.cg_iterations)
 
 
 class TestStall:
