@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .mesh import Triangulation, rows_text, write_rows
-from .objective import block_norms
+from .objective import _norms_and_excess
 from .report import SolveReport
 
 # yielded-flag lines, indexed by the flag
@@ -62,9 +62,9 @@ def _index_lines(n: int) -> str:
 
 
 def _yield_columns(tau: np.ndarray, tau0: float) -> tuple[str, str]:
-    """Lines of the per-triangle stress magnitudes and yielded flags (``|t_k| > tau0``)."""
-    mags = block_norms(tau)
-    flags = _FLAG_LINES[(mags > tau0).astype(np.int8)]
+    """Lines of the per-triangle stress magnitudes and yielded flags, by the objective's rule."""
+    mags, _, yielded = _norms_and_excess(tau, tau0)
+    flags = _FLAG_LINES[yielded.astype(np.int8)]
     return _column_text(mags), flags.tobytes().decode("ascii")
 
 

@@ -97,15 +97,19 @@ def block_norms(tau: np.ndarray) -> np.ndarray:
 
 
 def objective(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> float:
-    excess = _norms_and_excess(params, tau)[1]
+    excess = _norms_and_excess(tau, params.tau0)[1]
     coeff = 1.0 / (params.alpha_prime * params.kappa_pow)
     return coeff * float(np.dot(ops.tri.areas, excess ** params.alpha_prime))
 
 
-def _norms_and_excess(params: FluidParams, tau: np.ndarray):
-    """Block norms, the truncated excess ``(n_k - tau0)_+`` and the yield mask."""
+def _norms_and_excess(tau: np.ndarray, tau0: float):
+    """Block norms, the truncated excess ``(n_k - tau0)_+`` and the yield mask.
+
+    The mask ``n_k - tau0 > 0`` is the one yield rule of the package: the
+    objective's derivatives and the writers' yielded flags both read it.
+    """
     norms = block_norms(tau)
-    excess = norms - params.tau0
+    excess = norms - tau0
     yielded = excess > 0.0
     np.maximum(excess, 0.0, out=excess)
     return norms, excess, yielded
@@ -113,7 +117,7 @@ def _norms_and_excess(params: FluidParams, tau: np.ndarray):
 
 def gradient(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np.ndarray:
     t = _blocks(tau)
-    norms, excess, yielded = _norms_and_excess(params, tau)
+    norms, excess, yielded = _norms_and_excess(tau, params.tau0)
     scale = ops.tri.areas / params.kappa_pow * excess ** (1.0 / (params.alpha - 1.0))
     # zero already where unyielded, since excess is 0 there
     np.divide(scale, norms, out=scale, where=yielded)
@@ -123,7 +127,7 @@ def gradient(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np
 def hessian(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np.ndarray:
     """Blockwise Hessian, shape ``(n_T, 2, 2)``; zero inside the yield surface."""
     t = _blocks(tau)
-    norms, excess, yielded = _norms_and_excess(params, tau)
+    norms, excess, yielded = _norms_and_excess(tau, params.tau0)
     am1 = params.alpha - 1.0
     t1 = t[:, 0]
     t2 = t[:, 1]

@@ -150,13 +150,12 @@ def _replay(path: list, delta: float):
 
 
 def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
-                hess: np.ndarray, delta: float, forcing: float, callback=None,
-                path: list | None = None):
+                hess: np.ndarray, delta: float, path: list):
     """Approximately solve the tangential trust-region subproblem.
 
     ``projected`` is the projected gradient ``P grad`` onto null(D).
     Returns ``(step, exit_reason, inner_iterations)`` with reason one of
-    ``converged`` (projected residual reduced below ``forcing`` of its
+    ``converged`` (projected residual reduced below ``_CG_FORCING`` of its
     start; a zero projected gradient gives the zero step and count 0),
     ``boundary`` (iterate left the trust ball), ``curvature`` (Rayleigh
     quotient ``d^T H d / d^T d`` of a direction below ``_DIVTOL``; the
@@ -165,17 +164,17 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
     triangle).  Every test is invariant under scaling ``grad``: a scaled
     gradient gives the same exit and count and the same step, scaled.
 
-    ``callback``, if given, receives every new accumulated step,
-    including the returned one.  ``path``, if given, receives one
-    ``(d_j, alpha_j, reach, s_max, reason)`` entry for each of the first
-    ``_REPROJECT_EVERY`` steps, for ``_replay``: the direction (a
-    reference, not a copy) and CG step length (``nan`` at a curvature
-    exit, which takes no CG step); the trial norm ``|z_j + alpha_j
-    d_j|``, or ``inf`` for a curvature exit, which stops at any radius;
-    the longest step along ``d_j`` (the model minimiser of a curvature
-    exit, else ``inf``); and the exit reason of a run that stops there.
-    The start points ``z_j`` are not kept: holding them as well slows
-    runs that are never replayed.
+    ``path``, an empty list, receives one ``(d_j, alpha_j, reach, s_max,
+    reason)`` entry for each of the first ``_REPROJECT_EVERY`` steps, for
+    ``_replay``: the direction (a reference, not a copy) and CG step
+    length (``nan`` at a curvature exit, which takes no CG step); the
+    trial norm ``|z_j + alpha_j d_j|``, or ``inf`` for a curvature exit,
+    which stops at any radius; the longest step along ``d_j`` (the model
+    minimiser of a curvature exit, else ``inf``); and the exit reason of
+    a run that stops there.  The start points ``z_j`` are not kept:
+    holding them as well slows runs that are never replayed.  Summing
+    ``alpha_j d_j`` rebuilds them, bit for bit, up to the first
+    re-projection.
     """
     z = np.zeros(grad.shape[0])
     r = np.array(grad, dtype=float)
@@ -199,34 +198,26 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
             # gr / curvature or at the boundary, whichever is nearer, for
             # a decrease of at least s gr / 2
             s_max = gr / curvature if curvature > 0.0 else math.inf
-            if path is not None and j < _REPROJECT_EVERY:
+            if j < _REPROJECT_EVERY:
                 path.append((d, math.nan, math.inf, s_max, "curvature"))
-            step = _exit_step(z, d, delta, s_max)
-            if callback is not None:
-                callback(step)
-            return step, "curvature", j + 1
+            return _exit_step(z, d, delta, s_max), "curvature", j + 1
 
         alpha = gr / curvature
         z_trial = z + alpha * d
         reach = math.sqrt(float(z_trial @ z_trial))
-        if path is not None and j < _REPROJECT_EVERY:
+        if j < _REPROJECT_EVERY:
             path.append((d, alpha, reach, math.inf, "boundary"))
         if reach >= delta:
-            step = _exit_step(z, d, delta)
-            if callback is not None:
-                callback(step)
-            return step, "boundary", j + 1
+            return _exit_step(z, d, delta), "boundary", j + 1
 
         z = z_trial
         if (j + 1) % _REPROJECT_EVERY == 0:
             z = ops.project_nullspace(z)
-        if callback is not None:
-            callback(z)
 
         r = r + alpha * h_d
         g = ops.project_nullspace(r)
         gr_next = float(g @ g)
-        if gr_next == 0.0 or math.sqrt(gr_next) < forcing * sqrt_gr0:
+        if gr_next == 0.0 or math.sqrt(gr_next) < _CG_FORCING * sqrt_gr0:
             return z, "converged", j + 1
         d = -g + (gr_next / gr) * d
         gr = gr_next
@@ -312,8 +303,7 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None
         replayed = _replay(path, delta)
         if replayed is None:
             path = []
-            step, reason, inner = cg_steihaug(ops, grad, stationarity, hess, delta,
-                                              _CG_FORCING, path=path)
+            step, reason, inner = cg_steihaug(ops, grad, stationarity, hess, delta, path)
         else:
             (step, reason), inner = replayed, 0
         report.cg_iterations.append((inner, reason))

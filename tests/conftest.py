@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ductflow.fem import assemble
 from ductflow.mesh import Triangulation, generate_disk_mesh
+
+# Hypothesis profiles, chosen with --hypothesis-profile.  Only tests whose
+# @settings leave max_examples out (the TRS property test
+# test_result_describes_one_iterate) take it from the profile: "default"
+# keeps tier-1 fast, "ci" draws more meshes and parameters.
+settings.register_profile("default", max_examples=60)
+settings.register_profile("ci", max_examples=500)
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ differences and randomised inputs.  Fixtures live in ``conftest.py``."""
 
 import numpy as np
 
-from ductflow.mesh import Triangulation, generate_disk_mesh
+from ductflow.mesh import Triangulation, generate_disk_mesh, generate_square_mesh
 
 
 def jiggled_disk_nodes(base, refinement, amplitude, seed):
@@ -20,6 +20,13 @@ def perturbed_disk(refinement, amplitude=0.25, seed=0):
     """Disk mesh with interior nodes jiggled off the symmetric pattern."""
     base = generate_disk_mesh(refinement)
     nodes = jiggled_disk_nodes(base, refinement, amplitude, seed)
+    return Triangulation(nodes, base.triangles, base.is_dirichlet)
+
+
+def jittered_square(n, amplitude=0.25, seed=0):
+    """``n x n`` square mesh with interior nodes jiggled off the grid."""
+    base = generate_square_mesh(n)
+    nodes = jiggled_disk_nodes(base, n, amplitude, seed)
     return Triangulation(nodes, base.triangles, base.is_dirichlet)
 
 

@@ -18,7 +18,7 @@ from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh
 from ductflow.objective import FluidParams, block_norms, gradient, hessian
 from ductflow.report import abstol_for
-from ductflow.trust_region import cg_steihaug, solve_trs
+from ductflow.trust_region import _REPROJECT_EVERY, solve_trs
 from oracles import (dense_poisson_velocity, dense_projected_newton_step,
                      fd_gradient, fd_hessian, random_stress_blocks)
 
@@ -221,20 +221,21 @@ def test_criterion_6_feasibility_and_monotonicity(grid):
 
 
 def test_criterion_7_cgs_structure():
-    # (a) inner iterates: strictly increasing norms, steps stay in null(D)
+    from test_trust_region import path_iterates, run_cg
+
+    # (a) inner iterates: strictly increasing norms, steps stay in null(D).
+    # A run shorter than _REPROJECT_EVERY keeps every step in its path,
+    # and the iterates summed from the path are CG's own, bit for bit.
     ops = assemble(generate_disk_mesh(12), f=1.0)
     params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.2)
     tau = ops.project_feasible(np.zeros(ops.n_stress))
     grad = gradient(params, ops, tau)
     blocks = hessian(params, ops, tau)
-    norms, drifts = [], []
-
-    def log(z):
-        norms.append(float(np.linalg.norm(z)))
-        drifts.append(float(np.abs(ops.D @ z).max()))
-
-    cg_steihaug(ops, grad, ops.project_nullspace(grad), blocks, 1e6,
-                forcing=1e-6, callback=log)
+    path = []
+    _, _, count = run_cg(ops, grad, blocks, 1e6, forcing=1e-6, path=path)
+    norms = [reach for _, _, reach, _, _ in path]
+    drifts = [float(np.abs(ops.D @ z).max()) for z in path_iterates(path)]
+    every_iterate = len(path) == count < _REPROJECT_EVERY
     increasing = (len(norms) >= 3
                   and all(b - a > -1e-14 * max(norms) for a, b in zip(norms, norms[1:])))
     in_nullspace = max(drifts) <= 1e-8
@@ -247,14 +248,15 @@ def test_criterion_7_cgs_structure():
     grad_q = gradient(qparams, small, tau_q)
     blocks_q = hessian(qparams, small, tau_q)
     y_q = small.recover_velocity(grad_q)
-    step, reason, _ = cg_steihaug(small, grad_q, small.project_nullspace(grad_q), blocks_q,
-                                  1e6, forcing=1e-13)
+    step, reason, _ = run_cg(small, grad_q, blocks_q, 1e6, forcing=1e-13)
     newton_gap = float(np.abs(step - dense_projected_newton_step(
         small, grad_q, blocks_q, y_q)).max())
 
-    ok = increasing and in_nullspace and reason == "converged" and newton_gap <= 1e-8
+    ok = (every_iterate and increasing and in_nullspace and reason == "converged"
+          and newton_gap <= 1e-8)
     check("criterion 7 (CGS structure)", ok,
-          f"{len(norms)} logged iterates, norms increasing={increasing}, "
+          f"{len(norms)} of {count} CG iterates read from the path, "
+          f"norms increasing={increasing}, "
           f"max|D z|={max(drifts):.1e} (<=1e-8), newton_gap={newton_gap:.1e} (<=1e-8)")
 
 

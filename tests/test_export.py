@@ -15,7 +15,7 @@ from ductflow.augmented_lagrangian import solve_alg2
 from ductflow.export import write_report_json, write_stress_csv, write_velocity_csv, write_vtk
 from ductflow.fem import assemble
 from ductflow.mesh import Triangulation, generate_disk_mesh, save_mesh
-from ductflow.objective import FluidParams, block_norms
+from ductflow.objective import FluidParams, _norms_and_excess, block_norms
 from ductflow.report import SolveReport
 from ductflow.trust_region import solve_trs
 
@@ -164,6 +164,25 @@ def test_exponent_and_negative_zero_text(scale, sign, seed):
         out = Path(tmp)
         assert_mesh_file_matches(out, tri)
         assert_all_writers_match(out, tri, y, tau, tau0)
+
+
+@pytest.mark.parametrize("tau0, flags", [(0.5, [0, 0, 1, 0, 0, 0]), (0.0, [1, 1, 1, 0, 0, 1])])
+def test_yielded_flags_follow_the_objective_rule(tmp_path, tau0, flags):
+    # norms exactly 0.5, just above it, +-0.0 and the least subnormal: a
+    # block is flagged exactly where the objective's excess |t_k| - tau0
+    # is positive
+    above = float(np.nextafter(0.5, np.inf))
+    tau = np.array([0.5, 0.0, 0.0, -0.5, above, 0.0, 0.0, -0.0, -0.0, 0.0, 5e-324, 0.0])
+    tri = generate_disk_mesh(1)
+    assert tri.n_triangles == len(tau) // 2
+    write_stress_csv(tmp_path / "stress.csv", tau, tau0)
+    write_vtk(tmp_path / "flow.vtk", tri, np.zeros(tri.n_free), tau, tau0)
+    csv_flags = [int(line.rsplit(",", 1)[1])
+                 for line in (tmp_path / "stress.csv").read_text().splitlines()[1:]]
+    vtk_flags = [int(v) for v in (tmp_path / "flow.vtk").read_text().split(
+        "SCALARS yielded int 1\nLOOKUP_TABLE default\n")[1].split()]
+    assert csv_flags == vtk_flags == flags
+    assert _norms_and_excess(tau, tau0)[2].astype(int).tolist() == flags
 
 
 def test_column_text_follows_in_place_changes(tmp_path, disk3_solution):

@@ -2,23 +2,52 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from ductflow import trust_region
 from ductflow.fem import assemble
-from ductflow.mesh import generate_disk_mesh, generate_square_mesh
+from ductflow.mesh import MeshError, generate_disk_mesh, generate_square_mesh
 from ductflow.objective import (FluidParams, block_norms, gradient, hessian, hessian_apply,
                                 objective)
 from ductflow.report import abstol_for
 from ductflow.trust_region import (TrsConfig, _boundary_intersection, cg_steihaug, solve_trs,
                                    update_radius)
-from oracles import dense_poisson_velocity, dense_projected_newton_step, perturbed_disk
+from oracles import (dense_poisson_velocity, dense_projected_newton_step, jittered_square,
+                     perturbed_disk)
 
 
-def run_cg(ops, grad, hess, delta, forcing=0.5, callback=None):
-    """CG-Steihaug from the projected gradient, as the outer loop calls it."""
-    return cg_steihaug(ops, grad, ops.project_nullspace(grad), hess, delta, forcing, callback)
+def run_cg(ops, grad, hess, delta, forcing=trust_region._CG_FORCING, path=None):
+    """CG-Steihaug from the projected gradient, as the outer loop calls it.
+
+    ``forcing`` stands in for ``_CG_FORCING`` during the run, and ``path``,
+    if given, receives the run's path.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trust_region, "_CG_FORCING", forcing)
+        return cg_steihaug(ops, grad, ops.project_nullspace(grad), hess, delta,
+                           [] if path is None else path)
+
+
+def path_iterates(path):
+    """CG's iterates ``z_1, z_2, ...``, summed from ``path`` as ``_replay`` sums them.
+
+    Bit-identical to the run's own iterates up to its first
+    re-projection, after ``_REPROJECT_EVERY`` steps.
+    """
+    z = np.zeros(path[0][0].shape[0])
+    for d, alpha, _, _, _ in path:
+        z = z + alpha * d
+        yield z
+
+
+@st.composite
+def jiggled(draw, build, refinements):
+    """``build(refinement, amplitude, seed)`` with amplitude and seed drawn."""
+    try:
+        return build(draw(refinements), draw(st.floats(0.0, 0.3)), draw(st.integers(0, 99)))
+    except MeshError:
+        reject()  # a jiggle near amplitude 0.3 can fold a triangle over
 
 
 class TestConfig:
@@ -145,9 +174,12 @@ class TestCgSteihaug:
         tau = disk3_ops.project_feasible(np.zeros(disk3_ops.n_stress))
         grad = gradient(params, disk3_ops, tau)
         hess = hessian(params, disk3_ops, tau)
-        norms = []
-        run_cg(disk3_ops, grad, hess, 1e6, forcing=1e-6,
-               callback=lambda z: norms.append(float(np.linalg.norm(z))))
+        path = []
+        _, reason, count = run_cg(disk3_ops, grad, hess, 1e6, forcing=1e-6, path=path)
+        assert reason == "converged" and count == len(path) < trust_region._REPROJECT_EVERY
+        # each kept trial norm is the norm of the iterate CG moves to
+        norms = [reach for _, _, reach, _, _ in path]
+        assert norms == [float(np.sqrt(z @ z)) for z in path_iterates(path)]
         assert len(norms) >= 3
         diffs = np.diff(norms)
         assert np.all(diffs > -1e-14 * max(norms))
@@ -202,19 +234,24 @@ class TestCgSteihaug:
         assert np.linalg.norm(step - c * base) <= 1e-9 * np.linalg.norm(c * base)
 
     def test_inner_cap_reported(self, disk3_ops, monkeypatch):
-        # from this start CG needs 68 iterations to reach forcing 1e-14;
-        # one per triangle caps it at 54
+        # from this start CG needs 69 iterations to reach forcing 1e-14;
+        # one per triangle caps it at 54.  Both runs pass the re-projection
+        # after _REPROJECT_EVERY steps, and their steps stay in null(D).
         params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.2)
         rng = np.random.default_rng(25)
         tau = disk3_ops.project_feasible(rng.standard_normal(disk3_ops.n_stress))
         grad = gradient(params, disk3_ops, tau)
         hess = hessian(params, disk3_ops, tau)
-        _, reason, count = run_cg(disk3_ops, grad, hess, 1e6, forcing=1e-14)
+        bound = 1e-8 * (1.0 + np.abs(disk3_ops.f_h).max())
+        step, reason, count = run_cg(disk3_ops, grad, hess, 1e6, forcing=1e-14)
         assert reason == "converged" and count > disk3_ops.tri.n_triangles
+        assert np.abs(disk3_ops.D @ step).max() <= bound
         monkeypatch.setattr(trust_region, "_CG_PER_TRIANGLE", 1)
         step, reason, count = run_cg(disk3_ops, grad, hess, 1e6, forcing=1e-14)
         assert reason == "cap" and count == disk3_ops.tri.n_triangles
+        assert count > trust_region._REPROJECT_EVERY
         assert np.isfinite(step).all()
+        assert np.abs(disk3_ops.D @ step).max() <= bound
 
 
 class TestSolveTrs:
@@ -303,11 +340,11 @@ class TestSolveTrs:
             solve, calls, runs = ops.solve_ddt, [], []
             ops.solve_ddt = lambda rhs: calls.append(rhs) or solve(rhs)
             monkeypatch.setattr(trust_region, "cg_steihaug",
-                                lambda *args, **kwargs: runs.append(1) or cg(*args, **kwargs))
+                                lambda *args: runs.append(1) or cg(*args))
             return (*solve_trs(params, ops, cfg=cfg), len(calls), len(runs))
 
-        def projecting_again(ops, grad, projected, *args, **kwargs):
-            return cg_steihaug(ops, grad, ops.project_nullspace(grad), *args, **kwargs)
+        def projecting_again(ops, grad, projected, hess, delta, path):
+            return cg_steihaug(ops, grad, ops.project_nullspace(grad), hess, delta, path)
 
         tau, y, report, saved, runs = counted_run(cg_steihaug)
         tau_old, y_old, report_old, solves, runs_old = counted_run(projecting_again)
@@ -383,15 +420,20 @@ class TestSolveTrs:
         assert report.iterations <= 2
         assert np.all(np.isfinite(tau))
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    # max_examples comes from the hypothesis profile (tests/conftest.py)
+    @settings(deadline=None, derandomize=True)
     @given(tri=st.one_of(st.builds(generate_square_mesh, st.integers(4, 8)),
-                         st.builds(perturbed_disk, st.integers(2, 4), seed=st.integers(0, 99))),
+                         jiggled(perturbed_disk, st.integers(2, 4)),
+                         jiggled(jittered_square, st.integers(4, 8))),
            alpha=st.floats(1.0, 2.0, exclude_min=True), tau0=st.floats(0.0, 0.6),
            max_outer=st.sampled_from([1, 2, 3, 200]))
     # a step on the last allowed pass would be accepted here; the result
     # must not pair that stress with the previous iterate's velocity
     @example(tri=generate_square_mesh(8), alpha=2.0, tau0=0.1, max_outer=1)
     @example(tri=generate_square_mesh(4), alpha=2.0, tau0=0.1, max_outer=200)  # stalls
+    # the safeguards the draws reach, pinned by test_draws_reach_the_curvature_exit
+    @example(tri=jittered_square(4, 0.18, 93), alpha=1.1, tau0=0.35, max_outer=200)
+    @example(tri=generate_square_mesh(8), alpha=1.05, tau0=0.0, max_outer=200)
     def test_result_describes_one_iterate(self, tri, alpha, tau0, max_outer):
         # abstol 1e-12 lets every cap bite; max_outer = 200 ends converged
         # or stalled
@@ -406,6 +448,31 @@ class TestSolveTrs:
         assert ops.momentum_residual(tau) <= 1e-8 * (1.0 + np.abs(ops.f_h).max())
         start = ops.project_feasible(np.zeros(ops.n_stress))
         assert report.objective_history[0] == objective(params, ops, start)
+        values = np.asarray(report.objective_history)
+        assert np.all(np.diff(values) <= 1e-12 * (1.0 + abs(values[0])))
+        # projecting onto D tau = f_h twice moves the stress by rounding only
+        once = ops.project_feasible(tau)
+        eps = np.finfo(float).eps
+        assert np.abs(ops.project_feasible(once) - once).max() <= 16 * eps * np.abs(once).max()
+
+
+    @pytest.mark.parametrize("tri, alpha, tau0, past_reprojection", [
+        (jittered_square(4, 0.18, 93), 1.1, 0.35, False),
+        (generate_square_mesh(8), 1.05, 0.0, True),
+    ])
+    def test_draws_reach_the_curvature_exit(self, tri, alpha, tau0, past_reprojection):
+        # inputs of test_result_describes_one_iterate that reach CG's
+        # curvature exit; near alpha = 1 on the square a CG run passes the
+        # re-projection after _REPROJECT_EVERY steps and exits there
+        ops = assemble(tri, f=1.0)
+        params = FluidParams(alpha=alpha, kappa=1.0, tau0=tau0)
+        _, _, report = solve_trs(params, ops, cfg=TrsConfig(abstol=1e-12, max_outer=200))
+        assert report.converged
+        exits = [inner for inner, reason in report.cg_iterations if reason == "curvature"]
+        assert exits
+        longest = max(inner for inner, _ in report.cg_iterations)
+        assert (longest > trust_region._REPROJECT_EVERY) == past_reprojection
+        assert (max(exits) > trust_region._REPROJECT_EVERY) == past_reprojection
 
 
 def rejecting_square_cell():
@@ -458,8 +525,8 @@ class TestEvaluationReuse:
         tau, y, report = solve_trs(params, ops, cfg=cfg)
         assert report.rejected_steps > 0
 
-        def on_copies(ops, grad, projected, *args, **kwargs):
-            return cg_steihaug(ops, grad.copy(), projected.copy(), *args, **kwargs)
+        def on_copies(ops, grad, projected, hess, delta, path):
+            return cg_steihaug(ops, grad.copy(), projected.copy(), hess, delta, path)
 
         monkeypatch.setattr(trust_region, "cg_steihaug", on_copies)
         tau_copy, y_copy, report_copy = solve_trs(params, ops, cfg=cfg)
@@ -470,7 +537,7 @@ class TestEvaluationReuse:
 
 
 def replay_subproblem(ops, case):
-    """Gradient, Hessian blocks, radius and forcing of a CG path ending ``case``."""
+    """Gradient, Hessian blocks, radius and CG forcing of a path ending ``case``."""
     params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.2)
     tau = ops.project_feasible(np.zeros(ops.n_stress))
     grad = gradient(params, ops, tau)
@@ -499,8 +566,7 @@ class TestReplay:
     def test_replay_matches_a_fresh_run(self, disk3_ops, case):
         grad, hess, delta, forcing = replay_subproblem(disk3_ops, case)
         path = []
-        step, reason, count = cg_steihaug(disk3_ops, grad, disk3_ops.project_nullspace(grad),
-                                          hess, delta, forcing, path=path)
+        step, reason, count = run_cg(disk3_ops, grad, hess, delta, forcing, path)
         assert reason == ("curvature" if case == "flat" else case)
         assert len(path) == count >= (1 if case == "flat" else 3)
         reaches = [reach for _, _, reach, _, _ in path if np.isfinite(reach)]
@@ -522,15 +588,14 @@ class TestReplay:
             assert trust_region._replay(path, 2.0 * reaches[-1]) is None
 
     def test_path_is_bounded_and_an_exit_past_it_runs_cg(self, disk3_ops):
-        # from this start CG takes 68 iterations to reach forcing 1e-14
+        # from this start CG takes 69 iterations to reach forcing 1e-14
         params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.2)
         rng = np.random.default_rng(25)
         tau = disk3_ops.project_feasible(rng.standard_normal(disk3_ops.n_stress))
         grad = gradient(params, disk3_ops, tau)
         hess = hessian(params, disk3_ops, tau)
         path = []
-        step, _, count = cg_steihaug(disk3_ops, grad, disk3_ops.project_nullspace(grad), hess,
-                                     1e6, 1e-14, path=path)
+        step, _, count = run_cg(disk3_ops, grad, hess, 1e6, 1e-14, path)
         assert count > len(path) == trust_region._REPROJECT_EVERY
         # just past every kept trial norm the run ends beyond the kept steps
         radius = np.nextafter(max(reach for _, _, reach, _, _ in path), np.inf)
