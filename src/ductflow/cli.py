@@ -31,7 +31,7 @@ from . import export
 from .augmented_lagrangian import Alg2Config, ShrinkConvergenceError, solve_alg2
 from .experiments import reproduce_tables, speedup_of
 from .fem import FactorizationError, assemble
-from .mesh import generate_disk_mesh, generate_square_mesh, load_mesh, save_mesh
+from .mesh import _non_ascii_byte, generate_disk_mesh, generate_square_mesh, load_mesh, save_mesh
 from .objective import FluidParams
 from .pipe import PipeSolution, relative_difference, relative_error
 from .report import STRAIN_RATE_TOL, abstol_for, check_count, check_positive
@@ -204,9 +204,10 @@ def _read_config_file(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: config file must be ASCII, found byte "
-                         f"{exc.object[exc.start]:#04x} at offset {exc.start}") from None
+    except UnicodeDecodeError:
+        lineno, byte = _non_ascii_byte(path)
+        raise ValueError(f"{path}: config file must be ASCII, found byte {byte:#04x} "
+                         f"on line {lineno}") from None
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -297,8 +298,8 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             return _cmd_reproduce(args)
         return _cmd_mesh(args)
-    # ValueError covers option and config-file errors, MeshError, the
-    # parameter range checks and a non-ASCII mesh file
+    # ValueError covers option and config-file errors, MeshError and the
+    # parameter range checks; a non-ASCII file is one of the first two
     except (ValueError, FactorizationError, ShrinkConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ShrinkConvergenceError):

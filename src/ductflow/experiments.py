@@ -125,9 +125,9 @@ def run_cell(alpha, tau0, ops, trs_cfg=None, alg2_cfg=None) -> ExperimentRow:
     return row
 
 
-def reproduce_tables(refinements=DEFAULT_REFINEMENTS, progress=None) -> ExperimentTable:
+def reproduce_tables(progress=None) -> ExperimentTable:
     """Run the full benchmark grid plus the arrested-flow cell at ``run_cell``'s stop."""
-    levels = [assemble(generate_disk_mesh(n), f=1.0) for n in refinements]
+    levels = [assemble(generate_disk_mesh(n), f=1.0) for n in DEFAULT_REFINEMENTS]
     cells = [(alpha, tau0, ops) for ops in levels
              for alpha in DEFAULT_ALPHAS for tau0 in DEFAULT_TAU0S]
     cells.append((2.0, PLUG_STOP_TAU0, levels[0]))

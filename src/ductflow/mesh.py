@@ -313,6 +313,7 @@ def generate_square_mesh(n: int) -> Triangulation:
 
 
 _COMMENT = re.compile("#[^\n]*")
+_NON_ASCII = re.compile(rb"[\x80-\xff]")
 _NODE_ROW = np.dtype([("x", float), ("y", float), ("flag", np.int64)])
 
 
@@ -323,8 +324,12 @@ def load_mesh(path) -> Triangulation:
     anything is allocated; each section is then read in bulk, or by row
     where the bulk read fails (see the module docstring).
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        lineno, byte = _non_ascii_byte(path)
+        raise MeshError(f"line {lineno}: non-ASCII byte {byte:#04x}") from None
     text = "".join(lines)
     content = _content_lines(text, len(lines))
 
@@ -351,6 +356,20 @@ def load_mesh(path) -> Triangulation:
     if end < content.size:
         raise MeshError(f"line {content[end] + 1}: trailing content after triangle list")
     return Triangulation(nodes, triangles, flags)
+
+
+def _non_ascii_byte(path) -> tuple[int, int]:
+    """Line number and value of the first non-ASCII byte of the file ``path``.
+
+    For the error path of a text read: the decoder's own offset counts
+    from the start of the chunk it was decoding, not of the file.  Lines
+    are counted with universal newlines, as a text-mode read splits them.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    at = _NON_ASCII.search(data).start()
+    head = data[:at]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1, data[at]
 
 
 def _non_blank(chars):

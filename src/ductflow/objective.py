@@ -5,14 +5,14 @@ With per-triangle stress blocks ``t_k = tau[2k:2k+2]``, block norm
 
     J(tau) = 1/(alpha' * kappa^(1/(alpha-1))) * sum_k |T_k| (n_k - tau0)_+^alpha'
 
-where ``1/alpha + 1/alpha' = 1``.  Its gradient and blockwise 2x2 Hessian
-have closed forms; both vanish identically on blocks inside the yield
-surface (``n_k <= tau0``), which is the exact derivative for alpha < 2 and
-the semismooth (Newton-derivative) choice at the kink for alpha = 2.
+where ``1/alpha + 1/alpha' = 1``.  Its gradient and Hessian have closed
+forms; both vanish identically on blocks inside the yield surface
+(``n_k <= tau0``), which is the exact derivative for alpha < 2 and the
+semismooth (Newton-derivative) choice at the kink for alpha = 2.
 
-The Hessian is block diagonal and only ever applied to vectors, so it is
-stored as an ``(n_T, 2, 2)`` array of blocks and never materialised as a
-full matrix.
+The Hessian is block diagonal with symmetric 2x2 blocks and only ever
+applied to vectors, so it is stored as the ``(3, n_T)`` array of their
+components ``h11``, ``h12`` and ``h22`` and never materialised as a matrix.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ def gradient(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np
 
 
 def hessian(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np.ndarray:
-    """Blockwise Hessian, shape ``(n_T, 2, 2)``; zero inside the yield surface."""
+    """Hessian components, shape ``(3, n_T)``: rows ``h11``, ``h12`` and
+    ``h22`` of each symmetric block; zero inside the yield surface."""
     t = _blocks(tau)
     norms, excess, yielded = _norms_and_excess(tau, params.tau0)
     am1 = params.alpha - 1.0
@@ -135,28 +136,23 @@ def hessian(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np.
     # excess^0 = 1 at alpha = 2, so the unyielded prefactor is zeroed explicitly
     coeff = ops.tri.areas / (params.kappa_pow * am1) * excess ** (1.0 / am1 - 1.0)
     prefactor = np.divide(coeff, norms ** 3, out=np.zeros_like(norms), where=yielded)
-    h12 = prefactor * (-t1 * t2 * (am1 * excess - norms))
-
-    blocks = np.empty((t.shape[0], 2, 2))
-    blocks[:, 0, 0] = prefactor * (am1 * t2 ** 2 * excess + t1 ** 2 * norms)
-    blocks[:, 0, 1] = h12
-    blocks[:, 1, 0] = h12
-    blocks[:, 1, 1] = prefactor * (am1 * t1 ** 2 * excess + t2 ** 2 * norms)
-    return blocks
+    return np.stack((prefactor * (am1 * t2 ** 2 * excess + t1 ** 2 * norms),
+                     prefactor * (-t1 * t2 * (am1 * excess - norms)),
+                     prefactor * (am1 * t1 ** 2 * excess + t2 ** 2 * norms)))
 
 
-def hessian_apply(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Blockwise product of an ``(n_T, 2, 2)`` Hessian with a stress vector.
+def hessian_apply(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Blockwise product of a ``(3, n_T)`` Hessian with a stress vector.
 
-    Reads the components ``h11``, ``h12`` and ``h22`` of each symmetric
-    block; the products are those of ``einsum("kij,kj->ki")``, bit for
-    bit, without its per-block contraction loop.
+    Each block's product is ``(h11 w1 + h12 w2, h12 w1 + h22 w2)``, the
+    same floating-point operations as ``einsum("kij,kj->ki")`` on the
+    full symmetric blocks, so the two agree bit for bit.
     """
     w = _blocks(v)
-    if blocks.shape[0] != w.shape[0]:
+    if h.shape != (3, w.shape[0]):
         raise ValueError("Hessian block count does not match vector length")
     w1, w2 = w[:, 0], w[:, 1]
-    h11, h12, h22 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
+    h11, h12, h22 = h[0], h[1], h[2]
     out = np.empty_like(w)
     out[:, 0] = h11 * w1 + h12 * w2
     out[:, 1] = h12 * w1 + h22 * w2

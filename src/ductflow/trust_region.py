@@ -117,6 +117,7 @@ def _boundary_intersection(z: np.ndarray, d: np.ndarray, delta: float) -> float:
     a = float(d @ d)
     b = 2.0 * float(z @ d)
     c = float(z @ z) - delta * delta
+    # reached by test_boundary_intersection_is_zero_on_or_outside_the_ball
     if a == 0.0 or c >= 0.0:
         return 0.0
     disc = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
@@ -211,7 +212,7 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
             return _exit_step(z, d, delta), "boundary", j + 1
 
         z = z_trial
-        if (j + 1) % _REPROJECT_EVERY == 0:
+        if (j + 1) % _REPROJECT_EVERY == 0:  # reached by test_inner_cap_reported
             z = ops.project_nullspace(z)
 
         r = r + alpha * h_d
@@ -222,7 +223,7 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
         d = -g + (gr_next / gr) * d
         gr = gr_next
 
-    return z, "cap", max_cg
+    return z, "cap", max_cg  # reached by test_inner_cap_reported
 
 
 def update_radius(delta: float, ared: float, pred: float, step_norm: float):
@@ -233,7 +234,7 @@ def update_radius(delta: float, ared: float, pred: float, step_norm: float):
     model, i.e. rejection with the maximal shrink factor 0.1.
     """
     rho = ared / pred if pred > 0.0 else -math.inf
-    if not math.isfinite(rho):
+    if not math.isfinite(rho):  # reached by test_non_finite_ratio_is_a_failed_model
         rho = -math.inf
 
     if rho >= 0.9:

@@ -62,7 +62,12 @@ def dense_poisson_velocity(ops):
     return np.linalg.solve(independent_stiffness(ops.tri), ops.f_h)
 
 
-def dense_projected_newton_step(ops, grad, hess_blocks, y):
+def hessian_blocks(h):
+    """The ``(n_T, 2, 2)`` symmetric blocks of a ``(3, n_T)`` Hessian."""
+    return h[[0, 1, 1, 2]].T.reshape(-1, 2, 2)
+
+
+def dense_projected_newton_step(ops, grad, hess, y):
     """Dense saddle-point solve for the full Newton step in null(D).
 
     Solves ``[[H, -D^T], [D, 0]] [s, dy] = [-(grad - D^T y), 0]``.
@@ -70,8 +75,8 @@ def dense_projected_newton_step(ops, grad, hess_blocks, y):
     n = ops.n_stress
     m = ops.n_free
     H = np.zeros((n, n))
-    for k in range(hess_blocks.shape[0]):
-        H[2 * k:2 * k + 2, 2 * k:2 * k + 2] = hess_blocks[k]
+    for k, block in enumerate(hessian_blocks(hess)):
+        H[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
     D = ops.D.toarray()
     kkt = np.zeros((n + m, n + m))
     kkt[:n, :n] = H

@@ -20,7 +20,7 @@ from ductflow.objective import FluidParams, block_norms, gradient, hessian
 from ductflow.report import abstol_for
 from ductflow.trust_region import _REPROJECT_EVERY, solve_trs
 from oracles import (dense_poisson_velocity, dense_projected_newton_step,
-                     fd_gradient, fd_hessian, random_stress_blocks)
+                     fd_gradient, fd_hessian, hessian_blocks, random_stress_blocks)
 
 TARGET_NODES = (559, 1129, 2169)
 
@@ -188,7 +188,7 @@ def test_criterion_5_derivative_consistency():
             worst_grad = max(worst_grad,
                              float(np.abs(fd_g - g).max()) / max(1.0, float(np.abs(g).max())))
 
-            blocks = hessian(params, ops, tau)
+            blocks = hessian_blocks(hessian(params, ops, tau))
             fd_h = fd_hessian(params, ops, tau, h=1e-5)
             worst_hess = max(worst_hess,
                              float(np.abs(fd_h - blocks).max()) / max(1.0, float(np.abs(blocks).max())))
@@ -230,9 +230,9 @@ def test_criterion_7_cgs_structure():
     params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.2)
     tau = ops.project_feasible(np.zeros(ops.n_stress))
     grad = gradient(params, ops, tau)
-    blocks = hessian(params, ops, tau)
+    hess = hessian(params, ops, tau)
     path = []
-    _, _, count = run_cg(ops, grad, blocks, 1e6, forcing=1e-6, path=path)
+    _, _, count = run_cg(ops, grad, hess, 1e6, forcing=1e-6, path=path)
     norms = [reach for _, _, reach, _, _ in path]
     drifts = [float(np.abs(ops.D @ z).max()) for z in path_iterates(path)]
     every_iterate = len(path) == count < _REPROJECT_EVERY
@@ -246,11 +246,11 @@ def test_criterion_7_cgs_structure():
     rng = np.random.default_rng(99)
     tau_q = small.project_feasible(rng.standard_normal(small.n_stress))
     grad_q = gradient(qparams, small, tau_q)
-    blocks_q = hessian(qparams, small, tau_q)
+    hess_q = hessian(qparams, small, tau_q)
     y_q = small.recover_velocity(grad_q)
-    step, reason, _ = run_cg(small, grad_q, blocks_q, 1e6, forcing=1e-13)
+    step, reason, _ = run_cg(small, grad_q, hess_q, 1e6, forcing=1e-13)
     newton_gap = float(np.abs(step - dense_projected_newton_step(
-        small, grad_q, blocks_q, y_q)).max())
+        small, grad_q, hess_q, y_q)).max())
 
     ok = (every_iterate and increasing and in_nullspace and reason == "converged"
           and newton_gap <= 1e-8)

@@ -203,8 +203,20 @@ class TestSolveCommand:
         cfg.write_bytes("mesh = disk:2\ntau0 = 0.1  # \u03c4\u2080\n".encode("utf-8"))
         code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 1
-        assert f"error: {cfg}: config file must be ASCII" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {cfg}: config file must be ASCII, "
+                                           "found byte 0xcf on line 2\n")
         assert not (tmp_path / "x").exists()
+
+    def test_non_ascii_config_file_over_8kb_names_its_line(self, tmp_path, capsys):
+        # a text read decodes 8 KB at a time; its own offset would count
+        # from the chunk, the line counts from the file's start
+        cfg = tmp_path / "long.cfg"
+        body = "mesh = disk:2\n" + "# pad\n" * 2000 + "tau0 = 0.1  # \u00e9\n"
+        cfg.write_bytes(body.encode("utf-8"))
+        assert cfg.stat().st_size > 8192
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (f"error: {cfg}: config file must be ASCII, "
+                                           "found byte 0xc3 on line 2002\n")
 
     def test_vanishing_analytic_profile_is_not_compared(self, tmp_path):
         # beta = 10^4: the closed-form profile underflows to zero at every
@@ -471,13 +483,9 @@ class TestExports:
 
 class TestReproduceCommand:
     def test_writes_tables_and_exits_zero(self, tmp_path, capsys, monkeypatch):
-        import ductflow.cli as cli
-        from ductflow.experiments import reproduce_tables
-
         # a single coarse refinement keeps the smoke test quick; the full
         # grid is exercised by the acceptance suite
-        monkeypatch.setattr(cli, "reproduce_tables",
-                            lambda progress=None: reproduce_tables(refinements=(6,)))
+        monkeypatch.setattr(experiments, "DEFAULT_REFINEMENTS", (6,))
         out = tmp_path / "tables"
         assert main(["reproduce", "--out", str(out)]) == 0
         assert (out / "tables.csv").exists()
@@ -500,8 +508,7 @@ class TestReproduceCommand:
         # one sweep cannot converge from the cold start
         monkeypatch.setattr(experiments, "DEFAULT_ALPHAS", (2.0, 1.6, 1.5))
         monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
-        monkeypatch.setattr(cli, "reproduce_tables", lambda progress=None: (
-            experiments.reproduce_tables(refinements=(4,), progress=progress)))
+        monkeypatch.setattr(experiments, "DEFAULT_REFINEMENTS", (4,))
         assert main(["reproduce", "--out", str(tmp_path / "t")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: strain-rate Newton did not converge")
@@ -543,6 +550,14 @@ class TestMeshCommands:
             load_mesh(path)
         assert main(["mesh", "check", str(path)]) == 1
         assert capsys.readouterr().err == "error: mesh has no triangles\n"
+
+    def test_check_non_ascii_mesh_names_its_line(self, tmp_path, capsys):
+        # load_mesh's own test covers files over the decoder's 8 KB chunk
+        path = tmp_path / "accent.mesh"
+        body = "nodes 3\n0 0 1\n1 0 1\n0 1 1 # \u00e9\ntriangles 1\n0 1 2\n"
+        path.write_bytes(body.encode("utf-8"))
+        assert main(["mesh", "check", str(path)]) == 1
+        assert capsys.readouterr().err == "error: line 4: non-ASCII byte 0xc3\n"
 
     def test_check_invalid_mesh_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.mesh"

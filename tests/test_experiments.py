@@ -31,7 +31,9 @@ def test_run_cell_reports_consistent_metrics():
 
 @pytest.fixture(scope="module")
 def coarse_table():
-    return reproduce_tables(refinements=(6,))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "DEFAULT_REFINEMENTS", (6,))
+        return reproduce_tables()
 
 
 def test_reduced_grid_table_rendering(coarse_table):
@@ -106,7 +108,8 @@ def test_moving_arrested_flow_fails_its_row(monkeypatch):
                                  ("solve_alg2", moving_alg2, "error_alg2")):
         with monkeypatch.context() as patch:
             patch.setattr(experiments, name, moving)
-            table = reproduce_tables(refinements=(2,))
+            patch.setattr(experiments, "DEFAULT_REFINEMENTS", (2,))
+            table = reproduce_tables()
         plug = table.rows[-1]
         assert plug.kind == "plug_stop" and plug.trs.converged and plug.alg2.converged
         assert getattr(plug, column) == 1e-3

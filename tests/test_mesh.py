@@ -410,6 +410,20 @@ class TestBulkParse:
             load_mesh(path)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("pad, newline",
+                             [(0, "\n"), (2000, "\n"), (2000, "\r\n"), (2000, "\r")],
+                             ids=["short", "long", "long_crlf", "long_cr"])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, pad, newline):
+        # a text read decodes 8 KB at a time, so its own offset would count
+        # from the chunk; the line counts from the file's start
+        body = "# pad\n" * pad + NODES_3 + "0 1 1  # \u00e9\ntriangles 1\n0 1 2\n"
+        path = tmp_path / "accent.mesh"
+        path.write_bytes(body.replace("\n", newline).encode("utf-8"))
+        assert (path.stat().st_size > 8192) == (pad > 0)
+        with pytest.raises(MeshError) as err:
+            load_mesh(path)
+        assert str(err.value) == f"line {pad + 4}: non-ASCII byte 0xc3"
+
     @pytest.mark.parametrize("body", [
         "# unit triangle\n\nnodes 3  # count\n0 0 1\n  # inner comment\n1 0 1\n\f\n0 1 1\n"
         "triangles 1\n\n0 1 2   # last\n# end\n\n",

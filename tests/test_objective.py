@@ -7,7 +7,7 @@ from ductflow.fem import assemble
 from ductflow.mesh import Triangulation
 from ductflow.objective import (FluidParams, block_norms, gradient, hessian,
                                 hessian_apply, objective)
-from oracles import fd_gradient, fd_hessian, random_stress_blocks
+from oracles import fd_gradient, fd_hessian, hessian_blocks, random_stress_blocks
 
 
 def unit_right_triangle_ops():
@@ -167,15 +167,23 @@ class TestHessian:
         # prefactor 0.5, h11 = 1, h12 = 0, h22 = |tau| - tau0 = 0.8
         ops = unit_right_triangle_ops()
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.2)
-        blocks = hessian(params, ops, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(blocks[0], [[0.5, 0.0], [0.0, 0.4]], rtol=1e-14)
+        h = hessian(params, ops, np.array([1.0, 0.0]))
+        np.testing.assert_allclose(h[:, 0], [0.5, 0.0, 0.4], rtol=1e-14)
+
+    def test_rows_are_contiguous_components(self, disk2_ops):
+        rng = np.random.default_rng(14)
+        params = FluidParams(alpha=1.75, tau0=0.1)
+        h = hessian(params, disk2_ops, rng.standard_normal(disk2_ops.n_stress))
+        assert h.shape == (3, disk2_ops.tri.n_triangles) and h.dtype == np.float64
+        assert h.flags.c_contiguous
 
     @pytest.mark.parametrize("alpha", [2.0, 1.75, 1.5])
     def test_matches_finite_differences(self, alpha, disk3_ops):
         rng = np.random.default_rng(12)
         params = FluidParams(alpha=alpha, kappa=0.8, tau0=0.3)
         tau = random_stress_blocks(rng, disk3_ops.tri.n_triangles, params.tau0)
-        blocks = hessian(params, disk3_ops, tau)
+        # all four entries of each FD block against (h11, h12, h12, h22)
+        blocks = hessian_blocks(hessian(params, disk3_ops, tau))
         fd = fd_hessian(params, disk3_ops, tau)
         assert np.abs(fd - blocks).max() <= 1e-4 * max(1.0, np.abs(blocks).max())
 
@@ -184,59 +192,54 @@ class TestHessian:
         rng = np.random.default_rng(13)
         params = FluidParams(alpha=alpha, tau0=0.2)
         tau = random_stress_blocks(rng, disk3_ops.tri.n_triangles, params.tau0)
-        blocks = hessian(params, disk3_ops, tau)
-        for block in blocks:
+        for block in hessian_blocks(hessian(params, disk3_ops, tau)):
             eigs = np.linalg.eigvalsh(block)
             assert eigs.min() >= -1e-12 * max(np.abs(block).max(), 1e-300)
-
-    def test_symmetry(self, disk2_ops):
-        rng = np.random.default_rng(14)
-        params = FluidParams(alpha=1.75, tau0=0.1)
-        tau = rng.standard_normal(disk2_ops.n_stress)
-        blocks = hessian(params, disk2_ops, tau)
-        np.testing.assert_array_equal(blocks[:, 0, 1], blocks[:, 1, 0])
 
 
 class TestHessianApply:
     def test_zero_vector(self, disk2_ops):
         params = FluidParams(alpha=1.5, tau0=0.1)
         rng = np.random.default_rng(15)
-        blocks = hessian(params, disk2_ops, rng.standard_normal(disk2_ops.n_stress))
-        np.testing.assert_array_equal(hessian_apply(blocks, np.zeros(disk2_ops.n_stress)), 0.0)
+        h = hessian(params, disk2_ops, rng.standard_normal(disk2_ops.n_stress))
+        np.testing.assert_array_equal(hessian_apply(h, np.zeros(disk2_ops.n_stress)), 0.0)
 
     def test_zero_blocks(self, disk2_ops):
-        blocks = np.zeros((disk2_ops.tri.n_triangles, 2, 2))
+        h = np.zeros((3, disk2_ops.tri.n_triangles))
         rng = np.random.default_rng(16)
         v = rng.standard_normal(disk2_ops.n_stress)
-        np.testing.assert_array_equal(hessian_apply(blocks, v), 0.0)
+        np.testing.assert_array_equal(hessian_apply(h, v), 0.0)
 
     def test_matches_dense_block_diagonal(self):
         rng = np.random.default_rng(17)
         n_blocks = 8
-        blocks = rng.standard_normal((n_blocks, 2, 2))
-        blocks = blocks + blocks.transpose(0, 2, 1)
+        h = rng.standard_normal((3, n_blocks))
         v = rng.standard_normal(2 * n_blocks)
         dense = np.zeros((2 * n_blocks, 2 * n_blocks))
-        for k in range(n_blocks):
-            dense[2 * k:2 * k + 2, 2 * k:2 * k + 2] = blocks[k]
-        np.testing.assert_allclose(hessian_apply(blocks, v), dense @ v, rtol=1e-13)
+        for k, block in enumerate(hessian_blocks(h)):
+            dense[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
+        np.testing.assert_allclose(hessian_apply(h, v), dense @ v, rtol=1e-13)
 
     @pytest.mark.parametrize("n_blocks", [1, 7, 2048])
     def test_bit_identical_to_einsum(self, n_blocks):
         rng = np.random.default_rng(19 + n_blocks)
-        scales = 10.0 ** rng.integers(-8, 8, (n_blocks, 1, 1))
-        blocks = scales * rng.standard_normal((n_blocks, 2, 2))
-        blocks = blocks + blocks.transpose(0, 2, 1)
+        scales = 10.0 ** rng.integers(-8, 8, n_blocks)
+        h = scales * rng.standard_normal((3, n_blocks))
         v = rng.standard_normal(2 * n_blocks)
-        reference = np.einsum("kij,kj->ki", blocks, v.reshape(-1, 2)).ravel()
-        np.testing.assert_array_equal(hessian_apply(blocks, v), reference)
+        reference = np.einsum("kij,kj->ki", hessian_blocks(h), v.reshape(-1, 2)).ravel()
+        np.testing.assert_array_equal(hessian_apply(h, v), reference)
 
     def test_linear_in_v(self):
         rng = np.random.default_rng(18)
-        blocks = rng.standard_normal((5, 2, 2))
+        h = rng.standard_normal((3, 5))
         u = rng.standard_normal(10)
         v = rng.standard_normal(10)
-        np.testing.assert_allclose(hessian_apply(blocks, 2.0 * u + v),
-                                   2.0 * hessian_apply(blocks, u) + hessian_apply(blocks, v),
+        np.testing.assert_allclose(hessian_apply(h, 2.0 * u + v),
+                                   2.0 * hessian_apply(h, u) + hessian_apply(h, v),
                                    rtol=1e-12)
 
+    # a (3, n_T) array of the wrong length, and blocks in the (n_T, 2, 2) layout
+    @pytest.mark.parametrize("shape", [(3, 4), (5, 2, 2)])
+    def test_block_count_must_match(self, shape):
+        with pytest.raises(ValueError, match="block count"):
+            hessian_apply(np.zeros(shape), np.zeros(10))

@@ -16,6 +16,9 @@ from ductflow.trust_region import (TrsConfig, _boundary_intersection, cg_steihau
 from oracles import (dense_poisson_velocity, dense_projected_newton_step, jittered_square,
                      perturbed_disk)
 
+# (h11, h12, h22) of the block 1e-12 * I, to broadcast over the triangles
+FLAT = [[1e-12], [0.0], [1e-12]]
+
 
 def run_cg(ops, grad, hess, delta, forcing=trust_region._CG_FORCING, path=None):
     """CG-Steihaug from the projected gradient, as the outer loop calls it.
@@ -95,6 +98,12 @@ class TestUpdateRadius:
         accepted, delta = update_radius(10.0, ared=0.5, pred=-1.0, step_norm=2.0)
         assert not accepted and delta == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("ared", [np.nan, -np.inf, np.inf])
+    def test_non_finite_ratio_is_a_failed_model(self, ared):
+        # a trial J of nan or +-inf is rejected with the maximal shrink
+        accepted, delta = update_radius(10.0, ared=ared, pred=1.0, step_norm=2.0)
+        assert not accepted and delta == 0.1 * 2.0
+
     def test_radius_capped_and_positive(self):
         rng = np.random.default_rng(20)
         delta_max = trust_region._DELTA_MAX
@@ -136,9 +145,9 @@ class TestCgSteihaug:
         # entirely unyielded stress: all Hessian blocks vanish
         rng = np.random.default_rng(23)
         grad = rng.standard_normal(disk2_ops.n_stress)
-        blocks = np.zeros((disk2_ops.tri.n_triangles, 2, 2))
+        hess = np.zeros((3, disk2_ops.tri.n_triangles))
         delta = 0.7
-        step, reason, count = run_cg(disk2_ops, grad, blocks, delta)
+        step, reason, count = run_cg(disk2_ops, grad, hess, delta)
         assert reason == "curvature" and count == 1
         assert np.linalg.norm(step) <= delta * (1.0 + 1e-12)
         model = float(step @ grad)  # quadratic part vanishes
@@ -149,12 +158,12 @@ class TestCgSteihaug:
         # the model along -Pg lies far inside the radius
         rng = np.random.default_rng(26)
         grad = rng.standard_normal(disk2_ops.n_stress)
-        blocks = np.broadcast_to(1e-12 * np.eye(2), (disk2_ops.tri.n_triangles, 2, 2))
+        hess = np.broadcast_to(FLAT, (3, disk2_ops.tri.n_triangles))
         pg = disk2_ops.project_nullspace(grad)
         gr = float(pg @ pg)
-        curvature = float(pg @ hessian_apply(blocks, pg))
+        curvature = float(pg @ hessian_apply(hess, pg))
         delta = 1e15 * float(np.linalg.norm(pg))
-        step, reason, count = run_cg(disk2_ops, grad, blocks, delta)
+        step, reason, count = run_cg(disk2_ops, grad, hess, delta)
         assert reason == "curvature" and count == 1
         np.testing.assert_allclose(step, -(gr / curvature) * pg, rtol=1e-14, atol=0.0)
 
@@ -537,7 +546,7 @@ class TestEvaluationReuse:
 
 
 def replay_subproblem(ops, case):
-    """Gradient, Hessian blocks, radius and CG forcing of a path ending ``case``."""
+    """Gradient, Hessian, radius and CG forcing of a path ending ``case``."""
     params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.2)
     tau = ops.project_feasible(np.zeros(ops.n_stress))
     grad = gradient(params, ops, tau)
@@ -551,14 +560,13 @@ def replay_subproblem(ops, case):
         # three triangles with eigenvalues +-trace: two CG steps, then a
         # direction of negative curvature
         rng = np.random.default_rng(19)
-        blocks = hess.copy()
         bent = rng.choice(ops.tri.n_triangles, 3, replace=False)
-        blocks[bent] = np.diag([1.0, -1.0]) * np.trace(hess[bent], axis1=1, axis2=2)[:, None, None]
-        return grad, blocks, 1e6, 1e-6
+        hess[:, bent] = np.outer([1.0, 0.0, -1.0], hess[0, bent] + hess[2, bent])
+        return grad, hess, 1e6, 1e-6
     # flat: Rayleigh quotient 1e-12, so the curvature exit stops at the
     # model minimiser unless the boundary is nearer
-    blocks = np.broadcast_to(1e-12 * np.eye(2), (ops.tri.n_triangles, 2, 2))
-    return grad, blocks, 1e15 * float(np.linalg.norm(ops.project_nullspace(grad))), 0.5
+    hess = np.broadcast_to(FLAT, (3, ops.tri.n_triangles))
+    return grad, hess, 1e15 * float(np.linalg.norm(ops.project_nullspace(grad))), 0.5
 
 
 class TestReplay:
