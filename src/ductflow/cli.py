@@ -60,7 +60,8 @@ class RunConfig:
     kappa: float = _option(1.0, "consistency")
     force: float = _option(1.0, "constant force density")
     out: str = _option("out", "output directory")
-    format: tuple[str, ...] = _option(("csv",), "comma-separated subset of csv,vtk,json")
+    format: tuple[str, ...] = _option(("csv",), "comma-separated subset of csv,vtk,json; the "
+                                      "JSON report is always written, json alone writes no CSV")
     abstol: float = _option(STRAIN_RATE_TOL,
                             "stationarity tolerance in strain-rate units, both solvers")
     max_outer: int = _option(TrsConfig.max_outer, "TRS: outer-iteration cap")

@@ -3,9 +3,10 @@
 The stress is piecewise constant (two components per triangle, stacked as
 ``tau[2k:2k+2]``), the velocity piecewise linear on free nodes.  The
 constraint matrix ``D`` has entry ``|T_k| * (grad phi_j)_c`` in row
-``free_index[j]`` and column ``2k + c``, so that ``D @ tau = f_h`` is the
-discrete momentum balance and ``D @ tau`` evaluates ``(tau, grad phi_j)``
-exactly (the integrands are piecewise constant, no quadrature error).
+``free_index[j]`` and column ``2k + c``: half the edge of ``T_k`` opposite
+node ``j`` turned by 90 degrees, formed without areas.  ``D @ tau = f_h``
+is the discrete momentum balance, and ``D @ tau`` evaluates ``(tau, grad
+phi_j)`` exactly (the integrands are piecewise constant, no quadrature error).
 
 ``A`` (``area2``) is the diagonal holding each triangle's area once per
 stress component; ``D A^-1 D^T`` coincides with the standard P1
@@ -129,18 +130,20 @@ def _factor_spd(matrix):
 
 
 def _constraint_matrix(tri: Triangulation) -> sp.csr_matrix:
-    n_t = tri.n_triangles
-    tri_free = tri.free_index[tri.triangles]  # (n_T, 3)
-    keep = tri_free >= 0
+    free = tri.free_index[tri.triangles]  # (n_T, 3)
+    keep = free >= 0
+    k = np.nonzero(keep)[0]  # the triangle of each free corner
+    rows, cols = np.tile(free[keep], 2), np.concatenate([2 * k, 2 * k + 1])
+    vals = np.concatenate([part[keep] for part in _half_rotated_edges(tri)])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(tri.n_free, 2 * tri.n_triangles)).tocsr()
 
-    weighted = tri.grad_phi * tri.areas[:, None, None]  # (n_T, 3, 2)
-    k_idx = np.broadcast_to(np.arange(n_t)[:, None], (n_t, 3))
 
-    rows = np.concatenate([tri_free[keep], tri_free[keep]])
-    cols = np.concatenate([2 * k_idx[keep], 2 * k_idx[keep] + 1])
-    vals = np.concatenate([weighted[:, :, 0][keep], weighted[:, :, 1][keep]])
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(tri.n_free, 2 * n_t))
-    return mat.tocsr()
+def _half_rotated_edges(tri: Triangulation):
+    """``|T| grad phi_i`` at corner ``i`` of each triangle, as ``(x, y)`` parts of shape
+    ``(n_T, 3)``: half the opposite edge ``p_{i+2} - p_{i+1}``, ``perp(vx, vy) = (-vy, vx)``."""
+    x, y = tri.nodes.T
+    tail, head = tri.triangles[:, [1, 2, 0]], tri.triangles[:, [2, 0, 1]]
+    return -0.5 * (y[head] - y[tail]), 0.5 * (x[head] - x[tail])
 
 
 def _load_vector(tri: Triangulation, f) -> np.ndarray:

@@ -29,6 +29,7 @@ file and the velocity CSV and VTK of every solve on it reuse that text.
 from __future__ import annotations
 
 import io
+import numbers
 import re
 from functools import cached_property
 
@@ -65,8 +66,6 @@ class Triangulation:
         Node indices of the free nodes, in increasing order.
     areas : ndarray, shape (n_triangles,)
         Triangle areas (all positive).
-    grad_phi : ndarray, shape (n_triangles, 3, 2)
-        Constant gradients of the three local hat functions.
     node_text : str
         ``"x y\n"`` rows of the node coordinates, built on first use.
     triangle_text : str
@@ -75,7 +74,7 @@ class Triangulation:
 
     def __init__(self, nodes, triangles, dirichlet):
         nodes = np.ascontiguousarray(nodes, dtype=float)
-        triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        triangles = np.ascontiguousarray(_node_indices(triangles), dtype=np.int64)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise MeshError(f"nodes must have shape (n, 2), got {nodes.shape}")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
@@ -86,9 +85,6 @@ class Triangulation:
         n_nodes = nodes.shape[0]
         if triangles.size and (triangles.min() < 0 or triangles.max() >= n_nodes):
             raise MeshError("triangle references a node index out of range")
-        ordered = np.sort(triangles, axis=1)
-        if np.any(ordered[:, :-1] == ordered[:, 1:]):
-            raise MeshError("triangle with repeated vertex")
 
         triangles, flipped, areas = _orient_ccw(nodes, triangles)
         _check_degenerate(nodes, areas)
@@ -98,8 +94,6 @@ class Triangulation:
         is_dirichlet = np.array(dirichlet)
         if is_dirichlet.dtype != bool or is_dirichlet.shape != (n_nodes,):
             raise MeshError(f"dirichlet must be a boolean mask over the {n_nodes} nodes")
-        if not is_dirichlet.any():
-            raise MeshError("invariant violated: no Dirichlet nodes (boundary must have positive measure)")
         _check_held(n_nodes, triangles, is_dirichlet)
 
         self.nodes = nodes
@@ -109,10 +103,9 @@ class Triangulation:
         self.free_index = np.full(n_nodes, -1, dtype=np.int64)
         self.free_index[self.free_nodes] = np.arange(self.free_nodes.size)
         self.areas = areas
-        self.grad_phi = _hat_gradients(nodes, triangles, areas)
 
         for arr in (self.nodes, self.triangles, self.is_dirichlet, self.free_nodes,
-                    self.free_index, self.areas, self.grad_phi):
+                    self.free_index, self.areas):
             arr.flags.writeable = False
 
     @property
@@ -140,6 +133,18 @@ class Triangulation:
         p = self.nodes[self.triangles]
         edges = p - np.roll(p, 1, axis=1)
         return float(np.sqrt((edges ** 2).sum(axis=2)).max())
+
+
+def _node_indices(triangles):
+    """``triangles`` as an array, after rejecting an entry that is not an int64
+    integer: a cast would truncate ``1.7``, parse ``'2'`` and fail on NaN or inf."""
+    raw = np.asarray(triangles)
+    if raw.dtype.kind not in "iu":
+        # as objects, the entries of a list keep their own types
+        for value in np.asarray(triangles, dtype=object).ravel().tolist():
+            if not (isinstance(value, numbers.Integral) and -2 ** 63 <= value < 2 ** 63):
+                raise MeshError(f"node index {value!r} is not an int64 integer")
+    return raw
 
 
 def _orient_ccw(nodes, triangles):
@@ -170,6 +175,7 @@ def _check_degenerate(nodes, areas):
         raise MeshError("mesh has no triangles")
     span = nodes.max(axis=0) - nodes.min(axis=0)
     bbox = float(span[0] * span[1]) or 1.0
+    # a triangle with a repeated vertex has an area of exactly 0
     bad = np.flatnonzero(areas < DEGENERATE_REL_AREA * bbox)
     if bad.size:
         raise MeshError(f"invariant violated: degenerate (non-positive area) triangle {bad[0]}")
@@ -219,18 +225,6 @@ def _check_held(n_nodes, triangles, is_dirichlet):
     if loose.size:
         raise MeshError("invariant violated: the mesh part containing node "
                         f"{loose[0]} has no Dirichlet node")
-
-
-def _hat_gradients(nodes, triangles, areas):
-    p = nodes[triangles]  # (n_T, 3, 2)
-    # grad phi_i = perp(p_{i+2} - p_{i+1}) / (2 |T|), perp(vx, vy) = (-vy, vx)
-    grads = np.empty((triangles.shape[0], 3, 2))
-    for i in range(3):
-        edge = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        grads[:, i, 0] = -edge[:, 1]
-        grads[:, i, 1] = edge[:, 0]
-    grads /= (2.0 * areas)[:, None, None]
-    return grads
 
 
 def generate_disk_mesh(refinement: int) -> Triangulation:

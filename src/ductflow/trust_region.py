@@ -212,7 +212,7 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
             return _exit_step(z, d, delta), "boundary", j + 1
 
         z = z_trial
-        if (j + 1) % _REPROJECT_EVERY == 0:  # reached by test_inner_cap_reported
+        if (j + 1) % _REPROJECT_EVERY == 0:  # seen by test_inner_cap_reported
             z = ops.project_nullspace(z)
 
         r = r + alpha * h_d

@@ -30,21 +30,25 @@ def jittered_square(n, amplitude=0.25, seed=0):
     return Triangulation(nodes, base.triangles, base.is_dirichlet)
 
 
-def independent_stiffness(tri):
-    """P1 stiffness assembled through the reference-element map.
+def reference_element_gradients(tri):
+    """``(corners, area, grads)`` of each triangle, through the reference-element map.
 
-    Oracle route: hat-function gradients come from the inverse transpose
-    of the edge matrix instead of the rotated-edge formula used by the
-    mesh module.
+    Oracle route: the hat-function gradients ``grads[a]`` come from the
+    inverse transpose of the edge matrix instead of the rotated-edge
+    formula used by the fem module.
     """
     ref_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    for corners in tri.triangles:
+        p = tri.nodes[corners]
+        B = np.column_stack([p[1] - p[0], p[2] - p[0]])
+        yield corners, 0.5 * abs(np.linalg.det(B)), ref_grads @ np.linalg.inv(B)
+
+
+def independent_stiffness(tri):
+    """P1 stiffness assembled through the reference-element map."""
     n_free = tri.n_free
     K = np.zeros((n_free, n_free))
-    for tri_nodes in tri.triangles:
-        p = tri.nodes[tri_nodes]
-        B = np.column_stack([p[1] - p[0], p[2] - p[0]])
-        area = 0.5 * abs(np.linalg.det(B))
-        grads = ref_grads @ np.linalg.inv(B)
+    for tri_nodes, area, grads in reference_element_gradients(tri):
         for a in range(3):
             ia = tri.free_index[tri_nodes[a]]
             if ia < 0:
@@ -55,6 +59,17 @@ def independent_stiffness(tri):
                     continue
                 K[ia, ib] += area * float(grads[a] @ grads[b])
     return K
+
+
+def independent_constraint_matrix(tri):
+    """Dense ``D``, entry ``|T_k| (grad phi_j)_c`` in row ``free_index[j]`` and
+    column ``2k + c``, through the reference-element map."""
+    D = np.zeros((tri.n_free, 2 * tri.n_triangles))
+    for k, (corners, area, grads) in enumerate(reference_element_gradients(tri)):
+        for node, grad in zip(corners, grads):
+            if tri.free_index[node] >= 0:
+                D[tri.free_index[node], 2 * k:2 * k + 2] = area * grad
+    return D
 
 
 def dense_poisson_velocity(ops):

@@ -6,7 +6,8 @@ from ductflow.fem import FactorizationError, assemble
 from ductflow.mesh import Triangulation, generate_disk_mesh
 from ductflow.objective import FluidParams
 from ductflow.trust_region import solve_trs
-from oracles import independent_stiffness
+from oracles import (independent_constraint_matrix, independent_stiffness, jittered_square,
+                     perturbed_disk)
 
 
 def stiffness_inverse(ops):
@@ -51,6 +52,17 @@ class TestAssembly:
     def test_non_finite_scalar_force_rejected(self, square_center_mesh, force):
         with pytest.raises(ValueError, match="finite"):
             assemble(square_center_mesh, f=force)
+
+    @pytest.mark.parametrize("build", [perturbed_disk, jittered_square])
+    def test_constraint_matrix_matches_reference_element_route(self, build):
+        # every stored entry, entry by entry, against |T| times the
+        # gradients of the reference-element map; one entry per free corner
+        # and stress component, so the pattern is the reference's too
+        tri = build(6)
+        D = assemble(tri).D
+        ref = independent_constraint_matrix(tri)
+        assert D.nnz == 2 * int((tri.free_index[tri.triangles] >= 0).sum())
+        np.testing.assert_allclose(D.toarray(), ref, rtol=0, atol=1e-14 * np.abs(ref).max())
 
     def test_cached_transpose_products_bit_identical(self, disk3_ops):
         rng = np.random.default_rng(11)
@@ -213,6 +225,6 @@ class TestProjections:
         y_lin = square_center_mesh.nodes[square_center_mesh.free_nodes, 0]
         grad = ops.velocity_gradient(y_lin).reshape(-1, 2)
         # Dirichlet corners hold zeros, so compare with a hand value on the
-        # bottom triangle (0, 1, 4): only node 4 contributes 0.5 * grad_phi_4
-        g4 = square_center_mesh.grad_phi[0][2]
-        np.testing.assert_allclose(grad[0], 0.5 * g4, rtol=1e-13)
+        # bottom triangle (0, 1, 4) of area 1/4: only node 4 contributes,
+        # 0.5 * grad phi_4 = 0.5 * perp((1, 0) - (0, 0)) / (2 * 1/4) = (0, 1)
+        np.testing.assert_allclose(grad[0], [0.0, 1.0], rtol=1e-13)

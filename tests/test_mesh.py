@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ductflow import mesh
+from ductflow import fem, mesh
 from ductflow.fem import assemble
 from ductflow.mesh import (MeshError, Triangulation, generate_disk_mesh, generate_square_mesh,
                            load_mesh, save_mesh)
@@ -55,7 +55,12 @@ def reference_disk_mesh(n):
 
 def mesh_arrays_equal(a, b):
     return all(np.array_equal(getattr(a, name), getattr(b, name))
-               for name in ("nodes", "triangles", "is_dirichlet", "areas", "grad_phi"))
+               for name in ("nodes", "triangles", "is_dirichlet", "areas"))
+
+
+def area_gradients(tri):
+    """``|T| grad phi`` of each triangle's three hat functions, shape ``(n_T, 3, 2)``."""
+    return np.stack(fem._half_rotated_edges(tri), axis=-1)
 
 
 def reference_repeated_edge(triangles):
@@ -114,9 +119,9 @@ class TestDiskMesh:
         assert np.all(radii[~tri.is_dirichlet] < 1.0 - 1e-6)
 
     def test_hat_gradients_partition_of_unity(self):
-        tri = generate_disk_mesh(3)
-        sums = tri.grad_phi.sum(axis=1)
-        scale = np.abs(tri.grad_phi).max()
+        grads = area_gradients(generate_disk_mesh(3))
+        sums = grads.sum(axis=1)
+        scale = np.abs(grads).max()
         assert np.abs(sums).max() <= 1e-14 * scale
 
     def test_free_index_is_a_bijection(self):
@@ -169,29 +174,35 @@ class TestTriangleGeometry:
                              np.ones(3, dtype=bool))
 
     def test_reference_element(self):
+        # |T| grad phi is half the opposite edge turned by 90 degrees: exact here
         tri = self.unit_right_triangle()
         assert tri.areas[0] == pytest.approx(0.5, abs=1e-15)
-        expected = np.array([(-1.0, -1.0), (1.0, 0.0), (0.0, 1.0)])
-        np.testing.assert_allclose(tri.grad_phi[0], expected, atol=1e-14)
+        expected = np.array([(-0.5, -0.5), (0.5, 0.0), (0.0, 0.5)])
+        np.testing.assert_array_equal(area_gradients(tri)[0], expected)
 
     def test_translation_invariance(self):
         base = self.unit_right_triangle()
         moved = self.unit_right_triangle(shift=(3.7, -1.2))
         assert moved.areas[0] == pytest.approx(base.areas[0], rel=1e-14)
-        np.testing.assert_allclose(moved.grad_phi[0], base.grad_phi[0], atol=1e-13)
+        np.testing.assert_allclose(area_gradients(moved)[0], area_gradients(base)[0], atol=1e-13)
 
     def test_clockwise_input_gives_the_same_geometry(self):
         # swapping two vertices negates the signed area exactly, so the
-        # reoriented mesh is bit for bit the counter-clockwise one
+        # reoriented mesh, and its constraint matrix, are bit for bit the
+        # counter-clockwise ones
         disk = generate_disk_mesh(5)
         flipped = Triangulation(disk.nodes, disk.triangles[:, [0, 2, 1]], disk.is_dirichlet)
         assert mesh_arrays_equal(flipped, disk)
+        a, b = assemble(flipped).D, assemble(disk).D
+        for name in ("data", "indices", "indptr"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_scaling_law(self):
+        # |T| grad phi is linear in the mesh size, exactly so for a factor of 2
         base = self.unit_right_triangle()
         scaled = self.unit_right_triangle(scale=2.0)
         assert scaled.areas[0] == pytest.approx(4.0 * base.areas[0], rel=1e-14)
-        np.testing.assert_allclose(scaled.grad_phi[0], 0.5 * base.grad_phi[0], atol=1e-14)
+        np.testing.assert_array_equal(area_gradients(scaled)[0], 2.0 * area_gradients(base)[0])
 
 
 class TestLoadSave:
@@ -271,7 +282,7 @@ class TestLoadSave:
     def test_missing_dirichlet_rejected(self, tmp_path):
         path = tmp_path / "free.mesh"
         path.write_text("nodes 3\n0 0 0\n1 0 0\n0 1 0\ntriangles 1\n0 1 2\n")
-        with pytest.raises(MeshError, match="Dirichlet"):
+        with pytest.raises(MeshError, match="mesh part containing node 0 has no Dirichlet node"):
             load_mesh(path)
 
     def test_part_without_dirichlet_node_rejected(self, tmp_path):
@@ -550,6 +561,31 @@ class TestDirichletMask:
             Triangulation(nodes, [(0, 1, 2), (3, 4, 5), (6, 7, 8)], mask)
 
 
+class TestNodeIndices:
+    NODES = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    MASK = np.array([True, True, True, False])
+
+    @pytest.mark.parametrize("bad, shown", [(1.7, "1.7"), (float("nan"), "nan"),
+                                            (float("inf"), "inf"), (2 ** 70, str(2 ** 70)),
+                                            ("2", "'2'"), (2.0, "2.0")],
+                             ids=["fraction", "nan", "inf", "beyond_int64", "text",
+                                  "integral_float"])
+    def test_non_integer_node_index_named(self, bad, shown):
+        # a cast alone would truncate 1.7 and parse '2'; an integral float
+        # is rejected too, as report.check_count and load_mesh reject one
+        message = f"node index {shown} is not an int64 integer"
+        with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+            Triangulation(self.NODES, [(0, 1, 2), (1, bad, 2)], self.MASK)
+
+    def test_integer_inputs_accepted(self):
+        expected = np.array([(0, 1, 2), (1, 3, 2)])
+        for triangles in (expected.tolist(), expected.astype(np.int32),
+                          expected.astype(np.uint64), expected.astype(object)):
+            tri = Triangulation(self.NODES, triangles, self.MASK)
+            assert tri.triangles.dtype == np.int64
+            np.testing.assert_array_equal(tri.triangles, expected)
+
+
 class TestConformity:
     def test_repeated_directed_edge_rejected(self):
         nodes = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -596,5 +632,9 @@ class TestConformity:
         assert len(interior) > 0
 
     def test_repeated_vertex_rejected(self):
-        with pytest.raises(MeshError, match="repeated"):
-            Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 1)], np.array([True, False, False]))
+        # a repeated vertex, in any two places, gives an area of exactly 0
+        # and is named as a degenerate triangle with its index
+        nodes = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        for second in [(1, 3, 3), (3, 1, 3), (1, 1, 3)]:
+            with pytest.raises(MeshError, match=r"degenerate \(non-positive area\) triangle 1$"):
+                Triangulation(nodes, [(0, 1, 2), second], np.array([True, True, True, False]))

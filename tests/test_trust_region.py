@@ -243,22 +243,44 @@ class TestCgSteihaug:
         assert np.linalg.norm(step - c * base) <= 1e-9 * np.linalg.norm(c * base)
 
     def test_inner_cap_reported(self, disk3_ops, monkeypatch):
-        # from this start CG needs 69 iterations to reach forcing 1e-14;
-        # one per triangle caps it at 54.  Both runs pass the re-projection
-        # after _REPROJECT_EVERY steps, and their steps stay in null(D).
+        # from this start CG needs more iterations than there are triangles
+        # to reach forcing 1e-14 (69 when measured; rounding can move the
+        # count, so it is not pinned); one per triangle caps it at 54.  Both
+        # runs pass the re-projection after _REPROJECT_EVERY steps, and
+        # their steps stay in null(D).
         params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.2)
         rng = np.random.default_rng(25)
         tau = disk3_ops.project_feasible(rng.standard_normal(disk3_ops.n_stress))
         grad = gradient(params, disk3_ops, tau)
         hess = hessian(params, disk3_ops, tau)
         bound = 1e-8 * (1.0 + np.abs(disk3_ops.f_h).max())
-        step, reason, count = run_cg(disk3_ops, grad, hess, 1e6, forcing=1e-14)
+        projected = []
+        project = disk3_ops.project_nullspace
+
+        def spy(v):
+            projected.append(np.array(v))
+            return project(v)
+
+        def run_seen():
+            projected.clear()
+            path = []
+            step, reason, count = run_cg(disk3_ops, grad, hess, 1e6, forcing=1e-14, path=path)
+            # the gradient, one residual per iteration, and the accumulated
+            # step after every _REPROJECT_EVERY iterations; the path sums
+            # that step bit for bit, and it goes in before that pass's residual
+            every = trust_region._REPROJECT_EVERY
+            assert count > every and len(path) == every
+            assert len(projected) == 1 + count + count // every
+            assert np.array_equal(projected[every], list(path_iterates(path))[-1])
+            return step, reason, count
+
+        monkeypatch.setattr(disk3_ops, "project_nullspace", spy)
+        step, reason, count = run_seen()
         assert reason == "converged" and count > disk3_ops.tri.n_triangles
         assert np.abs(disk3_ops.D @ step).max() <= bound
         monkeypatch.setattr(trust_region, "_CG_PER_TRIANGLE", 1)
-        step, reason, count = run_cg(disk3_ops, grad, hess, 1e6, forcing=1e-14)
+        step, reason, count = run_seen()
         assert reason == "cap" and count == disk3_ops.tri.n_triangles
-        assert count > trust_region._REPROJECT_EVERY
         assert np.isfinite(step).all()
         assert np.abs(disk3_ops.D @ step).max() <= bound
 
