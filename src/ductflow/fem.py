@@ -14,7 +14,14 @@ stiffness matrix on free nodes and ``A^-1 D^T`` is the discrete
 gradient.  Both SPD matrices, ``D D^T`` and ``D A^-1 D^T``, are
 factorised once, by one helper in SuperLU's symmetric mode
 (minimum-degree ordering on ``M + M^T``, diagonal pivots), and reused
-by every solver iteration.  ``D^T`` is likewise built once, as the CSR
+by every solver iteration.  Both are symmetric bit for bit (the
+stiffness is averaged with its transpose, which evens out the 1-ulp
+rounding differences of the triple product on non-uniform meshes), so
+the transposed factors solve the same system.  Every solve goes through
+them: with scipy 1.17 on a shared 2-vCPU host, the ``trans="T"`` solve
+was measured 10-36 % faster per call than the default on meshes of 397
+to 16,129 unknowns and 8-16 % faster at 42,841 (disk:120), with the
+same iterates.  ``D^T`` is likewise built once, as the CSR
 matrix ``DT``: ``D.T`` of a CSR matrix is a new CSC object on every
 access, and its products equal those of ``DT`` bit for bit.
 
@@ -23,6 +30,8 @@ no special case: its ``0 x 0`` matrices factorise and solve to empty arrays.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,10 +66,12 @@ class DiscreteOperators:
         self.DT = self.D.T.tocsr()
         self.f_h = _load_vector(tri, f)
 
+        # D diag(1/A) D^T rounds differently on either side of the diagonal
+        # where triangle areas differ; the average is symmetric bit for bit
         stiffness = self.D @ sp.diags(1.0 / self.area2) @ self.DT
         try:
-            self._lu_gram = _factor_spd(self.D @ self.DT)
-            self._lu_stiffness = _factor_spd(stiffness)
+            self._solve_gram = _factor_spd(self.D @ self.DT)
+            self._solve_stiffness = _factor_spd((stiffness + stiffness.T) * 0.5)
         except RuntimeError as exc:
             raise FactorizationError(
                 f"factorisation of D*D^T / D*A^-1*D^T failed ({exc}); "
@@ -80,11 +91,11 @@ class DiscreteOperators:
 
     def solve_ddt(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(D D^T) x = rhs``."""
-        return self._lu_gram.solve(np.asarray(rhs, dtype=float))
+        return self._solve_gram(np.asarray(rhs, dtype=float))
 
     def solve_stiffness(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(D A^-1 D^T) x = rhs`` (discrete Laplacian solve)."""
-        return self._lu_stiffness.solve(np.asarray(rhs, dtype=float))
+        return self._solve_stiffness(np.asarray(rhs, dtype=float))
 
     # -- projections and recovery ----------------------------------------
 
@@ -124,9 +135,17 @@ def assemble(tri: Triangulation, f=1.0) -> DiscreteOperators:
 
 
 def _factor_spd(matrix):
-    """Sparse LU of an SPD matrix in SuperLU's symmetric mode."""
-    return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
+    """Factorise an SPD matrix in SuperLU's symmetric mode; return its solve.
+
+    The solve is bound to the transposed factors, ``trans="T"``, which
+    solve ``matrix^T x = b``: the system ``matrix x = b`` only because
+    ``matrix`` is symmetric bit for bit, as both callers build it.  The
+    transposed path is chosen because it was measured faster per call
+    (module docstring); why SuperLU's is faster was not examined.
+    """
+    lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    return partial(lu.solve, trans="T")
 
 
 def _constraint_matrix(tri: Triangulation) -> sp.csr_matrix:

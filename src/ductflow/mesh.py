@@ -73,8 +73,12 @@ class Triangulation:
     """
 
     def __init__(self, nodes, triangles, dirichlet):
-        nodes = np.ascontiguousarray(nodes, dtype=float)
-        triangles = np.ascontiguousarray(_node_indices(triangles), dtype=np.int64)
+        nodes = np.ascontiguousarray(
+            _checked_entries(nodes, "fiu", _check_coordinate, "node", 2, "coordinates"),
+            dtype=float)
+        triangles = np.ascontiguousarray(
+            _checked_entries(triangles, "iu", _check_node_index, "triangle", 3, "node indices"),
+            dtype=np.int64)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise MeshError(f"nodes must have shape (n, 2), got {nodes.shape}")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
@@ -135,16 +139,49 @@ class Triangulation:
         return float(np.sqrt((edges ** 2).sum(axis=2)).max())
 
 
-def _node_indices(triangles):
-    """``triangles`` as an array, after rejecting an entry that is not an int64
-    integer: a cast would truncate ``1.7``, parse ``'2'`` and fail on NaN or inf."""
-    raw = np.asarray(triangles)
-    if raw.dtype.kind not in "iu":
-        # as objects, the entries of a list keep their own types
-        for value in np.asarray(triangles, dtype=object).ravel().tolist():
-            if not (isinstance(value, numbers.Integral) and -2 ** 63 <= value < 2 ** 63):
-                raise MeshError(f"node index {value!r} is not an int64 integer")
+def _checked_entries(values, kinds, check, row, width, unit):
+    """``values`` as an array, after ``check`` has passed each of its entries.
+
+    A cast alone would truncate ``1.7``, parse ``'2'``, read ``True`` as 1
+    and raise numpy's bare ``ValueError`` on a ragged list.  An ndarray of
+    a dtype kind in ``kinds``, as the generators and ``load_mesh`` pass,
+    holds no such entry and is returned unchecked.  Anything else, a list
+    of ints too (a bool among them is cast to 1), is checked entry by entry.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
+        return values
+    try:
+        raw = np.asarray(values)
+    except ValueError:
+        _name_ragged_row(values, row, width, unit)
+        raise
+    # as objects, the entries of a list keep their own types
+    for value in np.asarray(values, dtype=object).ravel().tolist():
+        check(value)
     return raw
+
+
+def _name_ragged_row(values, row, width, unit):
+    """Raise a ``MeshError`` naming the first row of ``values`` that is not
+    a flat sequence of ``width`` values."""
+    for at, entries in enumerate(values):
+        try:
+            flat = np.shape(entries) == (width,)
+        except ValueError:
+            flat = False
+        if not flat:
+            raise MeshError(f"{row} {at} is {entries!r}, not {width} {unit}")
+
+
+def _check_coordinate(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise MeshError(f"node coordinate {value!r} is not a real number")
+
+
+def _check_node_index(value):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not -2 ** 63 <= value < 2 ** 63):
+        raise MeshError(f"node index {value!r} is not an int64 integer")
 
 
 def _orient_ccw(nodes, triangles):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from ductflow.augmented_lagrangian import solve_alg2
 from ductflow.fem import FactorizationError, assemble
@@ -103,6 +104,24 @@ class TestAssembly:
         assert np.abs(inverse - inverse.T).max() <= 1e-14 * np.abs(inverse).max()
         assert np.linalg.eigvalsh(inverse).min() > 0.0
 
+    @pytest.mark.parametrize("build", [generate_disk_mesh, perturbed_disk, jittered_square])
+    def test_factorised_matrices_are_symmetric(self, monkeypatch, build):
+        # the solves use the transposed factors, which solve the factorised
+        # system itself only if it equals its transpose bit for bit
+        import ductflow.fem as fem
+        factorised = []
+        def spy(matrix, **kwargs):
+            factorised.append(matrix)
+            return splu(matrix, **kwargs)
+        monkeypatch.setattr(fem, "splu", spy)
+        assemble(build(4), f=1.0)
+        assert len(factorised) == 2
+        for matrix in factorised:
+            rows, cols = matrix.tocsr(), matrix.T.tocsr()
+            np.testing.assert_array_equal(rows.indptr, cols.indptr)
+            np.testing.assert_array_equal(rows.indices, cols.indices)
+            assert rows.data.tobytes() == cols.data.tobytes()
+
     def test_rank_deficiency_reported(self, monkeypatch):
         import ductflow.fem as fem
         def boom(matrix, **kwargs):
@@ -128,7 +147,7 @@ class TestSolves:
     @pytest.mark.parametrize("which", ["ddt", "stiffness"])
     def test_matches_dense_oracle(self, square_center_mesh, disk2_ops, which):
         rng = np.random.default_rng(7)
-        for ops in (assemble(square_center_mesh), disk2_ops):
+        for ops in (assemble(square_center_mesh), disk2_ops, assemble(perturbed_disk(4))):
             rhs = rng.standard_normal(ops.n_free)
             if which == "ddt":
                 dense = (ops.D @ ops.D.T).toarray()

@@ -567,12 +567,13 @@ class TestNodeIndices:
 
     @pytest.mark.parametrize("bad, shown", [(1.7, "1.7"), (float("nan"), "nan"),
                                             (float("inf"), "inf"), (2 ** 70, str(2 ** 70)),
-                                            ("2", "'2'"), (2.0, "2.0")],
+                                            ("2", "'2'"), (2.0, "2.0"), (True, "True")],
                              ids=["fraction", "nan", "inf", "beyond_int64", "text",
-                                  "integral_float"])
+                                  "integral_float", "bool"])
     def test_non_integer_node_index_named(self, bad, shown):
-        # a cast alone would truncate 1.7 and parse '2'; an integral float
-        # is rejected too, as report.check_count and load_mesh reject one
+        # a cast alone would truncate 1.7, parse '2' and read True as node 1;
+        # an integral float is rejected too, as report.check_count and
+        # load_mesh reject one
         message = f"node index {shown} is not an int64 integer"
         with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
             Triangulation(self.NODES, [(0, 1, 2), (1, bad, 2)], self.MASK)
@@ -584,6 +585,47 @@ class TestNodeIndices:
             tri = Triangulation(self.NODES, triangles, self.MASK)
             assert tri.triangles.dtype == np.int64
             np.testing.assert_array_equal(tri.triangles, expected)
+
+
+class TestNodeCoordinates:
+    TRIANGLES = [(0, 1, 2), (1, 3, 2)]
+    MASK = np.array([True, True, True, False])
+
+    @pytest.mark.parametrize("nodes, shown", [
+        ([(0, 0), (1, 0), ("0", "1"), (1, 1)], "'0'"),
+        ([(0.0, 0.0), (1.0, 0.0), (0.0, True), (1.0, 1.0)], "True"),
+        (np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=bool), "False"),
+    ], ids=["text", "bool_among_floats", "bool_array"])
+    def test_non_real_coordinate_named(self, nodes, shown):
+        # a cast to float would parse the text and read a bool as 0 or 1
+        message = f"node coordinate {shown} is not a real number"
+        with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+            Triangulation(nodes, self.TRIANGLES, self.MASK)
+
+    def test_real_inputs_accepted(self):
+        expected = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+        for nodes in (expected.tolist(), expected.astype(int).tolist(),
+                      expected.astype(np.float32), expected.astype(object)):
+            tri = Triangulation(nodes, self.TRIANGLES, self.MASK)
+            assert tri.nodes.dtype == np.float64
+            np.testing.assert_array_equal(tri.nodes, expected)
+
+
+class TestRaggedRows:
+    NODES = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    TRIANGLES = [(0, 1, 2), (1, 3, 2)]
+    MASK = np.array([True, True, True, False])
+
+    @pytest.mark.parametrize("nodes, triangles, message", [
+        ([(0, 0), (1, 0), (0, 1, 5), (1, 1)], TRIANGLES, "node 2 is (0, 1, 5), not 2 coordinates"),
+        (NODES, [(0, 1, 2), (1, 3)], "triangle 1 is (1, 3), not 3 node indices"),
+        (NODES, [(0, 1, 2), (1, (3, 2), 2)],
+         "triangle 1 is (1, (3, 2), 2), not 3 node indices"),
+    ], ids=["nodes", "triangles", "nested"])
+    def test_ragged_row_named(self, nodes, triangles, message):
+        # numpy alone raises a bare ValueError about an inhomogeneous shape
+        with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+            Triangulation(nodes, triangles, self.MASK)
 
 
 class TestConformity:

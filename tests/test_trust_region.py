@@ -464,7 +464,7 @@ class TestSolveTrs:
     @example(tri=generate_square_mesh(4), alpha=2.0, tau0=0.1, max_outer=200)  # stalls
     # the safeguards the draws reach, pinned by test_draws_reach_the_curvature_exit
     @example(tri=jittered_square(4, 0.18, 93), alpha=1.1, tau0=0.35, max_outer=200)
-    @example(tri=generate_square_mesh(8), alpha=1.05, tau0=0.0, max_outer=200)
+    @example(tri=generate_square_mesh(8), alpha=1.06, tau0=0.0, max_outer=200)
     def test_result_describes_one_iterate(self, tri, alpha, tau0, max_outer):
         # abstol 1e-12 lets every cap bite; max_outer = 200 ends converged
         # or stalled
@@ -489,7 +489,7 @@ class TestSolveTrs:
 
     @pytest.mark.parametrize("tri, alpha, tau0, past_reprojection", [
         (jittered_square(4, 0.18, 93), 1.1, 0.35, False),
-        (generate_square_mesh(8), 1.05, 0.0, True),
+        (generate_square_mesh(8), 1.06, 0.0, True),
     ])
     def test_draws_reach_the_curvature_exit(self, tri, alpha, tau0, past_reprojection):
         # inputs of test_result_describes_one_iterate that reach CG's
