@@ -8,10 +8,9 @@ changes only their separators.  A float value column (velocities or
 stress magnitudes) is formatted once per distinct content and the text
 is shared by the CSV and VTK writers: it is cached under the column's
 exact bytes, so ``-0.0`` and ``0.0`` or two NaN payloads never share
-text, and a field changed in place is formatted afresh.  The stress
-CSV's triangle-index column depends only on the triangle count and is
-cached under it.  The bytes are the same as formatting every row
-afresh.
+text, and a field changed in place is formatted afresh.  The bytes are
+the same as formatting every row afresh.  The stress CSV's
+triangle-index column is formatted afresh by every call.
 
 The JSON report is standard JSON: a NaN or infinite value is written
 as ``null``.
@@ -55,12 +54,6 @@ def _column_text(values: np.ndarray) -> str:
     return _float_lines(np.ascontiguousarray(values, dtype=float).tobytes())
 
 
-@functools.lru_cache(maxsize=2)
-def _index_lines(n: int) -> str:
-    """Row indices ``0 .. n-1``, one per line: the same for every field on a mesh."""
-    return rows_text(np.arange(n))
-
-
 def _yield_columns(tau: np.ndarray, tau0: float) -> tuple[str, str]:
     """Lines of the per-triangle stress magnitudes and yielded flags, by the objective's rule."""
     mags, _, yielded = _norms_and_excess(tau, tau0)
@@ -79,7 +72,7 @@ def write_stress_csv(path, tau: np.ndarray, tau0: float) -> None:
     mags, yielded = _yield_columns(tau, tau0)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("triangle,stress_magnitude,yielded\n")
-        write_rows(fh, _index_lines(len(tau) // 2), mags, yielded, sep=",")
+        write_rows(fh, rows_text(np.arange(len(tau) // 2)), mags, yielded, sep=",")
 
 
 def write_vtk(path, tri: Triangulation, y: np.ndarray, tau: np.ndarray,
@@ -127,6 +120,6 @@ def write_report_json(path, report: SolveReport, extra: dict | None = None) -> N
     data = report.to_dict()
     if extra:
         data.update(extra)
+    text = json.dumps(_null_non_finite(data), indent=2, allow_nan=False)
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(_null_non_finite(data), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")

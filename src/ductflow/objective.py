@@ -13,6 +13,13 @@ semismooth (Newton-derivative) choice at the kink for alpha = 2.
 The Hessian is block diagonal with symmetric 2x2 blocks and only ever
 applied to vectors, so it is stored as the ``(3, n_T)`` array of their
 components ``h11``, ``h12`` and ``h22`` and never materialised as a matrix.
+
+``objective``, ``gradient`` and ``hessian`` all start from the block
+norms, the excess and the yield mask of ``tau``, the read-only triple of
+``_norms_and_excess``.  Each takes that triple as an optional last
+argument and computes it when it is absent; the trust-region solver
+computes it once per iterate, at the trial evaluation that accepts it,
+and passes it to all three.
 """
 
 from __future__ import annotations
@@ -96,8 +103,9 @@ def block_norms(tau: np.ndarray) -> np.ndarray:
     return norms
 
 
-def objective(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> float:
-    excess = _norms_and_excess(tau, params.tau0)[1]
+def objective(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray,
+              norms_excess=None) -> float:
+    excess = (norms_excess or _norms_and_excess(tau, params.tau0))[1]
     coeff = 1.0 / (params.alpha_prime * params.kappa_pow)
     return coeff * float(np.dot(ops.tri.areas, excess ** params.alpha_prime))
 
@@ -107,28 +115,34 @@ def _norms_and_excess(tau: np.ndarray, tau0: float):
 
     The mask ``n_k - tau0 > 0`` is the one yield rule of the package: the
     objective's derivatives and the writers' yielded flags both read it.
+    The three arrays are read-only, so one triple can be shared by every
+    evaluation at ``tau``.
     """
     norms = block_norms(tau)
     excess = norms - tau0
     yielded = excess > 0.0
     np.maximum(excess, 0.0, out=excess)
+    for a in (norms, excess, yielded):
+        a.flags.writeable = False
     return norms, excess, yielded
 
 
-def gradient(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np.ndarray:
+def gradient(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray,
+             norms_excess=None) -> np.ndarray:
     t = _blocks(tau)
-    norms, excess, yielded = _norms_and_excess(tau, params.tau0)
+    norms, excess, yielded = norms_excess or _norms_and_excess(tau, params.tau0)
     scale = ops.tri.areas / params.kappa_pow * excess ** (1.0 / (params.alpha - 1.0))
     # zero already where unyielded, since excess is 0 there
     np.divide(scale, norms, out=scale, where=yielded)
     return (scale[:, None] * t).ravel()
 
 
-def hessian(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray) -> np.ndarray:
+def hessian(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray,
+            norms_excess=None) -> np.ndarray:
     """Hessian components, shape ``(3, n_T)``: rows ``h11``, ``h12`` and
     ``h22`` of each symmetric block; zero inside the yield surface."""
     t = _blocks(tau)
-    norms, excess, yielded = _norms_and_excess(tau, params.tau0)
+    norms, excess, yielded = norms_excess or _norms_and_excess(tau, params.tau0)
     am1 = params.alpha - 1.0
     t1 = t[:, 0]
     t2 = t[:, 1]

@@ -4,7 +4,7 @@ and the stopping tolerance both solvers default to."""
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -85,6 +85,11 @@ class SolveReport:
         return self.status == "converged"
 
     def to_dict(self) -> dict:
-        data = asdict(self)
+        """``schema_version``, then the fields in declaration order, each
+        list copied and each ``cg_iterations`` pair a list, as in JSON."""
+        data = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            data[f.name] = list(value) if isinstance(value, list) else value
         data["cg_iterations"] = [[count, reason] for count, reason in self.cg_iterations]
-        return {"schema_version": SCHEMA_VERSION, **data}
+        return data

@@ -15,16 +15,19 @@ term.  Steps are accepted and the radius updated from the ratio
 ``rho = ared/pred`` of actual to model decrease, with thresholds
 0.9 / 0.3 for radius growth and ``_ETA`` for acceptance.
 
-Each iterate is evaluated once.  The first pass at an iterate computes
-its gradient, recovered velocity, stationarity vector and momentum
-residual, and builds its Hessian before running CG; its objective value
-is the trial value that accepted it (only the start point gets an
-``objective`` call of its own).  A rejected step changes only the radius,
-so the pass after it reuses all of these (Nocedal & Wright, Alg. 4.1).
-It does not run CG again either: CG-Steihaug's iterates do not depend on
-the radius until they leave the ball, and the radius only shrinks, so
-the pass replays the stored path of the last CG run up to the new
-boundary and evaluates only the trial objective.
+Each iterate is evaluated once.  Its block norms, excess and yield mask
+(``objective._norms_and_excess``) are computed at its trial evaluation,
+or at the start point, and shared by its objective, gradient and
+Hessian.  The first pass at an iterate computes its gradient, recovered
+velocity, stationarity vector and momentum residual, and builds its
+Hessian before running CG; its objective value is the trial value that
+accepted it (only the start point gets an ``objective`` call of its
+own).  A rejected step changes only the radius, so the pass after it
+reuses all of these (Nocedal & Wright, Alg. 4.1).  It does not run CG
+again either: CG-Steihaug's iterates do not depend on the radius until
+they leave the ball, and the radius only shrinks, so the pass replays
+the stored path of the last CG run up to the new boundary and evaluates
+only the trial objective.
 
 Convergence is declared when the projected gradient
 ``grad J - D^T y`` has Euclidean norm below ``abstol``, or when the
@@ -45,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import DiscreteOperators
-from .objective import FluidParams, gradient, hessian, hessian_apply, objective
+from .objective import (FluidParams, _norms_and_excess, gradient, hessian, hessian_apply,
+                        objective)
 from .report import RELTOL, SolveReport, abstol_for, check_count, check_positive
 
 # Projected CG iterates drift out of null(D) through the residual
@@ -176,9 +180,17 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
     holding them as well slows runs that are never replayed.  Summing
     ``alpha_j d_j`` rebuilds them, bit for bit, up to the first
     re-projection.
+
+    The recurrences for ``z`` and ``r`` run in place, through two
+    buffers allocated per call: the trial ``z + alpha d`` is formed in
+    one, which then swaps with ``z``, and ``alpha H d`` in the other
+    before it is added to ``r``.  ``d`` is a fresh array at every step,
+    since ``path`` keeps references to it.
     """
     z = np.zeros(grad.shape[0])
+    z_trial = np.empty_like(z)
     r = np.array(grad, dtype=float)
+    r_step = np.empty_like(r)
     g = projected
     d = -g
     # g^T r equals |g|^2 for an orthogonal projection; the |g|^2 form
@@ -204,18 +216,18 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
             return _exit_step(z, d, delta, s_max), "curvature", j + 1
 
         alpha = gr / curvature
-        z_trial = z + alpha * d
+        np.add(z, np.multiply(alpha, d, out=z_trial), out=z_trial)
         reach = math.sqrt(float(z_trial @ z_trial))
         if j < _REPROJECT_EVERY:
             path.append((d, alpha, reach, math.inf, "boundary"))
         if reach >= delta:
             return _exit_step(z, d, delta), "boundary", j + 1
 
-        z = z_trial
+        z, z_trial = z_trial, z
         if (j + 1) % _REPROJECT_EVERY == 0:  # seen by test_inner_cap_reported
             z = ops.project_nullspace(z)
 
-        r = r + alpha * h_d
+        r += np.multiply(alpha, h_d, out=r_step)
         g = ops.project_nullspace(r)
         gr_next = float(g @ g)
         if gr_next == 0.0 or math.sqrt(gr_next) < _CG_FORCING * sqrt_gr0:
@@ -263,7 +275,8 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None
     tau = ops.project_feasible(np.zeros(ops.n_stress))
     delta = _DELTA0
 
-    value = objective(params, ops, tau)
+    norms_excess = _norms_and_excess(tau, params.tau0)
+    value = objective(params, ops, tau, norms_excess)
     grad = hess = None
 
     report = SolveReport()
@@ -273,7 +286,7 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None
         if grad is None:
             # first pass at this iterate; a pass after a rejected step
             # reuses all of it, since only the radius has changed
-            grad = gradient(params, ops, tau)
+            grad = gradient(params, ops, tau, norms_excess)
             y = ops.recover_velocity(grad)
             # grad - D^T (D D^T)^-1 D grad: the projected gradient CG starts from
             stationarity = grad - ops.DT @ y
@@ -300,7 +313,7 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None
         y_prev = y
 
         if hess is None:
-            hess = hessian(params, ops, tau)
+            hess = hessian(params, ops, tau, norms_excess)
         replayed = _replay(path, delta)
         if replayed is None:
             path = []
@@ -315,11 +328,12 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None
             report.status = "non_finite"
             break
         trial = tau + step
-        trial_value = objective(params, ops, trial)
+        trial_norms_excess = _norms_and_excess(trial, params.tau0)
+        trial_value = objective(params, ops, trial, trial_norms_excess)
         ared = value - trial_value
         accepted, delta = update_radius(delta, ared, pred, step_norm)
         if accepted:
-            tau, value = trial, trial_value
+            tau, value, norms_excess = trial, trial_value, trial_norms_excess
             grad = hess = None
             report.accepted_steps += 1
         else:

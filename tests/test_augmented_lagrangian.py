@@ -266,13 +266,32 @@ def test_only_exponents_without_a_closed_form_run_newton(monkeypatch, alpha, new
         assert np.all(np.isfinite(cold_shrink(params, 10.0, w, SHRINK)))
 
 
-@pytest.mark.parametrize("alpha, sweeps", [(1.6, 5), (1.3, 6)])
-def test_a_solve_needs_few_newton_sweeps_per_shrink_step(monkeypatch, alpha, sweeps):
-    # no benchmark cell runs the strain-rate Newton, so this guards its
-    # cost: warm-started, each shrink step of these solves converges in
-    # at most `sweeps` sweeps (the fewest that do), and capped there the
-    # solve takes the same passes to the same velocity
-    ops = assemble(generate_disk_mesh(12), f=1.0)
+@pytest.mark.parametrize("alpha", [1.6, 1.3, 1.1])
+def test_newton_started_at_the_root_takes_one_sweep(monkeypatch, alpha):
+    # no benchmark cell runs the strain-rate Newton, so this and the next
+    # test guard its cost; here the warm start of a solve near its fixed
+    # point: roots from 1e-300 to 1e2, and zeros at or below the yield stress
+    w = np.concatenate([np.linspace(0.0, 3.0, 301), 0.2 + np.geomspace(1e-14, 1e2, 200)])
+    rhs = np.maximum(w - 0.2, 0.0)
+    root = _newton_magnitudes(alpha, 1.0, 10.0, rhs, w, SHRINK, np.zeros(w.size))
+    monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", 1)
+    again = _newton_magnitudes(alpha, 1.0, 10.0, rhs, w, SHRINK, root)
+    assert np.array_equal(again == 0.0, root == 0.0)
+    # m = e^t carries the rounding of t = ln m, a relative |t| eps, and its own
+    live = root > 0.0
+    tol = 4.0 * np.finfo(float).eps * (1.0 + np.abs(np.log(root[live])))
+    assert np.all(np.abs(again[live] - root[live]) <= tol * root[live])
+
+
+@pytest.mark.parametrize("generate, refinement, alpha, sweeps", [
+    (generate_disk_mesh, 12, 1.6, 5), (generate_disk_mesh, 12, 1.3, 6),
+    (generate_square_mesh, 16, 1.6, 6), (generate_square_mesh, 16, 1.3, 6)])
+def test_a_solve_needs_few_newton_sweeps_per_shrink_step(monkeypatch, generate, refinement,
+                                                         alpha, sweeps):
+    # warm-started, each shrink step of these solves converges in at most
+    # `sweeps` sweeps (the fewest that do), and capped there the solve
+    # takes the same passes to the same velocity
+    ops = assemble(generate(refinement), f=1.0)
     params = FluidParams(alpha=alpha, kappa=1.0, tau0=0.1)
     y, _, _, report = solve_alg2(params, ops)
     monkeypatch.setattr(augmented_lagrangian, "_NEWTON_MAX", sweeps)

@@ -1,6 +1,8 @@
 """Writers against per-line reference loops: the row helper and the
 shared column text must not change a byte of any exported or saved file."""
 
+import copy
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -211,18 +213,14 @@ def test_vtk_before_csvs_gives_the_same_bytes(tmp_path, disk3_solution):
     assert export._float_lines.cache_info().misses == 2
 
 
-def test_index_column_is_formatted_once_per_triangle_count(tmp_path):
-    # 20,000 rows cross a write_rows chunk boundary; each size is written twice
+def test_stress_csv_matches_reference_across_a_chunk_boundary(tmp_path):
+    # 20,000 rows cross a write_rows chunk boundary
     rng = np.random.default_rng(13)
-    export._index_lines.cache_clear()
     for n in (7, 20_000):
         tau = rng.standard_normal(2 * n)
-        for _ in range(2):
-            write_stress_csv(tmp_path / "new", tau, 1.0)
-            reference_stress_csv(tmp_path / "reference", tau, 1.0)
-            assert (tmp_path / "new").read_bytes() == (tmp_path / "reference").read_bytes()
-    info = export._index_lines.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
+        write_stress_csv(tmp_path / "new", tau, 1.0)
+        reference_stress_csv(tmp_path / "reference", tau, 1.0)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "reference").read_bytes()
 
 
 NAN_PAYLOADS = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
@@ -281,11 +279,44 @@ def test_report_json_is_standard_json(tmp_path):
     assert data["status"] == "non_finite"
 
 
+def reference_report_json(path, report, extra):
+    data = {"schema_version": 2, **dataclasses.asdict(report)}
+    data["cg_iterations"] = [[count, reason] for count, reason in report.cg_iterations]
+    data.update(extra)
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(export._null_non_finite(data), fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
+def test_report_json_bytes_match_reference(tmp_path, disk3_solution):
+    ops = assemble(disk3_solution[0], f=1.0)
+    params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
+    reports = [solve_trs(params, ops)[2], solve_alg2(params, ops)[3],
+               SolveReport(kkt_history=[1.0, float("nan")], cg_iterations=[(3, "boundary")],
+                           status="non_finite", wall_time=float("inf"))]
+    extra = {"solver": "trs", "alpha": 2.0, "error_vs_analytic": float("nan")}
+    for report in reports:
+        write_report_json(tmp_path / "new", report, extra)
+        reference_report_json(tmp_path / "reference", report, extra)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "reference").read_bytes()
+
+
+def test_report_dict_holds_copies():
+    report = SolveReport(kkt_history=[1.0], objective_history=[2.0], radius_history=[3.0],
+                         feasibility_history=[4.0], cg_iterations=[(1, "converged")])
+    before = copy.deepcopy(report)
+    for value in report.to_dict().values():
+        if isinstance(value, list):
+            value.append(0.0)
+    assert report == before
+
+
 def test_non_finite_run_writes_standard_json(tmp_path, disk3_solution, monkeypatch):
     tri = disk3_solution[0]
     ops = assemble(tri, f=1.0)
     monkeypatch.setattr(trust_region, "gradient",
-                        lambda params, ops, tau: np.full(ops.n_stress, np.nan))
+                        lambda params, ops, tau, norms_excess=None:
+                        np.full(ops.n_stress, np.nan))
     _, _, report = solve_trs(FluidParams(alpha=2.0, kappa=1.0, tau0=0.1), ops)
     assert report.status == "non_finite"
     assert not np.all(np.isfinite(report.kkt_history))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ductflow.fem import assemble
 from ductflow.mesh import Triangulation
-from ductflow.objective import (FluidParams, block_norms, gradient, hessian,
+from ductflow.objective import (FluidParams, _norms_and_excess, block_norms, gradient, hessian,
                                 hessian_apply, objective)
 from oracles import fd_gradient, fd_hessian, hessian_blocks, random_stress_blocks
 
@@ -195,6 +195,25 @@ class TestHessian:
         for block in hessian_blocks(hessian(params, disk3_ops, tau)):
             eigs = np.linalg.eigvalsh(block)
             assert eigs.min() >= -1e-12 * max(np.abs(block).max(), 1e-300)
+
+
+class TestSharedNorms:
+    @pytest.mark.parametrize("alpha", [2.0, 1.75, 1.5, 1.1])
+    def test_given_triple_gives_the_same_bytes(self, alpha, disk3_ops):
+        rng = np.random.default_rng(15)
+        params = FluidParams(alpha=alpha, kappa=0.8, tau0=0.3)
+        tau = random_stress_blocks(rng, disk3_ops.tri.n_triangles, params.tau0)
+        triple = _norms_and_excess(tau, params.tau0)
+        assert (objective(params, disk3_ops, tau, triple).hex()
+                == objective(params, disk3_ops, tau).hex())
+        for evaluate in (gradient, hessian):
+            assert (evaluate(params, disk3_ops, tau, triple).tobytes()
+                    == evaluate(params, disk3_ops, tau).tobytes())
+
+    def test_triple_is_read_only(self):
+        for array in _norms_and_excess(np.array([0.3, 0.4, 0.0, 0.1]), 0.2):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestHessianApply:

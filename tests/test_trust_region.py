@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from ductflow import trust_region
 from ductflow.fem import assemble
 from ductflow.mesh import MeshError, generate_disk_mesh, generate_square_mesh
-from ductflow.objective import (FluidParams, block_norms, gradient, hessian, hessian_apply,
-                                objective)
+from ductflow.objective import (FluidParams, _norms_and_excess, block_norms, gradient, hessian,
+                                hessian_apply, objective)
 from ductflow.report import abstol_for
 from ductflow.trust_region import (TrsConfig, _boundary_intersection, cg_steihaug, solve_trs,
                                    update_radius)
@@ -435,7 +435,8 @@ class TestSolveTrs:
     def test_non_finite_start_stops_at_once(self, disk3_ops, monkeypatch):
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.1)
         monkeypatch.setattr(trust_region, "gradient",
-                            lambda params, ops, tau: np.full(ops.n_stress, np.nan))
+                            lambda params, ops, tau, norms_excess=None:
+                            np.full(ops.n_stress, np.nan))
         _, _, report = solve_trs(params, disk3_ops)
         assert report.status == "non_finite"
         assert report.iterations == 1
@@ -548,6 +549,33 @@ class TestEvaluationReuse:
         for k in after_rejection:
             assert report.kkt_history[k] == report.kkt_history[k - 1]
             assert report.objective_history[k] == report.objective_history[k - 1]
+
+    def test_block_norms_are_taken_once_per_iterate_and_left_unchanged(self, monkeypatch):
+        # at the start point and at each trial; objective, gradient and
+        # Hessian of an iterate read the triple of its own stress
+        params, ops, cfg = rejecting_square_cell()
+        made = []
+
+        def recorded(tau, tau0):
+            triple = _norms_and_excess(tau, tau0)
+            made.append((triple, [a.tobytes() for a in triple]))
+            return triple
+
+        def checked(fn):
+            def wrapper(params, ops, tau, norms_excess):
+                fresh = _norms_and_excess(tau, params.tau0)
+                assert [a.tobytes() for a in norms_excess] == [a.tobytes() for a in fresh]
+                return fn(params, ops, tau, norms_excess)
+            return wrapper
+
+        monkeypatch.setattr(trust_region, "_norms_and_excess", recorded)
+        for name, fn in (("gradient", gradient), ("objective", objective), ("hessian", hessian)):
+            monkeypatch.setattr(trust_region, name, checked(fn))
+        _, _, report = solve_trs(params, ops, cfg=cfg)
+        assert report.converged and report.rejected_steps > 0
+        assert len(made) == len(report.cg_iterations) + 1
+        for triple, data in made:
+            assert [a.tobytes() for a in triple] == data
 
     def test_reused_vectors_are_not_changed_by_cg(self, monkeypatch):
         # passes after a rejection hand CG the gradient and projected
