@@ -116,9 +116,14 @@ class DiscreteOperators:
         return self.solve_ddt(self.D @ np.asarray(grad, dtype=float))
 
     def project_nullspace(self, v: np.ndarray) -> np.ndarray:
-        """Euclidean projection onto ``null(D)``: ``v - D^T (D D^T)^-1 D v``."""
+        """Euclidean projection onto ``null(D)``: ``v - D^T (D D^T)^-1 D v``.
+
+        The difference is taken in the array the product ``D^T x``
+        returned, so the result is a fresh array and ``v`` is not written.
+        """
         v = np.asarray(v, dtype=float)
-        return v - self.DT @ self.solve_ddt(self.D @ v)
+        projected = self.DT @ self.solve_ddt(self.D @ v)
+        return np.subtract(v, projected, out=projected)
 
     def velocity_gradient(self, y: np.ndarray) -> np.ndarray:
         """Per-triangle gradient of a P1 velocity field: ``A^-1 D^T y``."""

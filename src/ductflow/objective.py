@@ -20,6 +20,13 @@ norms, the excess and the yield mask of ``tau``, the read-only triple of
 argument and computes it when it is absent; the trust-region solver
 computes it once per iterate, at the trial evaluation that accepts it,
 and passes it to all three.
+
+``hessian`` runs at every TRS iterate and ``hessian_apply`` at every CG
+step, so they build their results in the arrays they return, with few
+work arrays and no stacking copy.  Each keeps the floating-point operations
+of the closed form and the operands of each one (only their order
+within a product or sum may differ), so the results are the same bytes
+as the plain expressions give.
 """
 
 from __future__ import annotations
@@ -140,19 +147,44 @@ def gradient(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray,
 def hessian(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray,
             norms_excess=None) -> np.ndarray:
     """Hessian components, shape ``(3, n_T)``: rows ``h11``, ``h12`` and
-    ``h22`` of each symmetric block; zero inside the yield surface."""
+    ``h22`` of each symmetric block; zero inside the yield surface.
+
+    With ``p = |T| excess^(1/(alpha-1) - 1) / (kappa^(1/(alpha-1))
+    (alpha-1) n^3)`` the rows are ``p ((alpha-1) t2^2 excess + t1^2 n)``,
+    ``p (-t1 t2 ((alpha-1) excess - n))`` and ``p ((alpha-1) t1^2 excess
+    + t2^2 n)``.  They are formed in place in the output array, through
+    four one-row work arrays, each product and sum with the operands of
+    that expression.
+    """
     t = _blocks(tau)
     norms, excess, yielded = norms_excess or _norms_and_excess(tau, params.tau0)
     am1 = params.alpha - 1.0
     t1 = t[:, 0]
     t2 = t[:, 1]
+    h = np.empty((3, norms.shape[0]))
+    h11, h12, h22 = h
+    sq1 = np.square(t1)
+    sq2 = np.square(t2)
+    np.multiply(sq2, am1, out=h11)
+    h11 *= excess
+    np.multiply(sq1, am1, out=h22)
+    h22 *= excess
+    sq1 *= norms
+    h11 += sq1
+    sq2 *= norms
+    h22 += sq2
+    np.multiply(excess, am1, out=sq1)
+    sq1 -= norms
+    np.negative(t1, out=h12)
+    h12 *= t2
+    h12 *= sq1
 
     # excess^0 = 1 at alpha = 2, so the unyielded prefactor is zeroed explicitly
-    coeff = ops.tri.areas / (params.kappa_pow * am1) * excess ** (1.0 / am1 - 1.0)
-    prefactor = np.divide(coeff, norms ** 3, out=np.zeros_like(norms), where=yielded)
-    return np.stack((prefactor * (am1 * t2 ** 2 * excess + t1 ** 2 * norms),
-                     prefactor * (-t1 * t2 * (am1 * excess - norms)),
-                     prefactor * (am1 * t1 ** 2 * excess + t2 ** 2 * norms)))
+    coeff = excess ** (1.0 / am1 - 1.0)
+    coeff *= np.divide(ops.tri.areas, params.kappa_pow * am1, out=sq1)
+    h *= np.divide(coeff, np.power(norms, 3, out=sq2), out=np.zeros_like(norms),
+                   where=yielded)
+    return h
 
 
 def hessian_apply(h: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -160,7 +192,9 @@ def hessian_apply(h: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Each block's product is ``(h11 w1 + h12 w2, h12 w1 + h22 w2)``, the
     same floating-point operations as ``einsum("kij,kj->ki")`` on the
-    full symmetric blocks, so the two agree bit for bit.
+    full symmetric blocks, so the two agree bit for bit.  Both
+    components are formed in the output array, with one temporary for
+    ``h12 w1``.
     """
     w = _blocks(v)
     if h.shape != (3, w.shape[0]):
@@ -168,6 +202,9 @@ def hessian_apply(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     w1, w2 = w[:, 0], w[:, 1]
     h11, h12, h22 = h[0], h[1], h[2]
     out = np.empty_like(w)
-    out[:, 0] = h11 * w1 + h12 * w2
-    out[:, 1] = h12 * w1 + h22 * w2
+    out1, out2 = out[:, 0], out[:, 1]
+    np.multiply(h11, w1, out=out1)
+    out1 += np.multiply(h12, w2, out=out2)
+    np.multiply(h22, w2, out=out2)
+    out2 += h12 * w1
     return out.ravel()

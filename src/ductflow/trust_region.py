@@ -140,7 +140,8 @@ def _replay(path: list, delta: float):
     A run at ``delta`` walks its steps until the first whose trial norm
     reaches ``delta``, and leaves there by the same formula.  The start
     points are summed again as CG summed them, so the result is
-    bit-identical to a fresh run's.  Returns ``None`` when no kept step
+    bit-identical to a fresh run's; the sum runs in place, in an array
+    of its own.  Returns ``None`` when no kept step
     reaches ``delta``: the run then ends at an exit or a crossing that
     was not kept, and CG must run.
     """
@@ -150,7 +151,7 @@ def _replay(path: list, delta: float):
     for d, alpha, reach, s_max, reason in path:
         if reach >= delta:
             return _exit_step(z, d, delta, s_max), reason
-        z = z + alpha * d
+        z += alpha * d
     return None
 
 
@@ -185,7 +186,11 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
     buffers allocated per call: the trial ``z + alpha d`` is formed in
     one, which then swaps with ``z``, and ``alpha H d`` in the other
     before it is added to ``r``.  ``d`` is a fresh array at every step,
-    since ``path`` keeps references to it.
+    since ``path`` keeps references to it: the next direction ``beta d
+    - g`` is formed in place in the product ``beta d``, two sweeps.
+    Every sum and product has the operands of the plain recurrences
+    ``z + alpha d``, ``r + alpha H d`` and ``-g + beta d``, so the
+    iterates are the same bytes as theirs.
     """
     z = np.zeros(grad.shape[0])
     z_trial = np.empty_like(z)
@@ -232,7 +237,8 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
         gr_next = float(g @ g)
         if gr_next == 0.0 or math.sqrt(gr_next) < _CG_FORCING * sqrt_gr0:
             return z, "converged", j + 1
-        d = -g + (gr_next / gr) * d
+        d = np.multiply(d, gr_next / gr)
+        d -= g
         gr = gr_next
 
     return z, "cap", max_cg  # reached by test_inner_cap_reported
@@ -288,8 +294,10 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None
             # reuses all of it, since only the radius has changed
             grad = gradient(params, ops, tau, norms_excess)
             y = ops.recover_velocity(grad)
-            # grad - D^T (D D^T)^-1 D grad: the projected gradient CG starts from
-            stationarity = grad - ops.DT @ y
+            # grad - D^T (D D^T)^-1 D grad: the projected gradient CG starts
+            # from, formed in the product's array; grad is read, not written
+            stationarity = ops.DT @ y
+            np.subtract(grad, stationarity, out=stationarity)
             kkt = float(np.abs(stationarity).max(initial=0.0))
             residual = ops.momentum_residual(tau)
             path = []  # CG's path at this iterate, replayed after a rejection

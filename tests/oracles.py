@@ -1,6 +1,8 @@
 """Plain helpers shared by the package tests: dense oracles, finite
 differences and randomised inputs.  Fixtures live in ``conftest.py``."""
 
+import math
+
 import numpy as np
 
 from ductflow.mesh import Triangulation, generate_disk_mesh, generate_square_mesh
@@ -80,6 +82,87 @@ def dense_poisson_velocity(ops):
 def hessian_blocks(h):
     """The ``(n_T, 2, 2)`` symmetric blocks of a ``(3, n_T)`` Hessian."""
     return h[[0, 1, 1, 2]].T.reshape(-1, 2, 2)
+
+
+def reference_hessian(params, ops, tau):
+    """Hessian components ``(3, n_T)`` by the closed form written out as
+    whole-array expressions, each row a fresh array, then stacked."""
+    from ductflow.objective import _norms_and_excess
+
+    t = np.asarray(tau, dtype=float).reshape(-1, 2)
+    norms, excess, yielded = _norms_and_excess(tau, params.tau0)
+    am1 = params.alpha - 1.0
+    t1 = t[:, 0]
+    t2 = t[:, 1]
+    coeff = ops.tri.areas / (params.kappa_pow * am1) * excess ** (1.0 / am1 - 1.0)
+    prefactor = np.divide(coeff, norms ** 3, out=np.zeros_like(norms), where=yielded)
+    return np.stack((prefactor * (am1 * t2 ** 2 * excess + t1 ** 2 * norms),
+                     prefactor * (-t1 * t2 * (am1 * excess - norms)),
+                     prefactor * (am1 * t1 ** 2 * excess + t2 ** 2 * norms)))
+
+
+def textbook_cg_steihaug(ops, grad, hess, delta, *, forcing, divtol, reproject_every, max_cg):
+    """Projected CG-Steihaug as Nocedal & Wright's Alg. 7.2 writes it.
+
+    Every vector is a fresh array, the direction is updated as ``d = -g
+    + beta d``, the projection is ``v - D^T (D D^T)^-1 D v`` and the
+    Hessian is applied through its full symmetric 2x2 blocks.  The
+    stopping rules are those ``trust_region.cg_steihaug`` documents:
+    converged once ``|P r| < forcing |P grad|``; a direction is flat
+    when ``d^T H d < divtol d^T d`` and is followed to the model
+    minimiser or the boundary, whichever is nearer; the boundary root
+    of ``|z + s d| = delta`` is ``-2c / (b + sqrt(b^2 - 4ac))``; the
+    iterate is re-projected every ``reproject_every`` steps and the run
+    stops after ``max_cg``.  Returns ``(step, exit_reason, iterations)``.
+    """
+    blocks = hessian_blocks(hess)
+
+    def project(v):
+        return v - ops.DT @ ops.solve_ddt(ops.D @ v)
+
+    def apply(v):
+        w = v.reshape(-1, 2)
+        return np.column_stack((blocks[:, 0, 0] * w[:, 0] + blocks[:, 0, 1] * w[:, 1],
+                                blocks[:, 1, 0] * w[:, 0] + blocks[:, 1, 1] * w[:, 1])).ravel()
+
+    def to_boundary(z, d, s_max=math.inf):
+        a = float(d @ d)
+        b = 2.0 * float(z @ d)
+        c = float(z @ z) - delta * delta
+        s = 0.0
+        if a != 0.0 and c < 0.0:
+            s = -2.0 * c / (b + math.sqrt(max(b * b - 4.0 * a * c, 0.0)))
+        return z + min(s, s_max) * d
+
+    z = np.zeros(grad.shape[0])
+    r = grad
+    g = project(r)
+    d = -g
+    gr = float(g @ g)
+    if gr == 0.0:
+        return z, "converged", 0
+    stop = forcing * math.sqrt(gr)
+    for j in range(max_cg):
+        hd = apply(d)
+        curvature = float(d @ hd)
+        if curvature < divtol * float(d @ d):
+            s_max = gr / curvature if curvature > 0.0 else math.inf
+            return to_boundary(z, d, s_max), "curvature", j + 1
+        alpha = gr / curvature
+        z_next = z + alpha * d
+        if math.sqrt(float(z_next @ z_next)) >= delta:
+            return to_boundary(z, d), "boundary", j + 1
+        z = z_next
+        if (j + 1) % reproject_every == 0:
+            z = project(z)
+        r = r + alpha * hd
+        g = project(r)
+        gr_next = float(g @ g)
+        if gr_next == 0.0 or math.sqrt(gr_next) < stop:
+            return z, "converged", j + 1
+        d = -g + (gr_next / gr) * d
+        gr = gr_next
+    return z, "cap", max_cg
 
 
 def dense_projected_newton_step(ops, grad, hess, y):

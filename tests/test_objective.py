@@ -7,7 +7,8 @@ from ductflow.fem import assemble
 from ductflow.mesh import Triangulation
 from ductflow.objective import (FluidParams, _norms_and_excess, block_norms, gradient, hessian,
                                 hessian_apply, objective)
-from oracles import fd_gradient, fd_hessian, hessian_blocks, random_stress_blocks
+from oracles import (fd_gradient, fd_hessian, hessian_blocks, random_stress_blocks,
+                     reference_hessian)
 
 
 def unit_right_triangle_ops():
@@ -195,6 +196,25 @@ class TestHessian:
         for block in hessian_blocks(hessian(params, disk3_ops, tau)):
             eigs = np.linalg.eigvalsh(block)
             assert eigs.min() >= -1e-12 * max(np.abs(block).max(), 1e-300)
+
+
+    @pytest.mark.parametrize("tau0", [0.3, 0.0])
+    @pytest.mark.parametrize("alpha", [2.0, 1.75, 1.5, 1.1])
+    def test_bytes_match_the_closed_form_expression(self, alpha, tau0, disk3_ops):
+        # blocks inside, near and far outside the yield surface, then
+        # blocks exactly on it (or at the origin when tau0 = 0) and zero
+        # blocks; at alpha = 2, tau0 = 0 every h12 is a signed zero
+        rng = np.random.default_rng(15)
+        params = FluidParams(alpha=alpha, kappa=0.8, tau0=tau0)
+        blocks = random_stress_blocks(rng, disk3_ops.tri.n_triangles, tau0).reshape(-1, 2)
+        blocks[:4] = [[tau0, 0.0], [0.0, -tau0], [-tau0, 0.0], [0.0, tau0]]
+        blocks[4:8] = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]
+        tau = blocks.ravel()
+        triple = _norms_and_excess(tau, tau0)
+        assert not triple[2][:8].any() and triple[2].any() and not triple[2].all()
+        reference = reference_hessian(params, disk3_ops, tau).tobytes()
+        assert hessian(params, disk3_ops, tau).tobytes() == reference
+        assert hessian(params, disk3_ops, tau, triple).tobytes() == reference
 
 
 class TestSharedNorms:

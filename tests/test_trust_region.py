@@ -14,7 +14,7 @@ from ductflow.report import abstol_for
 from ductflow.trust_region import (TrsConfig, _boundary_intersection, cg_steihaug, solve_trs,
                                    update_radius)
 from oracles import (dense_poisson_velocity, dense_projected_newton_step, jittered_square,
-                     perturbed_disk)
+                     perturbed_disk, textbook_cg_steihaug)
 
 # (h11, h12, h22) of the block 1e-12 * I, to broadcast over the triangles
 FLAT = [[1e-12], [0.0], [1e-12]]
@@ -579,10 +579,31 @@ class TestEvaluationReuse:
 
     def test_reused_vectors_are_not_changed_by_cg(self, monkeypatch):
         # passes after a rejection hand CG the gradient and projected
-        # gradient of an earlier pass; CG on copies must give the same run
+        # gradient of an earlier pass; CG on copies must give the same run.
+        # The kernels write in place, so no write may reach an iterate's
+        # gradient or the vector a projection is taken of.
         params, ops, cfg = rejecting_square_cell()
+        grads, projections = [], []
+        project = ops.project_nullspace
+
+        def kept_gradient(*args):
+            grad = gradient(*args)
+            grads.append((grad, grad.tobytes()))
+            return grad
+
+        def checked_projection(v):
+            before = v.tobytes()
+            projected = project(v)
+            assert v.tobytes() == before and not np.shares_memory(projected, v)
+            projections.append(v)
+            return projected
+
+        monkeypatch.setattr(trust_region, "gradient", kept_gradient)
+        monkeypatch.setattr(ops, "project_nullspace", checked_projection)
         tau, y, report = solve_trs(params, ops, cfg=cfg)
-        assert report.rejected_steps > 0
+        assert report.rejected_steps > 0 and projections
+        assert len(grads) == report.accepted_steps + 1
+        assert all(grad.tobytes() == data for grad, data in grads)
 
         def on_copies(ops, grad, projected, hess, delta, path):
             return cg_steihaug(ops, grad.copy(), projected.copy(), hess, delta, path)
@@ -687,6 +708,39 @@ class TestReplay:
         after_rejection = {k for k in range(1, len(pairs)) if radius[k] < radius[k - 1]}
         assert replayed == after_rejection
         assert all(fresh > 0 for fresh, _ in report_cg.cg_iterations)
+
+
+def textbook_subproblem(ops, case):
+    """Gradient, Hessian, radius, CG forcing and CG cap per triangle of a
+    subproblem whose run ends ``case``; ``reprojected`` and ``cap`` run past
+    the re-projection after ``_REPROJECT_EVERY`` steps."""
+    if case in ("reprojected", "cap"):
+        # CG takes 69 iterations to reach forcing 1e-14 from this start
+        params = FluidParams(alpha=1.5, kappa=1.0, tau0=0.2)
+        rng = np.random.default_rng(25)
+        tau = ops.project_feasible(rng.standard_normal(ops.n_stress))
+        per_triangle = 1 if case == "cap" else trust_region._CG_PER_TRIANGLE
+        return (gradient(params, ops, tau), hessian(params, ops, tau), 1e6, 1e-14,
+                per_triangle)
+    return (*replay_subproblem(ops, case), trust_region._CG_PER_TRIANGLE)
+
+
+class TestTextbookCg:
+    @pytest.mark.parametrize("case", ["boundary", "converged", "curvature", "flat",
+                                      "reprojected", "cap"])
+    def test_matches_the_textbook_iteration_bit_for_bit(self, disk3_ops, case, monkeypatch):
+        grad, hess, delta, forcing, per_triangle = textbook_subproblem(disk3_ops, case)
+        monkeypatch.setattr(trust_region, "_CG_PER_TRIANGLE", per_triangle)
+        step, reason, count = run_cg(disk3_ops, grad, hess, delta, forcing)
+        oracle, oracle_reason, oracle_count = textbook_cg_steihaug(
+            disk3_ops, grad, hess, delta, forcing=forcing, divtol=trust_region._DIVTOL,
+            reproject_every=trust_region._REPROJECT_EVERY,
+            max_cg=per_triangle * disk3_ops.tri.n_triangles)
+        expected = {"flat": "curvature", "reprojected": "converged"}.get(case, case)
+        assert (reason, count) == (oracle_reason, oracle_count)
+        assert reason == expected and count >= 1
+        assert (count > trust_region._REPROJECT_EVERY) == (case in ("reprojected", "cap"))
+        assert step.tobytes() == oracle.tobytes()
 
 
 class TestStall:
