@@ -12,11 +12,12 @@ Plain-text file format (whitespace separated, ``#`` starts a comment)::
     triangles <n_T>
     i j k                       # 0-based node indices
 
-``load_mesh`` is one reader: it walks the content lines once, checks
-each header's count against the lines left, and reads each section with
-one ``np.loadtxt`` call.  Only a section that loadtxt cannot read (a bad
-line, or a ``_`` digit separator, which ``float`` and ``int`` accept) is
-read one row at a time, naming the first bad line.
+``load_mesh`` is one reader: it reads the file once, finds its content
+lines in one pass over the bytes, checks each header's count against
+the lines left, and reads each section with one ``np.loadtxt`` call.
+Only a section that loadtxt cannot read (a bad line, or a ``_`` digit
+separator, which ``float`` and ``int`` accept) is read one row at a
+time, naming the first bad line.
 
 Triangles stored clockwise in a file are reoriented on load; a triangle
 folded over a neighbour (oriented against it) is rejected as inverted.
@@ -52,7 +53,8 @@ class Triangulation:
 
     ``dirichlet`` is a boolean mask over the nodes.  All arrays are
     frozen after construction, so a mesh can be shared freely between
-    solver runs.
+    solver runs.  Node and triangle arrays that need no conversion (and
+    no reorientation) are kept as given, not copied, and are frozen too.
 
     Attributes
     ----------
@@ -187,13 +189,15 @@ def _check_node_index(value):
 def _orient_ccw(nodes, triangles):
     """Swap two vertices of every clockwise triangle.
 
-    Returns the reoriented triangles, the mask of those swapped and the
-    signed areas of the reoriented triangles.  Swapping two vertices
-    negates the area formula's result exactly, so the areas need not be
-    computed again.
+    Returns the reoriented triangles (``triangles`` itself if none is
+    clockwise), the mask of those swapped and the signed areas of the
+    reoriented triangles.  Swapping two vertices negates the area
+    formula's result exactly, so the areas need not be computed again.
     """
     areas = _signed_areas(nodes, triangles)
     cw = areas < 0
+    if not cw.any():
+        return triangles, cw, areas
     oriented = triangles.copy()
     oriented[cw] = oriented[cw][:, [0, 2, 1]]
     areas[cw] = -areas[cw]
@@ -201,17 +205,18 @@ def _orient_ccw(nodes, triangles):
 
 
 def _signed_areas(nodes, triangles):
-    p0, p1, p2 = (nodes[triangles[:, i]] for i in range(3))
-    u = p1 - p0
-    v = p2 - p0
-    return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    # one coordinate at a time: gathering scalars is cheaper than rows
+    x, y = nodes.T
+    t0, t1, t2 = triangles.T
+    x0, y0 = x[t0], y[t0]
+    return 0.5 * ((x[t1] - x0) * (y[t2] - y0) - (y[t1] - y0) * (x[t2] - x0))
 
 
 def _check_degenerate(nodes, areas):
     if areas.size == 0:
         raise MeshError("mesh has no triangles")
-    span = nodes.max(axis=0) - nodes.min(axis=0)
-    bbox = float(span[0] * span[1]) or 1.0
+    x, y = nodes.T
+    bbox = float((x.max() - x.min()) * (y.max() - y.min())) or 1.0
     # a triangle with a repeated vertex has an area of exactly 0
     bad = np.flatnonzero(areas < DEGENERATE_REL_AREA * bbox)
     if bad.size:
@@ -231,21 +236,32 @@ def _check_conformity(triangles, flipped):
     # interior edges occur once per orientation.  A triangle folded over
     # a neighbour has the opposite orientation; once reoriented it
     # repeats the neighbour's shared edge, and it is named as the cause.
-    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    keys = edges[:, 0] * (int(triangles.max()) + 1) + edges[:, 1]
+    n = int(triangles.max()) + 1
+    keys = _edge_keys(triangles, n)
+    keys.sort()
+    if not (keys[1:] == keys[:-1]).any():
+        return
+    # name the first repeat in edge order, which the sort lost
+    keys = _edge_keys(triangles, n)
     _, first = np.unique(keys, return_index=True)
-    if first.size < keys.size:
-        repeated = np.ones(keys.size, dtype=bool)
-        repeated[first] = False
-        at = np.argmax(repeated)
-        owners = np.flatnonzero(keys == keys[at]) % triangles.shape[0]
-        inverted = owners[flipped[owners]]
-        if 0 < inverted.size < owners.size:
-            raise MeshError("invariant violated: inverted (clockwise) triangle "
-                            f"{int(inverted[0])} folds over a neighbour")
-        a, b = edges[at]
-        raise MeshError("invariant violated: non-conforming mesh, directed edge "
-                        f"{(int(a), int(b))} repeated")
+    repeated = np.ones(keys.size, dtype=bool)
+    repeated[first] = False
+    at = np.argmax(repeated)
+    owners = np.flatnonzero(keys == keys[at]) % triangles.shape[0]
+    inverted = owners[flipped[owners]]
+    if 0 < inverted.size < owners.size:
+        raise MeshError("invariant violated: inverted (clockwise) triangle "
+                        f"{int(inverted[0])} folds over a neighbour")
+    a, b = divmod(int(keys[at]), n)
+    raise MeshError("invariant violated: non-conforming mesh, directed edge "
+                    f"{(a, b)} repeated")
+
+
+def _edge_keys(triangles, n):
+    """Key ``a n + b`` of each directed edge ``(a, b)``, taking the edges
+    (0, 1), (1, 2) and (2, 0) of every triangle in turn."""
+    t0, t1, t2 = triangles.T
+    return np.concatenate([t0 * n + t1, t1 * n + t2, t2 * n + t0])
 
 
 def _check_held(n_nodes, triangles, is_dirichlet):
@@ -343,9 +359,12 @@ def generate_square_mesh(n: int) -> Triangulation:
     return Triangulation(nodes, triangles, rim)
 
 
-_COMMENT = re.compile("#[^\n]*")
+_COMMENT = re.compile(rb"#[^\n]*")
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
 _NODE_ROW = np.dtype([("x", float), ("y", float), ("flag", np.int64)])
+# A bytes.translate table: 0 for the bytes that are str.isspace
+# whitespace (tab to carriage return, 0x1c to 0x1f and space), else 1.
+_NON_BLANK = bytes(0 if 9 <= c <= 13 or 28 <= c <= 32 else 1 for c in range(256))
 
 
 def load_mesh(path) -> Triangulation:
@@ -357,12 +376,12 @@ def load_mesh(path) -> Triangulation:
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = fh.readlines()
+            text = fh.read()
     except UnicodeDecodeError:
         lineno, byte = _non_ascii_byte(path)
         raise MeshError(f"line {lineno}: non-ASCII byte {byte:#04x}") from None
-    text = "".join(lines)
-    content = _content_lines(text, len(lines))
+    lines = _split_lines(text)
+    content = _content_lines(text)
 
     def section(at, keyword, what):
         """Content-line indices of the rows under the header ``content[at]``."""
@@ -403,18 +422,30 @@ def _non_ascii_byte(path) -> tuple[int, int]:
     return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1, data[at]
 
 
-def _non_blank(chars):
-    """Mask of the ASCII codes that are not ``str.isspace`` whitespace,
-    which is tab to carriage return, 0x1c to 0x1f and space."""
-    return (chars > 32) | (chars < 9) | ((chars > 13) & (chars < 28))
+def _split_lines(text):
+    """The lines of ``text``, as ``readlines`` gives them but without
+    their newlines.
+
+    A text-mode read ends every line but a last one with ``"\\n"``; after
+    a final newline the split leaves an empty string, which is no line.
+    """
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
-def _content_lines(text, n_lines):
+def _content_lines(text):
     """Indices of the lines holding more than whitespace before any ``#``."""
-    # the extra newline keeps a last line that was all comment non-empty
-    chars = np.frombuffer((_COMMENT.sub("", text) + "\n").encode("ascii"), dtype=np.uint8)
-    starts = np.concatenate([[0], np.flatnonzero(chars == ord("\n")) + 1])[:n_lines]
-    return np.flatnonzero(np.logical_or.reduceat(_non_blank(chars), starts))
+    data = text.encode("ascii")
+    if b"#" in data:
+        data = _COMMENT.sub(b"", data)
+    chars = np.frombuffer(data, dtype=np.uint8)
+    starts = np.concatenate([[0], np.flatnonzero(chars == ord("\n")) + 1])
+    if starts[-1] == chars.size:  # no line after the last newline, or no text
+        starts = starts[:-1]
+    non_blank = np.frombuffer(data.translate(_NON_BLANK), dtype=bool)
+    return np.flatnonzero(np.logical_or.reduceat(non_blank, starts))
 
 
 def _fields(raw):
@@ -497,11 +528,16 @@ def _triangle_rows(lines, rows):
     return triangles
 
 
+# Dirichlet-flag lines, indexed by the flag
+_FLAG_LINES = np.array([b"0\n", b"1\n"])
+
+
 def save_mesh(tri: Triangulation, path) -> None:
     """Write a mesh file; coordinates round-trip bit-identically."""
+    flags = _FLAG_LINES[tri.is_dirichlet.view(np.int8)].tobytes().decode("ascii")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"nodes {tri.n_nodes}\n")
-        write_rows(fh, tri.node_text, tri.is_dirichlet.astype(np.int8))
+        write_rows(fh, tri.node_text, flags)
         fh.write(f"triangles {tri.n_triangles}\n")
         fh.write(tri.triangle_text)
 

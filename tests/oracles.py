@@ -4,6 +4,8 @@ differences and randomised inputs.  Fixtures live in ``conftest.py``."""
 import math
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix, hstack, identity, kron
 
 from ductflow.mesh import Triangulation, generate_disk_mesh, generate_square_mesh
 
@@ -224,3 +226,36 @@ def random_stress_blocks(rng, n_blocks, tau0, band=1e-3):
     norms = np.choose(choice, [inside, near, far])
     angles = 2.0 * np.pi * rng.random(n_blocks)
     return (norms[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])).ravel()
+
+
+# sides of the polygon standing in for the Euclidean norm in yield_limit_bracket
+YIELD_LIMIT_SIDES = 32
+
+
+def yield_limit_bracket(ops):
+    """Bracket ``(t, t / cos(pi/32))`` of the discrete critical yield stress.
+
+    The flow is arrested exactly when a stress with ``D tau = f_h`` stays
+    inside the yield ball on every triangle, so the critical yield stress
+    is ``min {max_k |tau_k| : D tau = f_h}``.  With the Euclidean norm
+    replaced by the largest projection on the 32 directions ``(cos
+    theta_j, sin theta_j)``, ``theta_j = 2 pi j / 32``, this is a linear
+    program in ``(tau, t)``, solved by HiGHS.  That polygon norm lies
+    between ``cos(pi/32) |tau_k|`` and ``|tau_k|``, so its optimum ``t``
+    and ``t / cos(pi/32)`` bracket the critical yield stress.
+    """
+    n_t = ops.tri.n_triangles
+    theta = 2.0 * np.pi * np.arange(YIELD_LIMIT_SIDES) / YIELD_LIMIT_SIDES
+    directions = csr_matrix(np.column_stack([np.cos(theta), np.sin(theta)]))
+    # row (k, j): theta_j's projection of tau_k, less t, is at most 0
+    a_ub = hstack([kron(identity(n_t), directions, format="csr"),
+                   -np.ones((YIELD_LIMIT_SIDES * n_t, 1))])
+    a_eq = hstack([ops.D, csr_matrix((ops.n_free, 1))])
+    cost = np.zeros(2 * n_t + 1)
+    cost[-1] = 1.0
+    result = linprog(cost, A_ub=a_ub.tocsr(), b_ub=np.zeros(a_ub.shape[0]),
+                     A_eq=a_eq.tocsr(), b_eq=ops.f_h,
+                     bounds=[(None, None)] * (2 * n_t) + [(0.0, None)], method="highs")
+    assert result.status == 0, result.message
+    t = float(result.x[-1])
+    return t, t / math.cos(math.pi / YIELD_LIMIT_SIDES)

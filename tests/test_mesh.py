@@ -438,11 +438,14 @@ class TestBulkParse:
     @pytest.mark.parametrize("body", [
         "# unit triangle\n\nnodes 3  # count\n0 0 1\n  # inner comment\n1 0 1\n\f\n0 1 1\n"
         "triangles 1\n\n0 1 2   # last\n# end\n\n",
+        SQUARE,
         SQUARE.replace("\n", "\r\n"),
+        SQUARE.replace("\n", "\r"),
         SQUARE.replace("0 0 1", "0\t0\f1").replace("0 1 2", "\v0\x1c1 2 "),
         SQUARE.rstrip("\n"),
         SQUARE + "# no final newline",
-    ], ids=["comments", "crlf", "separators", "no_final_newline", "final_comment"])
+    ], ids=["comments", "lf", "crlf", "lone_cr", "separators", "no_final_newline",
+            "final_comment"])
     def test_irregular_layout_parsed_in_bulk(self, tmp_path, body):
         path = tmp_path / "tri.mesh"
         path.write_bytes(body.encode("ascii"))
@@ -477,9 +480,8 @@ class TestBulkParse:
         assert mesh_arrays_equal(tri, load_mesh(plain))
 
     def test_whitespace_mask_matches_str_isspace(self):
-        codes = np.arange(128, dtype=np.uint8)
         expected = [not chr(c).isspace() for c in range(128)]
-        assert mesh._non_blank(codes).tolist() == expected
+        assert [bool(b) for b in bytes(range(128)).translate(mesh._NON_BLANK)] == expected
 
     @settings(max_examples=40, deadline=None)
     @given(refinement=st.integers(1, 3), data=st.data())
@@ -515,8 +517,8 @@ class TestBulkParse:
         for at, drop, char in edits:
             at = at % (len(text) + 1)
             text = text[:at] + char + text[at + drop:]
-        lines = io.StringIO(text).readlines()
-        content = mesh._content_lines(text, len(lines))
+        lines = mesh._split_lines(text)
+        content = mesh._content_lines(text)
         # the rows below each header of the uncorrupted layout
         for read, by_row, rows in [(mesh._read_nodes, "_node_rows", content[1:5]),
                                    (mesh._read_triangles, "_triangle_rows", content[6:9])]:
@@ -635,25 +637,49 @@ class TestConformity:
         with pytest.raises(MeshError, match="non-conforming"):
             Triangulation(nodes, [(0, 1, 2), (0, 1, 3)], np.array([True, True, False, False]))
 
-    def test_repeated_edge_deep_in_large_mesh_named(self):
+    @pytest.mark.parametrize("where", ["deep", "first_key", "last_key"])
+    def test_repeated_edge_deep_in_large_mesh_named(self, where):
         disk = generate_disk_mesh(40)
         triangles = np.array(disk.triangles)
-        k = triangles.shape[0] // 2
-        # an extra copy of triangle k, inserted after 3/4 of the list
-        corrupted = np.insert(triangles, 3 * k // 2, triangles[k], axis=0)
+        n_t = triangles.shape[0]
+        # key a n + b of each triangle's directed edges (a, b)
+        keys = triangles * disk.n_nodes + np.roll(triangles, -1, axis=1)
+        # an extra copy of triangle k, inserted at row ``at``
+        k, at = {
+            "deep": (n_t // 2, 3 * (n_t // 2) // 2),  # after 3/4 of the list
+            # the copy repeats the smallest key, the first once sorted
+            "first_key": (int(keys.min(axis=1).argmin()), n_t),
+            # the copy repeats the largest key, the last once sorted
+            "last_key": (int(keys.max(axis=1).argmax()), 0),
+        }[where]
+        corrupted = np.insert(triangles, at, triangles[k], axis=0)
         a, b = reference_repeated_edge(corrupted)
         assert (a, b) == tuple(int(v) for v in triangles[k][:2])
         with pytest.raises(MeshError, match=rf"directed edge \({a}, {b}\) repeated"):
             Triangulation(disk.nodes, corrupted, disk.is_dirichlet)
 
-    def test_folded_triangle_named_as_inverted(self):
-        # this jiggle folds one triangle over a neighbour
-        base = generate_disk_mesh(6)
-        nodes = jiggled_disk_nodes(base, 6, 0.28125, seed=9215)
-        with pytest.raises(MeshError, match=r"inverted \(clockwise\) triangle \d+") as err:
-            perturbed_disk(6, 0.28125, seed=9215)
-        named = int(re.search(r"triangle (\d+)", str(err.value)).group(1))
-        p = nodes[base.triangles[named]]
+    # Two triangles on one side of their shared edge, the one named
+    # clockwise; the nodes are numbered so that the edge it repeats once
+    # reoriented has the smallest or the largest key.
+    FOLDS = {
+        "smallest_key": ([(0, 0), (2, 0), (1, 1), (1, 0.5)], [(1, 0, 3), (0, 1, 2)], 0),
+        "largest_key": ([(1, 1), (1, 0.5), (2, 0), (0, 0)], [(3, 2, 0), (2, 3, 1)], 1),
+    }
+
+    @pytest.mark.parametrize("fold", ["jiggled_disk", *FOLDS])
+    def test_folded_triangle_named_as_inverted(self, fold):
+        if fold == "jiggled_disk":
+            # this jiggle folds triangle 17 over a neighbour
+            base = generate_disk_mesh(6)
+            nodes = jiggled_disk_nodes(base, 6, 0.28125, seed=9215)
+            triangles, mask, named = base.triangles, base.is_dirichlet, 17
+        else:
+            nodes, triangles, named = self.FOLDS[fold]
+            mask = np.ones(4, dtype=bool)
+        message = f"invariant violated: inverted (clockwise) triangle {named} folds over a neighbour"
+        with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+            Triangulation(nodes, triangles, mask)
+        p = np.asarray(nodes, dtype=float)[np.asarray(triangles)[named]]
         u, v = p[1] - p[0], p[2] - p[0]
         assert u[0] * v[1] - u[1] * v[0] < 0.0
 
