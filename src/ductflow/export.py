@@ -10,7 +10,8 @@ is shared by the CSV and VTK writers: it is cached under the column's
 exact bytes, so ``-0.0`` and ``0.0`` or two NaN payloads never share
 text, and a field changed in place is formatted afresh.  The bytes are
 the same as formatting every row afresh.  The stress CSV's
-triangle-index column is formatted afresh by every call.
+triangle-index column is formatted afresh by every call, and the
+yielded flags by ``mesh.flag_lines``, as a mesh file's Dirichlet flags.
 
 The JSON report is standard JSON: a NaN or infinite value is written
 as ``null``.
@@ -24,12 +25,9 @@ import math
 
 import numpy as np
 
-from .mesh import Triangulation, rows_text, write_rows
+from .mesh import Triangulation, flag_lines, rows_text, write_rows
 from .objective import _norms_and_excess
 from .report import SolveReport
-
-# yielded-flag lines, indexed by the flag
-_FLAG_LINES = np.array([b"0\n", b"1\n"])
 
 
 def expand_velocity(tri: Triangulation, y: np.ndarray) -> np.ndarray:
@@ -57,8 +55,7 @@ def _column_text(values: np.ndarray) -> str:
 def _yield_columns(tau: np.ndarray, tau0: float) -> tuple[str, str]:
     """Lines of the per-triangle stress magnitudes and yielded flags, by the objective's rule."""
     mags, _, yielded = _norms_and_excess(tau, tau0)
-    flags = _FLAG_LINES[yielded.astype(np.int8)]
-    return _column_text(mags), flags.tobytes().decode("ascii")
+    return _column_text(mags), flag_lines(yielded)
 
 
 def write_velocity_csv(path, tri: Triangulation, y: np.ndarray) -> None:

@@ -25,6 +25,7 @@ folded over a neighbour (oriented against it) is rejected as inverted.
 Floats are written by ``repr``, so coordinates round-trip bit for bit.
 A mesh formats its node and triangle rows once, on first use; the mesh
 file and the velocity CSV and VTK of every solve on it reuse that text.
+Dirichlet and yielded flags are both written by ``flag_lines``.
 """
 
 from __future__ import annotations
@@ -528,16 +529,19 @@ def _triangle_rows(lines, rows):
     return triangles
 
 
-# Dirichlet-flag lines, indexed by the flag
 _FLAG_LINES = np.array([b"0\n", b"1\n"])
+
+
+def flag_lines(mask: np.ndarray) -> str:
+    """A ``0`` or ``1`` line for each entry of the boolean array ``mask``."""
+    return _FLAG_LINES[mask.view(np.int8)].tobytes().decode("ascii")
 
 
 def save_mesh(tri: Triangulation, path) -> None:
     """Write a mesh file; coordinates round-trip bit-identically."""
-    flags = _FLAG_LINES[tri.is_dirichlet.view(np.int8)].tobytes().decode("ascii")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"nodes {tri.n_nodes}\n")
-        write_rows(fh, tri.node_text, flags)
+        write_rows(fh, tri.node_text, flag_lines(tri.is_dirichlet))
         fh.write(f"triangles {tri.n_triangles}\n")
         fh.write(tri.triangle_text)
 

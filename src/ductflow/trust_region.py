@@ -182,20 +182,17 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
     ``alpha_j d_j`` rebuilds them, bit for bit, up to the first
     re-projection.
 
-    The recurrences for ``z`` and ``r`` run in place, through two
-    buffers allocated per call: the trial ``z + alpha d`` is formed in
-    one, which then swaps with ``z``, and ``alpha H d`` in the other
-    before it is added to ``r``.  ``d`` is a fresh array at every step,
-    since ``path`` keeps references to it: the next direction ``beta d
-    - g`` is formed in place in the product ``beta d``, two sweeps.
-    Every sum and product has the operands of the plain recurrences
-    ``z + alpha d``, ``r + alpha H d`` and ``-g + beta d``, so the
+    The recurrences run in place: the trial ``z + alpha d`` in one
+    buffer, which then swaps with ``z``, and ``alpha H d`` in the array
+    of ``H d``, dead once added to ``r``.  ``d`` is a fresh array at
+    every step, since ``path`` keeps references to it; the next
+    direction ``beta d - g`` is formed in the product ``beta d``.  Every
+    sum and product has the operands of the plain recurrences, so the
     iterates are the same bytes as theirs.
     """
     z = np.zeros(grad.shape[0])
     z_trial = np.empty_like(z)
     r = np.array(grad, dtype=float)
-    r_step = np.empty_like(r)
     g = projected
     d = -g
     # g^T r equals |g|^2 for an orthogonal projection; the |g|^2 form
@@ -232,7 +229,7 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
         if (j + 1) % _REPROJECT_EVERY == 0:  # seen by test_inner_cap_reported
             z = ops.project_nullspace(z)
 
-        r += np.multiply(alpha, h_d, out=r_step)
+        r += np.multiply(alpha, h_d, out=h_d)
         g = ops.project_nullspace(r)
         gr_next = float(g @ g)
         if gr_next == 0.0 or math.sqrt(gr_next) < _CG_FORCING * sqrt_gr0:

@@ -16,7 +16,7 @@ from ductflow.objective import FluidParams, gradient, objective
 from ductflow.pipe import relative_difference
 from ductflow.report import abstol_for
 from ductflow.trust_region import TrsConfig, solve_trs
-from oracles import dense_poisson_velocity
+from oracles import dense_poisson_velocity, graded_square
 
 
 def bisect_magnitude(alpha, kappa, r, tau0, w_norm, tol=1e-13):
@@ -494,6 +494,11 @@ def strain_rate_config(ops):
     return Alg2Config(abstol=abstol_for(ops.tri), reltol=1e-6)
 
 
+@pytest.fixture(scope="module")
+def graded16_ops():
+    return assemble(graded_square(16), f=1.0)
+
+
 def check_gradient_identity(params, ops):
     y, q, tau, report = solve_alg2(params, ops, strain_rate_config(ops))
     assert report.converged
@@ -515,6 +520,13 @@ def test_area_weighted_strain_rate_is_the_gradient_on_the_pipe(alpha, tau0, disk
 @pytest.mark.parametrize("alpha, tau0", [(2.0, 0.1), (2.0, 0.3), (1.5, 0.1), (1.5, 0.3)])
 def test_area_weighted_strain_rate_is_the_gradient_on_the_square(alpha, tau0, square32_ops):
     check_gradient_identity(FluidParams(alpha=alpha, kappa=1.0, tau0=tau0), square32_ops)
+
+
+@pytest.mark.parametrize("alpha, tau0", [(2.0, 0.1), (2.0, 0.3), (1.5, 0.1), (1.5, 0.3)])
+def test_area_weighted_strain_rate_is_the_gradient_on_a_graded_square(alpha, tau0,
+                                                                       graded16_ops):
+    # triangle areas differ by a factor of 103 on the graded 16^2
+    check_gradient_identity(FluidParams(alpha=alpha, kappa=1.0, tau0=tau0), graded16_ops)
 
 
 class CountingGradient:

@@ -13,8 +13,8 @@ from ductflow.objective import (FluidParams, _norms_and_excess, block_norms, gra
 from ductflow.report import abstol_for
 from ductflow.trust_region import (TrsConfig, _boundary_intersection, cg_steihaug, solve_trs,
                                    update_radius)
-from oracles import (dense_poisson_velocity, dense_projected_newton_step, jittered_square,
-                     perturbed_disk, textbook_cg_steihaug)
+from oracles import (dense_poisson_velocity, dense_projected_newton_step, graded_square,
+                     jittered_square, perturbed_disk, textbook_cg_steihaug)
 
 # (h11, h12, h22) of the block 1e-12 * I, to broadcast over the triangles
 FLAT = [[1e-12], [0.0], [1e-12]]
@@ -456,13 +456,15 @@ class TestSolveTrs:
     @settings(deadline=None, derandomize=True)
     @given(tri=st.one_of(st.builds(generate_square_mesh, st.integers(4, 8)),
                          jiggled(perturbed_disk, st.integers(2, 4)),
-                         jiggled(jittered_square, st.integers(4, 8))),
+                         jiggled(jittered_square, st.integers(4, 8)),
+                         st.builds(graded_square, st.integers(4, 8))),
            alpha=st.floats(1.0, 2.0, exclude_min=True), tau0=st.floats(0.0, 0.6),
            max_outer=st.sampled_from([1, 2, 3, 200]))
     # a step on the last allowed pass would be accepted here; the result
     # must not pair that stress with the previous iterate's velocity
     @example(tri=generate_square_mesh(8), alpha=2.0, tau0=0.1, max_outer=1)
     @example(tri=generate_square_mesh(4), alpha=2.0, tau0=0.1, max_outer=200)  # stalls
+    @example(tri=graded_square(16), alpha=2.0, tau0=0.3, max_outer=200)  # area ratio 103
     # the safeguards the draws reach, pinned by test_draws_reach_the_curvature_exit
     @example(tri=jittered_square(4, 0.18, 93), alpha=1.1, tau0=0.35, max_outer=200)
     @example(tri=generate_square_mesh(8), alpha=1.06, tau0=0.0, max_outer=200)

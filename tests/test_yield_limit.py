@@ -11,6 +11,7 @@ from ductflow.experiments import ARRESTED_VELOCITY_BOUND
 from ductflow.fem import assemble
 from ductflow.mesh import generate_disk_mesh, generate_square_mesh
 from ductflow.objective import FluidParams
+from ductflow.trust_region import solve_trs
 from oracles import yield_limit_bracket
 
 # Critical yield stress at f = 1 of the continuous problem: the square
@@ -59,3 +60,19 @@ def test_alg2_arrests_the_flow_above_the_limit():
     y, _, _, report = solve_alg2(params, ops)
     assert report.converged
     assert float(np.abs(y).max()) <= ARRESTED_VELOCITY_BOUND
+
+
+@pytest.mark.parametrize("name", ["square:8", "disk:6"])
+def test_both_solvers_flow_below_the_limit(name):
+    # 5 % below the bracket's lower end the flow is not arrested; max|y|
+    # is about 6.4e-3 on square:8 and 4.1e-3 on disk:6, far above the
+    # bound.  At alpha = 1.5 ALG2 runs to its cap on square:8 instead.
+    make, n, _ = MESHES[name]
+    ops = assemble(make(n), f=1.0)
+    lower, _ = yield_limit_bracket(ops)
+    params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.95 * lower)
+    _, y_trs, trs = solve_trs(params, ops)
+    y_alg2, _, _, alg2 = solve_alg2(params, ops)
+    assert trs.converged and alg2.converged
+    assert float(np.abs(y_trs).max()) > ARRESTED_VELOCITY_BOUND
+    assert float(np.abs(y_alg2).max()) > ARRESTED_VELOCITY_BOUND
