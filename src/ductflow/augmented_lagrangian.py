@@ -21,10 +21,8 @@ With ``rho = 1`` this is the classical ALG2.  Over-relaxation (Eckstein
 arrested flow) the momentum defect contracts by ``|1 - rho|`` per pass,
 where plain ALG2 removes it in one.  All nonlinearity is carried by the
 strain-rate step, which keeps the velocity step a single Laplacian
-solve.  The stopping test mirrors the trust-region solver: stationarity
-and momentum residuals below ``abstol`` plus relative velocity and
-strain-rate increments below ``reltol``.  A non-finite residual stops
-the loop with status ``non_finite``.
+solve.  The loop runs in ``report.run_passes`` and stops by
+``Alg2Config``'s test.
 
 After steps 2 and 3 the stress gradient is known without evaluating it:
 ``grad J(tau) = A q`` holds exactly, ADMM's dual-feasibility identity
@@ -57,21 +55,19 @@ Each iteration takes three sparse products: ``D q``, ``D^T y`` (shared
 by the gradient step and the stationarity residual) and ``D tau``
 (shared by the momentum residual and the next velocity right-hand side).
 Its per-triangle work runs in three buffers allocated once per solve:
-``w``, the previous strain rate and the stationarity residual.  The
-objective is evaluated once, at the returned iterate.
+``w``, the previous strain rate and the stationarity residual.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fem import DiscreteOperators
 from .objective import FluidParams, block_norms, gradient, objective
-from .report import RELTOL, SolveReport, abstol_for, check_count, check_positive
+from .report import RELTOL, abstol_for, check_count, check_positive, run_passes
 
 
 @dataclass(kw_only=True)
@@ -305,7 +301,11 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
     stops at ``abstol_for(ops.tri)``.
     """
     cfg = cfg if cfg is not None else Alg2Config(abstol=abstol_for(ops.tri))
-    start = time.perf_counter()
+    return run_passes(cfg.max_outer, _passes, params, ops, cfg)
+
+
+def _passes(report, params, ops, cfg):
+    """``solve_alg2``'s outer loop as ``run_passes`` steps it."""
     r = cfg.r
 
     y = np.zeros(ops.n_free)
@@ -317,14 +317,13 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
     w = np.empty(ops.n_stress)
     q_prev = np.empty(ops.n_stress)
     stationarity = np.empty(ops.n_stress)
-    report = SolveReport()
     # Arrested flow leaves y and q at rounding-level noise where a purely
     # relative increment test can never pass; increments below the
     # data-scale floor count as converged.
     floor = ops.rounding_floor()
 
     magnitudes = np.zeros(ops.tri.n_triangles)  # the Newton warm start
-    for k in range(cfg.max_outer):
+    while True:
         rhs = ops.f_h - d_tau + r * (ops.D @ q)
         y_prev, y = y, ops.solve_stiffness(rhs) / r
 
@@ -360,18 +359,8 @@ def solve_alg2(params: FluidParams, ops: DiscreteOperators,
         if stop:
             kkt = float(np.abs(gradient(params, ops, tau) - dt_y).max(initial=0.0))
             stop = max(kkt, momentum) <= cfg.abstol
-
-        report.kkt_history.append(kkt)
-        report.feasibility_history.append(momentum)
-
-        if not (math.isfinite(kkt) and math.isfinite(momentum)):
-            report.status = "non_finite"
+        if not (yield kkt, momentum, stop):
             break
-        if stop:
-            report.status = "converged"
-            break
-    report.iterations = k + 1
 
     report.objective_history.append(objective(params, ops, tau))
-    report.wall_time = time.perf_counter() - start
     return y, q, tau, report

@@ -145,16 +145,19 @@ def _write_solution(out_dir, solver, cfg, tri, tau, y, rep, error):
 def _print_comparison(results, ops):
     _, y_t, rep_t = results["trs"]
     _, y_a, rep_a = results["alg2"]
-    # an arrested flow leaves both velocities at rounding level, where a
-    # relative difference measures only noise
-    if max(np.abs(y_t).max(initial=0.0), np.abs(y_a).max(initial=0.0)) <= ops.rounding_floor():
+    # unconverged runs are not compared; an arrested flow leaves both
+    # velocities at rounding level, where a difference measures only noise
+    if not (rep_t.converged and rep_a.converged):
+        diff_text = "n/a (not converged)"
+    elif max(np.abs(y_t).max(initial=0.0), np.abs(y_a).max(initial=0.0)) <= ops.rounding_floor():
         diff_text = "n/a (zero flow)"
     else:
         diff_text = f"{relative_difference(y_t, y_a):.3e}"
+    speedup = speedup_of(rep_t, rep_a)
     print(f"[both] n_nodes={ops.tri.n_nodes} relative_difference={diff_text} "
           f"iterations trs/alg2 = {rep_t.iterations}/{rep_a.iterations} "
           f"time trs/alg2 = {rep_t.wall_time:.2f}/{rep_a.wall_time:.2f} s "
-          f"speedup={speedup_of(rep_t, rep_a):.2g}")
+          f"speedup={'n/a' if np.isnan(speedup) else f'{speedup:.2g}'}")
 
 
 _GENERATORS = {"disk": generate_disk_mesh, "square": generate_square_mesh}

@@ -40,8 +40,9 @@ ARRESTED_VELOCITY_BOUND = 1e-6
 
 
 def speedup_of(trs: SolveReport, alg2: SolveReport) -> float:
-    """ALG2/TRS wall-time ratio; NaN when the TRS time is zero."""
-    return alg2.wall_time / trs.wall_time if trs.wall_time > 0 else math.nan
+    """ALG2/TRS wall-time ratio; NaN unless both runs converged and the TRS time is positive."""
+    comparable = trs.converged and alg2.converged and trs.wall_time > 0
+    return alg2.wall_time / trs.wall_time if comparable else math.nan
 
 
 @dataclass

@@ -1,9 +1,11 @@
-"""Per-solve iteration record, the two rules every setting is checked by,
-and the stopping tolerance both solvers default to."""
+"""Per-solve iteration record and the outer loop that fills it, the two rules
+every setting is checked by, and the stopping tolerance both solvers default to."""
 
 from __future__ import annotations
 
+import math
 import numbers
+import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -51,22 +53,14 @@ def abstol_for(tri, strain_rate_tol: float = STRAIN_RATE_TOL) -> float:
 class SolveReport:
     """Histories and counters of one solver run.
 
-    ``iterations`` counts outer-loop passes, including the pass that
-    triggers the stopping test.  ``kkt_history`` holds the stationarity
-    residual ``max |grad J - D^T y|`` of each pass and
-    ``feasibility_history`` its momentum defect ``max |D tau - f_h|``, for
-    both solvers.  ``cg_iterations`` holds one
-    ``(count, exit_reason)`` pair per pass that solved a trust-region
-    subproblem: the CG iterations run on that pass, 0 when the pass
-    replayed the last CG path; the augmented-Lagrangian solver leaves it
-    empty.
-    ``objective_history`` holds one value per pass for the trust-region
-    solver; the augmented-Lagrangian solver records only the value at the
-    returned iterate.  ``status`` is ``converged``, ``max_iterations``,
-    ``non_finite`` when a residual became NaN or infinite, or
-    ``stalled`` (trust-region solver only) when a rejected step's model
-    decrease was below the rounding of the objective, so that no further
-    step could be judged.
+    ``run_passes`` keeps ``iterations``, ``kkt_history``,
+    ``feasibility_history``, ``wall_time`` and ``status``, which the
+    trust-region solver may also set to ``stalled``.  ``cg_iterations``
+    holds one ``(count, exit_reason)`` pair per pass that solved a
+    trust-region subproblem: the CG iterations run on that pass, 0 when
+    the pass replayed the last CG path.  ``objective_history`` holds one
+    value per pass for the trust-region solver and the value at the
+    returned iterate for the augmented-Lagrangian solver.
     """
 
     iterations: int = 0
@@ -93,3 +87,36 @@ class SolveReport:
             data[f.name] = list(value) if isinstance(value, list) else value
         data["cg_iterations"] = [[count, reason] for count, reason in self.cg_iterations]
         return data
+
+
+def run_passes(max_outer: int, passes, *args):
+    """Run the outer loop of generator ``passes(report, *args)``; return what it returns.
+
+    The generator takes its start, then yields ``(kkt, momentum,
+    converged)`` per iterate: ``max |grad J - D^T y|``, ``max |D tau -
+    f_h|`` and its own stopping test.  Sent true, it steps; sent false,
+    it returns its result at the iterate the last history entries
+    describe.  It may set ``report.status`` and return.  The driver alone
+    times the run, records both histories, counts ``iterations`` and
+    stops ``non_finite`` on a NaN or infinite residual or defect, else
+    ``converged``, else ``max_iterations`` at pass ``max_outer``.
+    Overflow and invalid operations are reported by status, not warnings.
+    """
+    report, go_on = SolveReport(), None
+    start = time.perf_counter()
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = passes(report, *args)
+        try:
+            while True:
+                kkt, momentum, converged = run.send(go_on)
+                report.iterations += 1
+                report.kkt_history.append(kkt)
+                report.feasibility_history.append(momentum)
+                if not (math.isfinite(kkt) and math.isfinite(momentum)):
+                    report.status = "non_finite"
+                elif converged:
+                    report.status = "converged"
+                go_on = report.status == "max_iterations" and report.iterations < max_outer
+        except StopIteration as end:
+            report.wall_time = time.perf_counter() - start
+            return end.value

@@ -29,20 +29,15 @@ they leave the ball, and the radius only shrinks, so the pass replays
 the stored path of the last CG run up to the new boundary and evaluates
 only the trial objective.
 
-Convergence is declared when the projected gradient
-``grad J - D^T y`` has Euclidean norm below ``abstol``, or when the
-stationarity residual ``max |grad J - D^T y|`` is below ``abstol`` and
-the recovered velocity is stable, ``|y_k - y_(k-1)| <= reltol |y_k|``.
-A non-finite stationarity residual, model decrease or step norm stops
-the loop with status ``non_finite``; a rejected step whose model
-decrease is below the rounding of ``J`` (``pred <= 8 eps |J|``) stops it
-with status ``stalled``.
+The loop runs in ``report.run_passes`` and stops by ``TrsConfig``'s
+test.  A non-finite model decrease or step norm also stops it as
+``non_finite``, and a rejected step whose model decrease is below the
+rounding of ``J`` (``pred <= 8 eps |J|``) as ``stalled``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +45,7 @@ import numpy as np
 from .fem import DiscreteOperators
 from .objective import (FluidParams, _norms_and_excess, gradient, hessian, hessian_apply,
                         objective)
-from .report import RELTOL, SolveReport, abstol_for, check_count, check_positive
+from .report import RELTOL, abstol_for, check_count, check_positive, run_passes
 
 # Projected CG iterates drift out of null(D) through the residual
 # recurrence; re-project the accumulated step this often.  A CG path keeps
@@ -91,12 +86,12 @@ _CG_PER_TRIANGLE = 10
 class TrsConfig:
     """Stopping tolerances and the outer-iteration cap.
 
-    ``abstol`` (required) bounds the area-weighted stationarity residual
-    ``max |grad J - D^T y|``; a projected gradient whose Euclidean norm is
-    below it stops the loop at once.  Its unit carries a triangle area, so
-    ``report.abstol_for`` gives the value for a tolerance in strain-rate
-    units.  ``reltol`` bounds the relative velocity increment between
-    outer iterations.
+    An iterate passes the stopping test when its projected gradient
+    ``grad J - D^T y`` has Euclidean norm below ``abstol`` (required), or
+    its area-weighted stationarity residual ``max |grad J - D^T y|`` is
+    below ``abstol`` and the recovered velocity moved by at most ``reltol
+    |y|`` since the previous pass.  ``abstol``'s unit carries a triangle
+    area, so ``report.abstol_for`` gives it for a strain-rate tolerance.
     """
 
     abstol: float
@@ -265,27 +260,23 @@ def update_radius(delta: float, ared: float, pred: float, step_norm: float):
 def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None = None):
     """Run the outer trust-region loop from the feasible projection of zero.
 
-    Returns ``(tau, y, report)`` where ``tau`` is the final feasible
-    stress, ``y`` the least-squares velocity recovered from it and
-    ``report`` the full iteration record.  Non-convergence within
-    ``max_outer`` passes, a non-finite residual or model, or a stall at
-    the rounding of ``J`` is reported, not raised.  Without ``cfg`` the
-    loop stops at ``abstol_for(ops.tri)``.
+    Returns ``(tau, y, report)``: the final feasible stress, the velocity
+    recovered from it by least squares and the iteration record.
+    Without ``cfg`` the loop stops at ``abstol_for(ops.tri)``.
     """
     cfg = cfg if cfg is not None else TrsConfig(abstol=abstol_for(ops.tri))
-    start = time.perf_counter()
+    return run_passes(cfg.max_outer, _passes, params, ops, cfg)
 
+
+def _passes(report, params, ops, cfg):
+    """``solve_trs``'s outer loop as ``run_passes`` steps it."""
     tau = ops.project_feasible(np.zeros(ops.n_stress))
     delta = _DELTA0
-
     norms_excess = _norms_and_excess(tau, params.tau0)
     value = objective(params, ops, tau, norms_excess)
-    grad = hess = None
+    grad = hess = y_prev = None
 
-    report = SolveReport()
-    y_prev = None
-
-    for k in range(cfg.max_outer):
+    while True:
         if grad is None:
             # first pass at this iterate; a pass after a rejected step
             # reuses all of it, since only the radius has changed
@@ -299,22 +290,14 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None
             residual = ops.momentum_residual(tau)
             path = []  # CG's path at this iterate, replayed after a rejection
 
-        report.kkt_history.append(kkt)
         report.objective_history.append(value)
         report.radius_history.append(delta)
-        report.feasibility_history.append(residual)
-
-        if not math.isfinite(kkt):
-            report.status = "non_finite"
-            break
         # the velocity increment is taken only once the max-residual test passes
-        if (math.sqrt(float(stationarity @ stationarity)) < cfg.abstol
-                or (kkt <= cfg.abstol and y_prev is not None
-                    and np.linalg.norm(y - y_prev) <= cfg.reltol * np.linalg.norm(y))):
-            report.status = "converged"
+        converged = (math.sqrt(float(stationarity @ stationarity)) < cfg.abstol
+                     or (kkt <= cfg.abstol and y_prev is not None
+                         and np.linalg.norm(y - y_prev) <= cfg.reltol * np.linalg.norm(y)))
+        if not (yield kkt, residual, converged):
             break
-        if k + 1 == cfg.max_outer:
-            break  # a step taken now would be returned without its velocity
         y_prev = y
 
         if hess is None:
@@ -346,7 +329,4 @@ def solve_trs(params: FluidParams, ops: DiscreteOperators, cfg: TrsConfig | None
             if pred <= _STALL_PRED * abs(value):
                 report.status = "stalled"
                 break
-    report.iterations = k + 1
-
-    report.wall_time = time.perf_counter() - start
     return tau, y, report

@@ -191,12 +191,24 @@ class TestSolveCommand:
         assert not (tmp_path / "x").exists()
 
     def test_non_finite_model_exits_two(self, tmp_path, capsys):
-        # the Hessian prefactor divides by kappa^(1/(alpha-1)) = 8.7e-308
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["solve", "--mesh", "disk:3", "--alpha", "1.01", "--kappa", "8.5e-4",
-                         "--tau0", "0.1", "--out", str(tmp_path / "x")])
+        # the Hessian prefactor divides by kappa^(1/(alpha-1)) = 8.7e-308;
+        # the overflow is reported by status, without a RuntimeWarning
+        code = main(["solve", "--mesh", "disk:3", "--alpha", "1.01", "--kappa", "8.5e-4",
+                     "--tau0", "0.1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "[trs] status=non_finite" in capsys.readouterr().out
+
+    def test_overflowing_force_exits_two_and_compares_nothing(self, tmp_path, capsys):
+        # TRS's momentum defect overflows on its first pass; ALG2's
+        # residuals stay finite, and it runs to its cap
+        code = main(["solve", "--solver", "both", "--mesh", "disk:4", "--force", "1e200",
+                     "--format", "json", "--out", str(tmp_path / "x")])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "[trs] status=non_finite iterations=1 " in out
+        assert "[alg2] status=max_iterations iterations=5000 " in out
+        assert "relative_difference=n/a (not converged)" in out
+        assert out.rstrip().endswith("speedup=n/a")
 
     def test_non_ascii_config_file_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "greek.cfg"

@@ -1,11 +1,14 @@
-"""The count rule and the positive-finite rule, through every setting they check."""
+"""The count rule and the positive-finite rule, through every setting they
+check, and the outer-loop driver's contract, through both solvers."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from ductflow import Alg2Config, FluidParams, TrsConfig, generate_disk_mesh, generate_square_mesh
+from ductflow import (Alg2Config, FluidParams, TrsConfig, generate_disk_mesh,
+                      generate_square_mesh, solve_alg2, solve_trs)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -51,3 +54,47 @@ def test_numpy_integer_counts_accepted():
         assert np.array_equal(tri.nodes, expected.nodes)
         assert np.array_equal(tri.triangles, expected.triangles)
         assert np.array_equal(tri.is_dirichlet, expected.is_dirichlet)
+
+
+# per solver: its report, its config, and an ops method with a stand-in
+# that makes the first pass's momentum defect (TRS) or velocity (ALG2) NaN
+SOLVERS = {
+    "trs": (lambda params, ops, cfg: solve_trs(params, ops, cfg)[2], TrsConfig,
+            "momentum_residual", lambda tau: math.nan),
+    "alg2": (lambda params, ops, cfg: solve_alg2(params, ops, cfg)[3], Alg2Config,
+             "solve_stiffness", lambda rhs: np.full_like(rhs, np.nan)),
+}
+
+
+def check_driver_contract(solver, report):
+    assert len(report.kkt_history) == len(report.feasibility_history) == report.iterations
+    assert report.wall_time > 0.0
+    if solver == "trs":
+        # every pass but the last solved one subproblem and judged its step
+        assert report.accepted_steps + report.rejected_steps == len(report.cg_iterations)
+        assert len(report.cg_iterations) == report.iterations - 1
+    else:
+        assert len(report.objective_history) == 1
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("max_outer", [None, 1, 3])
+def test_driver_stops_converged_or_at_the_cap(solver, max_outer, disk3_ops):
+    solve, config, _, _ = SOLVERS[solver]
+    # no config is the rule, where both converge; abstol 1e-14 lets each cap bite
+    cfg = None if max_outer is None else config(abstol=1e-14, max_outer=max_outer)
+    report = solve(FluidParams(alpha=2.0, tau0=0.1), disk3_ops, cfg)
+    check_driver_contract(solver, report)
+    if max_outer is None:
+        assert report.converged and report.iterations > 1
+    else:
+        assert (report.status, report.iterations) == ("max_iterations", max_outer)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_driver_stops_non_finite_on_the_first_nan(solver, disk3_ops, monkeypatch):
+    solve, _, method, stand_in = SOLVERS[solver]
+    monkeypatch.setattr(disk3_ops, method, stand_in)
+    report = solve(FluidParams(alpha=2.0, tau0=0.1), disk3_ops, None)
+    check_driver_contract(solver, report)
+    assert (report.status, report.iterations) == ("non_finite", 1)
