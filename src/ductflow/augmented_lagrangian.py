@@ -338,7 +338,9 @@ def _passes(report, params, ops, cfg):
         scale = np.divide(magnitudes, w_norms, out=np.zeros_like(magnitudes),
                           where=w_norms > 0.0)
         q, q_prev = q_prev, q
-        np.multiply(w.reshape(-1, 2), scale[:, None], out=q.reshape(-1, 2))
+        # per component: an (n, 2) x (n, 1) broadcast loops once per row
+        np.multiply(w[0::2], scale, out=q[0::2])
+        np.multiply(w[1::2], scale, out=q[1::2])
 
         # the multiplier step tau + r (relaxed - q) is w - r q
         np.multiply(q, -r, out=tau)

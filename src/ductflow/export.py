@@ -9,9 +9,11 @@ stress magnitudes) is formatted once per distinct content and the text
 is shared by the CSV and VTK writers: it is cached under the column's
 exact bytes, so ``-0.0`` and ``0.0`` or two NaN payloads never share
 text, and a field changed in place is formatted afresh.  The bytes are
-the same as formatting every row afresh.  The stress CSV's
-triangle-index column is formatted afresh by every call, and the
-yielded flags by ``mesh.flag_lines``, as a mesh file's Dirichlet flags.
+the same as formatting every row afresh.  Integer columns (the
+triangle rows, and the stress CSV's triangle-index column, formatted
+afresh by every call) are formatted by digit arithmetic in
+``mesh.rows_text``, with the same bytes as ``repr``; the yielded flags
+by ``mesh.flag_lines``, as a mesh file's Dirichlet flags.
 
 The JSON report is standard JSON: a NaN or infinite value is written
 as ``null``.

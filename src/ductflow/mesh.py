@@ -23,6 +23,8 @@ Triangles stored clockwise in a file are reoriented on load; a triangle
 folded over a neighbour (oriented against it) is rejected as inverted.
 
 Floats are written by ``repr``, so coordinates round-trip bit for bit.
+Integer columns (triangle rows, the stress CSV's triangle index) are
+formatted by digit arithmetic, in the same bytes as ``repr``.
 A mesh formats its node and triangle rows once, on first use; the mesh
 file and the velocity CSV and VTK of every solve on it reuse that text.
 Dirichlet and yielded flags are both written by ``flag_lines``.
@@ -586,10 +588,38 @@ def write_rows(fh, *columns, sep=" ") -> None:
 
 
 def rows_text(*columns) -> str:
-    """Space-separated rows of ``columns`` as one string."""
+    """Space-separated rows of ``columns`` as one string, in the bytes of
+    ``write_rows``; non-negative integer arrays by ``_digit_rows``."""
+    if columns and all(isinstance(c, np.ndarray) and c.dtype.kind in "iu"
+                       and c.min(initial=0) >= 0 for c in columns):
+        return _digit_rows(columns)
     buf = io.StringIO()
     write_rows(buf, *columns)
     return buf.getvalue()
+
+
+def _digit_rows(columns) -> str:
+    """Rows of non-negative integer arrays, their digits peeled off by
+    ``// 10`` into ``width`` bytes per value plus a separator; the places
+    before a value's leading digit are masked to NUL bytes, dropped at the end.
+    """
+    top = max(int(c.max(initial=0)) for c in columns)
+    width = len(str(top))
+    n = min(map(len, columns))  # the rows write_rows zips
+    rest = np.empty((n, len(columns)), np.uint32 if top < 2 ** 32 else np.uint64)
+    for at, column in enumerate(columns):
+        rest[:, at] = column[:n]
+    text = np.empty((n, len(columns), width + 1), np.uint8)
+    text[:, :, width] = ord(" ")
+    text[:, -1, width] = ord("\n")
+    for place in range(width - 1, -1, -1):
+        quotient = rest // 10
+        digit = rest - 10 * quotient + ord("0")
+        if place < width - 1:  # the units digit shows even for 0
+            digit *= rest != 0
+        text[:, :, place] = digit
+        rest = quotient
+    return text.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _parse_int(text, lineno, what):

@@ -141,7 +141,11 @@ def gradient(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray,
     scale = ops.tri.areas / params.kappa_pow * excess ** (1.0 / (params.alpha - 1.0))
     # zero already where unyielded, since excess is 0 there
     np.divide(scale, norms, out=scale, where=yielded)
-    return (scale[:, None] * t).ravel()
+    # one strided product per component, as in ALG2's q step
+    grad = np.empty(t.size)
+    np.multiply(t[:, 0], scale, out=grad[0::2])
+    np.multiply(t[:, 1], scale, out=grad[1::2])
+    return grad
 
 
 def hessian(params: FluidParams, ops: DiscreteOperators, tau: np.ndarray,

@@ -124,8 +124,11 @@ def _boundary_intersection(z: np.ndarray, d: np.ndarray, delta: float) -> float:
 
 
 def _exit_step(z: np.ndarray, d: np.ndarray, delta: float, s_max: float = math.inf):
-    """``z + s d`` at the boundary root ``s`` of radius ``delta``, or at ``s_max`` if nearer."""
-    return z + min(_boundary_intersection(z, d, delta), s_max) * d
+    """``z + s d`` at the boundary root ``s`` of radius ``delta``, or at ``s_max`` if nearer.
+
+    ``min`` keeps a first argument that is NaN, so a NaN ``s_max`` gives a NaN step.
+    """
+    return z + min(s_max, _boundary_intersection(z, d, delta)) * d
 
 
 def _replay(path: list, delta: float):
@@ -161,7 +164,8 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
     ``boundary`` (iterate left the trust ball), ``curvature`` (Rayleigh
     quotient ``d^T H d / d^T d`` of a direction below ``_DIVTOL``; the
     step goes along it to the model minimiser, or to the boundary when
-    that is nearer) or ``cap`` (``_CG_PER_TRIANGLE`` iterations per
+    that is nearer; a ``d^T H d`` that is not finite exits here too, with
+    a NaN step) or ``cap`` (``_CG_PER_TRIANGLE`` iterations per
     triangle).  Every test is invariant under scaling ``grad``: a scaled
     gradient gives the same exit and count and the same step, scaled.
 
@@ -203,11 +207,13 @@ def cg_steihaug(ops: DiscreteOperators, grad: np.ndarray, projected: np.ndarray,
         h_d = hessian_apply(hess, d)
         curvature = float(d @ h_d)
 
-        if curvature < _DIVTOL * float(d @ d):
+        if not math.isfinite(curvature) or curvature < _DIVTOL * float(d @ d):
             # the model falls along d at slope -gr; stop at its minimiser
             # gr / curvature or at the boundary, whichever is nearer, for
-            # a decrease of at least s gr / 2
-            s_max = gr / curvature if curvature > 0.0 else math.inf
+            # a decrease of at least s gr / 2.  A d^T H d that is not finite
+            # gives no minimiser: its NaN step stops the outer loop as non_finite
+            s_max = (math.nan if not math.isfinite(curvature)
+                     else gr / curvature if curvature > 0.0 else math.inf)
             if j < _REPROJECT_EVERY:
                 path.append((d, math.nan, math.inf, s_max, "curvature"))
             return _exit_step(z, d, delta, s_max), "curvature", j + 1

@@ -112,6 +112,20 @@ def test_writer_bytes_match_reference_loop(tmp_path, disk3_solution, name):
     assert (tmp_path / "new").read_bytes() == (tmp_path / "reference").read_bytes()
 
 
+def test_disk120_integer_columns_match_reference_loop(tmp_path):
+    # 86,400 triangles, node indices of five digits and fewer: the triangle
+    # rows and the stress CSV's index column at the benchmark's largest mesh
+    tri = generate_disk_mesh(120)
+    tau = np.random.default_rng(120).standard_normal(2 * tri.n_triangles)
+    pairs = [(lambda p: save_mesh(tri, p), lambda p: reference_mesh(p, tri)),
+             (lambda p: write_stress_csv(p, tau, 1.0),
+              lambda p: reference_stress_csv(p, tau, 1.0))]
+    for write, reference in pairs:
+        write(tmp_path / "new")
+        reference(tmp_path / "reference")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "reference").read_bytes()
+
+
 def assert_all_writers_match(out, tri, y, tau, tau0):
     """Every writer against its reference loop, in the order a solve exports."""
     pairs = [

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ductflow import fem, mesh
@@ -51,6 +51,27 @@ def reference_disk_mesh(n):
 
     radii = np.sqrt((nodes ** 2).sum(axis=1))
     return nodes, np.asarray(triangles), np.abs(radii - 1.0) <= 1e-12
+
+
+# Values at each side of a new decimal digit and of the uint32 range,
+# and the largest int64
+INT_EDGES = [0, 9, 10, 99, 100, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1]
+
+
+@st.composite
+def integer_columns(draw):
+    """One to three equal-length arrays of non-negative integers, each at
+    most its own bound from ``INT_EDGES`` (so their widths differ), in a
+    dtype that holds that bound."""
+    n = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.sampled_from(INT_EDGES))
+        dtype = draw(st.sampled_from([np.int64, np.uint64, np.min_scalar_type(top)]))
+        values = st.one_of(st.sampled_from([v for v in INT_EDGES if v <= top]),
+                           st.integers(0, top))
+        columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype))
+    return columns
 
 
 def mesh_arrays_equal(a, b):
@@ -228,6 +249,31 @@ class TestLoadSave:
         mesh.write_rows(expected, np.arange(n), values, sep=",")
         mesh.write_rows(got, np.arange(n), text, sep=",")
         assert got.getvalue() == expected.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(columns=integer_columns())
+    @example(columns=[np.array(INT_EDGES, dtype=np.int64)])
+    @example(columns=[np.array(INT_EDGES, dtype=np.uint64), np.array(INT_EDGES[::-1]),
+                      np.arange(len(INT_EDGES), dtype=np.uint8)])
+    @example(columns=[np.array([], dtype=np.int64), np.array([], dtype=np.uint32)])
+    def test_integer_rows_are_their_repr_text(self, columns):
+        # formatted by digit arithmetic, in the bytes of a repr per value
+        rows = zip(*(column.tolist() for column in columns))
+        assert mesh.rows_text(*columns) == "".join(
+            " ".join(map(repr, row)) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("columns", [
+        [np.array([3, -1, 10])],
+        [np.array([3, 1, 10]), np.array([0.5, -0.0, 1e300])],
+        [np.array([3, 1, 10]), "a\nb\nc\n"],
+        [np.array([3, 1, 10]), np.array([7, 70])],
+    ], ids=["negative", "float", "text", "unequal_lengths"])
+    def test_other_rows_are_their_repr_text(self, columns):
+        # the repr path, and rows up to the shortest column as zip gives them
+        expected = io.StringIO()
+        for row in zip(*(c.split() if isinstance(c, str) else c.tolist() for c in columns)):
+            expected.write(" ".join(v if isinstance(v, str) else repr(v) for v in row) + "\n")
+        assert mesh.rows_text(*columns) == expected.getvalue()
 
     def test_square_file(self, tmp_path):
         path = tmp_path / "square.mesh"

@@ -167,6 +167,20 @@ class TestCgSteihaug:
         assert reason == "curvature" and count == 1
         np.testing.assert_allclose(step, -(gr / curvature) * pg, rtol=1e-14, atol=0.0)
 
+    def test_non_finite_curvature_exits_on_first_iteration(self, disk2_ops):
+        # finite blocks of 1e308 whose d^T H d overflows: the model along d
+        # has no minimiser, so CG leaves at its first direction with a NaN
+        # step (which the outer loop stops on as non_finite)
+        rng = np.random.default_rng(27)
+        pg = disk2_ops.project_nullspace(rng.standard_normal(disk2_ops.n_stress))
+        grad = pg / np.abs(pg).max()  # |H d| stays finite entry by entry
+        hess = np.broadcast_to([[1e308], [0.0], [1e308]], (3, disk2_ops.tri.n_triangles))
+        # the overflow is silenced as report.run_passes silences it
+        with np.errstate(over="ignore"):
+            step, reason, count = run_cg(disk2_ops, grad, hess, 1.0)
+        assert reason == "curvature" and count == 1
+        assert np.isnan(step).all()
+
     def test_step_stays_in_nullspace_and_inside_ball(self, disk3_ops):
         params = FluidParams(alpha=2.0, kappa=1.0, tau0=0.2)
         tau = disk3_ops.project_feasible(np.zeros(disk3_ops.n_stress))
@@ -444,13 +458,17 @@ class TestSolveTrs:
 
     def test_non_finite_model_stops(self, disk3_ops):
         # kappa^(1/(alpha-1)) = 8.7e-308 is barely normal: the gradient and
-        # Hessian are finite, but CG overflows, so the step and pred are not
+        # Hessian are finite, but d^T H d overflows, so CG stops at its
+        # first non-finite curvature and the step and pred are not finite
         params = FluidParams(alpha=1.01, kappa=8.5e-4, tau0=0.1)
         # and the run is warning-clean: the overflow is reported by status
         tau, _, report = solve_trs(params, disk3_ops)
         assert report.status == "non_finite"
         assert report.iterations <= 2
         assert np.all(np.isfinite(tau))
+        # not a CG run to its cap on NaN directions
+        assert report.cg_iterations[-1][1] == "curvature"
+        assert sum(count for count, _ in report.cg_iterations) < 10
 
     # max_examples comes from the hypothesis profile (tests/conftest.py)
     @settings(deadline=None, derandomize=True)
