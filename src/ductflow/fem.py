@@ -25,12 +25,30 @@ same iterates.  ``D^T`` is likewise built once, as the CSR
 matrix ``DT``: ``D.T`` of a CSR matrix is a new CSC object on every
 access, and its products equal those of ``DT`` bit for bit.
 
+The two factorisations run at the same time: one module-level worker
+thread forms and factorises ``D D^T`` while the calling thread forms
+and factorises the stiffness, and assembly returns once both are done.
+The thread starts with the first assembly and ends at interpreter exit.
+SuperLU in scipy 1.17.1 frees a factor's memory only in the thread that
+made it; a factor dropped in another thread leaks whole.  So the worker
+holds the only reference to the ``D D^T`` factor, and a finalizer on
+the operators queues its drop on that worker, behind the factorisation.
+Solves need no such care and run in the thread that calls them.  The
+factors are those the calling thread would make, so every solve is the
+same bit for bit.  A forked child does not inherit the worker's thread
+and is given a fresh worker.
+
 The force density is a finite constant.  A mesh with no free node needs
 no special case: its ``0 x 0`` matrices factorise and solve to empty arrays.
 """
 
 from __future__ import annotations
 
+import atexit
+import os
+import queue
+import threading
+import weakref
 from functools import partial
 
 import numpy as np
@@ -38,6 +56,54 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .mesh import Triangulation
+
+_lock = threading.Lock()
+_tasks = _thread = None  # the worker's queue and thread, made on first use
+
+
+def _worker_tasks() -> queue.SimpleQueue:
+    """The task queue of the one thread that makes, and later drops, every
+    ``D D^T`` factor; the thread starts on the first call."""
+    global _tasks, _thread
+    with _lock:
+        if _tasks is None:
+            _tasks = queue.SimpleQueue()
+            _thread = threading.Thread(target=_run_tasks, args=(_tasks,), name="ductflow-ddt",
+                                       daemon=True)
+            _thread.start()
+        return _tasks
+
+
+def _run_tasks(tasks: queue.SimpleQueue) -> None:
+    for task in iter(tasks.get, None):
+        task()
+
+
+@atexit.register
+def _stop_worker() -> None:
+    # SuperLU keeps a record per thread of the factors made there; cleared
+    # with a thread still running at shutdown, it leaves a Python error set
+    # that fails the final flush of stdout (exit status 120)
+    global _tasks
+    with _lock:
+        if _tasks is not None:
+            _tasks.put(None)
+            _thread.join()
+            _tasks = None
+
+
+def _forget_worker() -> None:
+    # a forked child inherits the queue but not the thread, and perhaps a
+    # held lock.  Clearing the lost thread's SuperLU record at the fork can
+    # leave the error above set, raised by the first call made here, so
+    # `_tasks` is reset before any call.
+    global _tasks, _lock
+    _tasks = None
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 class FactorizationError(RuntimeError):
@@ -66,13 +132,23 @@ class DiscreteOperators:
         self.DT = self.D.T.tocsr()
         self.f_h = _load_vector(tri, f)
 
-        # D diag(1/A) D^T rounds differently on either side of the diagonal
-        # where triangle areas differ; the average is symmetric bit for bit
-        stiffness = self.D @ sp.diags(1.0 / self.area2) @ self.DT
+        # the worker forms and factorises D D^T meanwhile; `gram` holds the
+        # only reference to its solve, and only the worker fills and clears
+        # it (module docstring).  The finalizer only puts to a SimpleQueue,
+        # which is safe wherever a garbage collection runs it.  A failure
+        # here queues the clear at once, behind the running factorisation.
+        tasks, gram, reply = _worker_tasks(), [], queue.SimpleQueue()
+        self._gram = gram
+        tasks.put(partial(_factor_gram, gram, self.D, self.DT, reply))
+        drop = weakref.finalize(self, tasks.put, gram.clear)
+        drop.atexit = False
         try:
-            self._solve_gram = _factor_spd(self.D @ self.DT)
-            self._solve_stiffness = _factor_spd((stiffness + stiffness.T) * 0.5)
+            self._solve_stiffness = _factor_spd(_stiffness(self.D, self.DT, self.area2))
+            failure = reply.get()
+            if failure is not None:
+                raise failure
         except RuntimeError as exc:
+            drop()
             raise FactorizationError(
                 f"factorisation of D*D^T / D*A^-1*D^T failed ({exc}); "
                 "constraint matrix is rank deficient"
@@ -91,7 +167,7 @@ class DiscreteOperators:
 
     def solve_ddt(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(D D^T) x = rhs``."""
-        return self._solve_gram(np.asarray(rhs, dtype=float))
+        return self._gram[0](np.asarray(rhs, dtype=float))
 
     def solve_stiffness(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(D A^-1 D^T) x = rhs`` (discrete Laplacian solve)."""
@@ -147,10 +223,37 @@ def _factor_spd(matrix):
     ``matrix`` is symmetric bit for bit, as both callers build it.  The
     transposed path is chosen because it was measured faster per call
     (module docstring); why SuperLU's is faster was not examined.
+    Symmetry also makes the arrays of the CSR ``matrix`` its CSC arrays,
+    so SuperLU is given them without the copy ``tocsc`` would make.
     """
-    lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    csc = sp.csc_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    lu = splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
     return partial(lu.solve, trans="T")
+
+
+def _stiffness(D, DT, area2) -> sp.csr_matrix:
+    """``D diag(1/A) D^T``, averaged with its transpose.
+
+    The triple product rounds differently on either side of the diagonal
+    where triangle areas differ; the average is symmetric bit for bit.
+    The product itself is freed on return, before the factorisation.
+    """
+    stiffness = D @ sp.diags(1.0 / area2) @ DT
+    return (stiffness + stiffness.T) * 0.5
+
+
+def _factor_gram(gram: list, D, DT, reply: queue.SimpleQueue) -> None:
+    """On the worker: form ``D D^T``, factorise it and put its solve in ``gram``.
+
+    ``reply`` gets ``None``, or the exception for the waiting thread to raise.
+    """
+    try:
+        gram.append(_factor_spd(D @ DT))
+    except BaseException as exc:  # raised again by the waiting thread
+        reply.put(exc)
+    else:
+        reply.put(None)
 
 
 def _constraint_matrix(tri: Triangulation) -> sp.csr_matrix:
@@ -174,6 +277,6 @@ def _load_vector(tri: Triangulation, f) -> np.ndarray:
     f = float(f)
     if not np.isfinite(f):
         raise ValueError("force density must be finite")
-    full = np.zeros(tri.n_nodes)
-    np.add.at(full, tri.triangles, (tri.areas / 3.0 * f)[:, None])
+    full = np.bincount(tri.triangles.ravel(), np.repeat(tri.areas / 3.0 * f, 3),
+                       minlength=tri.n_nodes)
     return full[tri.free_nodes]

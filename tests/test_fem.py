@@ -1,14 +1,22 @@
+import gc
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+import ductflow.fem as fem
 from ductflow.augmented_lagrangian import solve_alg2
 from ductflow.fem import FactorizationError, assemble
-from ductflow.mesh import Triangulation, generate_disk_mesh
+from ductflow.mesh import Triangulation, generate_disk_mesh, generate_square_mesh
 from ductflow.objective import FluidParams
 from ductflow.trust_region import solve_trs
-from oracles import (independent_constraint_matrix, independent_stiffness, jittered_square,
-                     perturbed_disk)
+from oracles import (graded_square, independent_constraint_matrix, independent_stiffness,
+                     jittered_square, perturbed_disk)
 
 
 def stiffness_inverse(ops):
@@ -129,6 +137,162 @@ class TestAssembly:
         monkeypatch.setattr(fem, "splu", boom)
         with pytest.raises(FactorizationError, match="D\\*D\\^T"):
             assemble(generate_disk_mesh(1), f=1.0)
+
+
+class Factor:
+    """A SuperLU factor that appends to ``threads`` the thread it is made on,
+    then the one it is dropped on."""
+
+    def __init__(self, lu, threads):
+        self.lu, self.threads = lu, threads
+        threads.append(threading.get_ident())
+
+    def solve(self, *args, **kwargs):
+        return self.lu.solve(*args, **kwargs)
+
+    def __del__(self):
+        self.threads.append(threading.get_ident())
+
+
+def thread_spy(records):
+    """An ``splu`` whose factors note their threads in a new entry of ``records``."""
+    def spy(matrix, **kwargs):
+        threads = []
+        records.append(threads)
+        return Factor(splu(matrix, **kwargs), threads)
+    return spy
+
+
+def drain_worker():
+    """Wait for everything queued on the factorisation worker so far."""
+    done = threading.Event()
+    fem._worker_tasks().put(done.set)
+    assert done.wait(timeout=30.0)
+
+
+def exit_code_in_child(target):
+    """Run ``target`` in a forked child: its exit code, or None if it still runs after 30 s."""
+    child = multiprocessing.get_context("fork").Process(target=target)
+    child.start()
+    child.join(timeout=30.0)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        return None
+    return child.exitcode
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="no fork start method on this platform")
+
+
+def assemble_in_child():
+    ops = assemble(generate_disk_mesh(3))
+    ops.solve_ddt(ops.f_h)
+
+
+# the code an assembly may run to hand work to a worker thread, a thread pool's included
+HAND_OFF = ("ductflow/fem.py", "concurrent/futures/thread.py", "concurrent/futures/_base.py",
+            "threading.py", "queue.py", "weakref.py")
+
+
+def drop_operators_during_hand_off():
+    # an operator set's finalizer runs wherever its last reference goes,
+    # which for one in a reference cycle is any allocation that starts a
+    # collection: run one at every line of the hand-off
+    tri = generate_disk_mesh(1)
+    spare = [assemble(tri) for _ in range(300)]
+
+    def tracer(frame, event, arg):
+        if not frame.f_code.co_filename.endswith(HAND_OFF):
+            return None
+        if spare:
+            spare.pop()
+        return tracer
+    sys.settrace(tracer)
+    try:
+        assemble(generate_disk_mesh(2))
+    finally:
+        sys.settrace(None)
+    assert spare, "every spare operator set was dropped"
+
+
+class TestConcurrentFactorisation:
+    def test_each_factor_dropped_on_the_thread_that_made_it(self, monkeypatch):
+        records = []
+        monkeypatch.setattr(fem, "splu", thread_spy(records))
+        ops = assemble(perturbed_disk(4))
+        ops.solve_ddt(ops.f_h)
+        ops.solve_stiffness(ops.f_h)
+        del ops
+        gc.collect()
+        drain_worker()
+        main = threading.get_ident()
+        assert sorted(made == main for made, _ in records) == [False, True]
+        for threads in records:
+            assert len(threads) == 2 and threads[0] == threads[1]
+
+    def test_calling_thread_failure_while_ddt_factorises(self, monkeypatch):
+        # the stiffness fails while the worker is still held inside its
+        # factorisation: the error comes at once, not after the worker
+        records, released, release = [], [], threading.Event()
+        record, main = thread_spy(records), threading.get_ident()
+
+        def spy(matrix, **kwargs):
+            if threading.get_ident() != main:
+                released.append(release.wait(timeout=10.0))
+            elif not release.is_set():
+                raise RuntimeError("Factor is exactly singular")
+            return record(matrix, **kwargs)
+        monkeypatch.setattr(fem, "splu", spy)
+        with pytest.raises(FactorizationError, match="D\\*D\\^T"):
+            assemble(generate_disk_mesh(3), f=1.0)
+        release.set()
+        ops = assemble(generate_disk_mesh(3), f=1.0)
+        x = ops.solve_ddt(ops.f_h)
+        np.testing.assert_allclose(ops.D @ (ops.DT @ x), ops.f_h, rtol=1e-12)
+        del ops
+        gc.collect()
+        drain_worker()
+        assert released == [True, True]
+        # the failed assembly's D D^T factor and the next assembly's two
+        assert sorted(made == main for made, _ in records) == [False, False, True]
+        for threads in records:
+            assert len(threads) == 2 and threads[0] == threads[1]
+
+    @pytest.mark.parametrize("build", [
+        lambda: generate_disk_mesh(12), lambda: generate_square_mesh(16),
+        lambda: graded_square(16), lambda: perturbed_disk(19, seed=1)])
+    def test_solves_bit_identical_to_sequential_factors(self, build):
+        # references: both matrices formed and factorised one after the
+        # other in this thread
+        ops = assemble(build(), f=1.0)
+        solve_ddt = fem._factor_spd(ops.D @ ops.DT)
+        solve_stiffness = fem._factor_spd(fem._stiffness(ops.D, ops.DT, ops.area2))
+        rng = np.random.default_rng(5)
+        for rhs in (ops.f_h, *rng.standard_normal((2, ops.n_free))):
+            assert ops.solve_ddt(rhs).tobytes() == solve_ddt(rhs).tobytes()
+            assert ops.solve_stiffness(rhs).tobytes() == solve_stiffness(rhs).tobytes()
+
+    @needs_fork
+    def test_forked_child_assembles(self):
+        # the child inherits the started worker's queue but not its thread
+        assemble(generate_disk_mesh(3))
+        assert exit_code_in_child(assemble_in_child) == 0
+
+    @needs_fork
+    def test_finalizers_run_during_the_hand_off(self):
+        assert exit_code_in_child(drop_operators_during_hand_off) == 0
+
+    def test_interpreter_exits_cleanly_with_operators_alive(self):
+        code = ("from ductflow.fem import assemble\n"
+                "from ductflow.mesh import generate_disk_mesh\n"
+                "ops = assemble(generate_disk_mesh(3))\n"
+                "print('assembled')\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "assembled\n", "")
 
 
 class TestSolves:
